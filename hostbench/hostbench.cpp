@@ -12,13 +12,11 @@
 //       {"checksum"}.
 //   hostbench solve --workload W --seed S --seconds T --trace 0|1
 //                   --triad-gbs G --array-bytes A --l3-bytes L
-//                   --ref-checksum C [--trace-file F]
+//                   --ref-checksum C [--trace-file F] [--corrupt-checksum]
 //       closed-loop timed solves, one at a time; prints the result line
 //       {"correct", "attempted", "failed", "metrics"} as the last line.
-//
-// Test knobs of the reference and solve modes: --n and --iters shrink the
-// deck, and --corrupt-checksum perturbs each solve's checksum so the
-// correctness gate must report it as failed.
+//       --corrupt-checksum perturbs each solve's checksum, so the
+//       correctness gate must report every solve as failed.
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -42,6 +40,7 @@
 #include "microbench/babelstream.hpp"
 #include "op2/meshgen.hpp"
 #include "op2/partition.hpp"
+#include "ops/context.hpp"
 #include "par/simmpi.hpp"
 #include "par/thread_pool.hpp"
 
@@ -52,10 +51,12 @@ namespace {
 constexpr int kMaxThreads = 4;          // the host has 4 cores
 constexpr double kChecksumTol = 1e-12;  // relative
 constexpr int kMinSamples = 3;
+constexpr idx_t kCloverN = 2048;        // the clover2d deck: n and steps
+constexpr int kCloverSteps = 5;
 
 // --- Bench-owned spans ------------------------------------------------------
 
-/// A span the benchmark records around one call into a layer: an App span
+/// A span the benchmark records around its calls in a solve: an App span
 /// in the bwtrace timeline while tracing is on, and a steady-clock
 /// duration always.
 class BenchSpan {
@@ -109,8 +110,8 @@ apps::Options make_workload(const Cli& cli) {
   const std::string name = cli.get("workload", "");
   apps::Options o;
   o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  o.n = cli.get_int("n", 2048);
-  o.iterations = static_cast<int>(cli.get_int("iters", 5));
+  o.n = kCloverN;
+  o.iterations = kCloverSteps;
   if (name == "clover2d-tiled") {
     o.threads = kMaxThreads;
     o.tiled = true;
@@ -139,7 +140,7 @@ apps::Options reference_options(apps::Options o) {
 /// the time its direct child spans cover.
 struct TraceLayers {
   double tile_self_s = 0;       ///< rank 0 Tile self time (per-tile overhead)
-  double halo_self_s = 0;       ///< rank 0 Halo self time, chain.exchange excluded
+  double halo_self_s = 0;       ///< rank 0 Halo self time outside chain.exchange
   double chain_exchange_s = 0;  ///< rank 0 chain.exchange inclusive time
   double comm_self_s = 0;       ///< max over ranks of Comm self time
 };
@@ -150,6 +151,10 @@ TraceLayers reduce_trace(const std::vector<trace::TrackView>& tracks) {
     const std::string* name;
     std::uint64_t ts;
     std::uint64_t child;
+    bool in_chain_exchange;  ///< opened inside a chain.exchange span
+  };
+  const auto is_chain_exchange = [](const Open& o) {
+    return o.cat == trace::Cat::Halo && *o.name == "chain.exchange";
   };
   TraceLayers out;
   std::map<int, double> comm_by_rank;
@@ -157,7 +162,9 @@ TraceLayers reduce_trace(const std::vector<trace::TrackView>& tracks) {
     std::vector<Open> stack;
     for (const trace::EventView& e : tr.events) {
       if (e.ph == 'B') {
-        stack.push_back({e.cat, &e.name, e.ts_ns, 0});
+        const bool inside = !stack.empty() && (stack.back().in_chain_exchange ||
+                                               is_chain_exchange(stack.back()));
+        stack.push_back({e.cat, &e.name, e.ts_ns, 0, inside});
         continue;
       }
       if (e.ph != 'E' || stack.empty()) continue;
@@ -171,11 +178,11 @@ TraceLayers reduce_trace(const std::vector<trace::TrackView>& tracks) {
         comm_by_rank[tr.rank] += self;
       } else if (o.cat == trace::Cat::Tile && rank0) {
         out.tile_self_s += self;
-      } else if (o.cat == trace::Cat::Halo && rank0) {
-        if (*o.name == "chain.exchange")
-          out.chain_exchange_s += 1e-9 * static_cast<double>(dur);
-        else
-          out.halo_self_s += self;
+      } else if (is_chain_exchange(o) && rank0) {
+        out.chain_exchange_s += 1e-9 * static_cast<double>(dur);
+      } else if (o.cat == trace::Cat::Halo && rank0 && !o.in_chain_exchange) {
+        // The per-dat exchanges a chain makes count in chain_exchange_s.
+        out.halo_self_s += self;
       }
     }
   }
@@ -187,6 +194,7 @@ TraceLayers reduce_trace(const std::vector<trace::TrackView>& tracks) {
 // --- One solve and its derived quantities -----------------------------------
 
 struct Sample {
+  bool ok = false;   ///< passed the correctness gate
   double run_s = 0;  ///< wall time of the run() call
   long long pool_regions = 0;
   apps::Result result;
@@ -232,11 +240,11 @@ struct Runner {
   double ref_checksum = 0;
   Tally tally;
 
-  /// One closed-loop solve. A solve that throws returns run_s == 0.
+  /// One closed-loop solve.
   Sample solve() {
     Sample s;
     const long long regions0 = par::pool_census().regions;
-    tally.run(
+    s.ok = tally.run(
         "clover2d solve",
         [&] {
           BenchSpan span("bench.run");
@@ -254,12 +262,14 @@ struct Runner {
   Sample traced_solve(TraceLayers& layers, std::uint64_t& dropped) {
     trace::reset();
     trace::enable();
-    const int failed0 = tally.failed;
     Sample s = solve();
     trace::disable();
     const std::uint64_t d = trace::dropped_events();
     dropped += d;
-    if (d > 0 && tally.failed == failed0) ++tally.failed;
+    if (d > 0 && s.ok) {
+      s.ok = false;
+      ++tally.failed;
+    }
     layers = reduce_trace(trace::snapshot());
     return s;
   }
@@ -272,12 +282,11 @@ void closed_loop(double seconds, const std::function<void()>& step) {
   for (int i = 0; i < kMinSamples || t.elapsed() < seconds; ++i) step();
 }
 
-/// Adds a completed solve to `v` (a solve that threw has no timings).
-void keep(Sample s, std::vector<Sample>& v) {
-  if (s.run_s > 0) v.push_back(std::move(s));
-}
-
 // --- Outside-in layer probes ------------------------------------------------
+//
+// The probes run with tracing off and are timed by the benchmark's own
+// steady-clock Timer around the public call, so their values carry no
+// trace overhead.
 
 /// b_eff-style ring: every rank sends `bytes` to rank+1 and receives from
 /// rank-1; microseconds per ring step, median of 5 repetitions.
@@ -291,12 +300,12 @@ double probe_ring_us(std::size_t bytes) {
       const int next = (c.rank() + 1) % c.size();
       const int prev = (c.rank() + c.size() - 1) % c.size();
       c.barrier();
-      BenchSpan span("probe.ring");
+      const Timer timer;
       for (int s = 0; s < kSteps; ++s) {
         c.send(next, s, sbuf.data(), bytes);
         c.recv(prev, s, rbuf.data(), bytes);
       }
-      if (c.rank() == 0) us = 1e6 * span.seconds() / kSteps;
+      if (c.rank() == 0) us = 1e6 * timer.elapsed() / kSteps;
     });
     reps.push_back(us);
   }
@@ -311,10 +320,10 @@ double probe_allreduce_us() {
     double us = 0;
     par::run_ranks(kMaxThreads, [&](par::Comm& c) {
       c.barrier();
-      BenchSpan span("probe.allreduce");
+      const Timer timer;
       double v = c.rank();
       for (int i = 0; i < kCalls; ++i) v = c.allreduce_min(v + 1.0);
-      if (c.rank() == 0) us = 1e6 * span.seconds() / kCalls;
+      if (c.rank() == 0) us = 1e6 * timer.elapsed() / kCalls;
     });
     reps.push_back(us);
   }
@@ -327,9 +336,9 @@ double probe_pool_region_us() {
   par::ThreadPool pool(kMaxThreads);
   std::vector<double> reps;
   for (int rep = 0; rep < 5; ++rep) {
-    BenchSpan span("probe.pool_region");
+    const Timer timer;
     for (int i = 0; i < kRegions; ++i) pool.run([](int) {});
-    reps.push_back(1e6 * span.seconds() / kRegions);
+    reps.push_back(1e6 * timer.elapsed() / kRegions);
   }
   return median(reps);
 }
@@ -354,10 +363,7 @@ Op2Layer probe_op2(std::uint64_t seed, Tally& tally) {
   o.exec_mode = 1;
   apps::Result r;
   if (tally.run("mgcfd-vec solve",
-                [&] {
-                  BenchSpan span("probe.mgcfd_vec");
-                  return apps::mgcfd::run(o);
-                },
+                [&] { return apps::mgcfd::run(o); },
                 ref, r)) {
     // "summary" and "checksum" run outside the timed cycles.
     for (const LoopRecord* rec : r.instr.loops_in_order()) {
@@ -373,21 +379,21 @@ Op2Layer probe_op2(std::uint64_t seed, Tally& tally) {
   const idx_t ni = o.n, nj = o.n, nk = std::max<idx_t>(o.n / 2, 2);
   op2::HexMesh mesh;
   {
-    BenchSpan span("probe.make_hex_mesh");
+    const Timer timer;
     mesh = op2::make_hex_mesh(ni, nj, nk, seed);
-    out.mesh_s = span.seconds();
+    out.mesh_s = timer.elapsed();
   }
   {
-    BenchSpan span("probe.coarsen_hex");
+    const Timer timer;
     const auto perm = op2::hex_permutation(ni * nj * nk, seed);
     const op2::MgLevel lvl = op2::coarsen_hex(ni, nj, nk, perm, seed ^ 0x9e3779b9);
-    out.coarsen_s = span.seconds();
+    out.coarsen_s = timer.elapsed();
   }
   {
-    BenchSpan span("probe.rcb_partition");
+    const Timer timer;
     const op2::Partition p =
         op2::rcb_partition(mesh.cell_cx, mesh.cell_cy, mesh.cell_cz, 8);
-    out.partition_s = span.seconds();
+    out.partition_s = timer.elapsed();
     BWLAB_REQUIRE(static_cast<idx_t>(p.part.size()) == mesh.ncells,
                   "partition covers " << p.part.size() << " of "
                                       << mesh.ncells << " cells");
@@ -443,9 +449,9 @@ int cmd_triad() {
   // tenant competes for it.
   std::vector<double> secs;
   for (int rep = 0; rep < 20; ++rep) {
-    BenchSpan span("probe.triad");
+    const Timer timer;
     stream.triad();
-    secs.push_back(span.seconds());
+    secs.push_back(timer.elapsed());
   }
   BWLAB_REQUIRE(stream.dot() > 0, "triad arrays hold no data");
   const double bytes = 3.0 * static_cast<double>(n) * sizeof(double);
@@ -464,12 +470,9 @@ int cmd_reference(const Cli& cli) {
 
 int cmd_solve(const Cli& cli) {
   Runner r;
-  {
-    BenchSpan span("bench.setup");
-    r.opt = make_workload(cli);
-    r.ref_checksum = cli.get_double("ref-checksum", 0);
-    r.tally.corrupt = cli.has("corrupt-checksum");
-  }
+  r.opt = make_workload(cli);
+  r.ref_checksum = cli.get_double("ref-checksum", 0);
+  r.tally.corrupt = cli.has("corrupt-checksum");
   const double seconds = cli.get_double("seconds", 10);
   const double triad_gbs = cli.get_double("triad-gbs", 0);
   BWLAB_REQUIRE(triad_gbs > 0, "--triad-gbs must be positive");
@@ -483,19 +486,24 @@ int cmd_solve(const Cli& cli) {
   const double rss_mb = peak_rss_mb();
   // Untraced solves give the end-to-end metrics and the instrumentation-
   // derived layers. A traced run alternates them with traced solves, so
-  // both halves of trace.overhead_frac see the same machine state.
+  // both halves of trace.overhead_frac see the same machine state. Only
+  // solves that passed the correctness gate enter the medians.
   std::vector<Sample> samples, traced_samples;
   std::vector<TraceLayers> layers;
   std::uint64_t dropped = 0;
   closed_loop(seconds, [&] {
-    keep(r.solve(), samples);
+    if (Sample s = r.solve(); s.ok) samples.push_back(std::move(s));
     if (!traced) return;
     TraceLayers l;
-    keep(r.traced_solve(l, dropped), traced_samples);
-    layers.push_back(l);
+    if (Sample s = r.traced_solve(l, dropped); s.ok) {
+      traced_samples.push_back(std::move(s));
+      layers.push_back(l);
+    }
   });
-  BWLAB_REQUIRE(!samples.empty() && (!traced || !traced_samples.empty()),
-                "every solve threw");
+  if (samples.empty() || (traced && traced_samples.empty())) {
+    print_result(r.tally, {}, 0);  // no verified solve, so no figures
+    return 0;
+  }
   const auto solve_time = [](const Sample& s) { return s.solve_s(); };
   const double solve_s = median_of(samples, solve_time);
   const double bytes = useful_bytes(samples.front().result.instr, r.opt.ranks);
@@ -528,7 +536,11 @@ int cmd_solve(const Cli& cli) {
   const Sample dm = r.solve();
   core::DataMoveProfiler::disable();
   const core::DatMoveReport dmr = core::DataMoveProfiler::analyze(dm.result.instr);
-  const double tile_budget = 1048576.0 * r.opt.threads;  // ops::Context default
+  // The budget the tiled solve sized its tiles against. An eager solve
+  // has none; it gets the budget of a context with the same team.
+  const double tile_budget = dm.result.instr.tiling().cache_budget_bytes > 0
+                                 ? dm.result.instr.tiling().cache_budget_bytes
+                                 : ops::Context(r.opt.threads).tile_cache_bytes();
 
   // Exact counts from the instrumentation of the last untraced solve.
   const Sample& last = samples.back();

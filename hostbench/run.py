@@ -81,14 +81,15 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    # Unknown --key=value arguments are test knobs passed to every mode,
-    # e.g. --n=256 --iters=2 --corrupt-checksum.
-    args, extra = ap.parse_known_args()
+    ap.add_argument("--corrupt-checksum", action="store_true",
+                    help="perturb every solve's checksum (self-test of the "
+                         "correctness gate)")
+    args = ap.parse_args()
 
     exe = str(build())
     deadline = time.monotonic() + RUN_BUDGET_S
     left = lambda: max(1.0, deadline - time.monotonic())
-    deck = [f"--workload={args.workload}", f"--seed={args.seed}", *extra]
+    deck = [f"--workload={args.workload}", f"--seed={args.seed}"]
     triad = last_json(call([exe, "triad"], left()))
     log(f"triad {triad['triad_gbs']:.2f} GB/s over "
         f"{triad['array_bytes'] / 2**20:.0f} MiB arrays "
@@ -100,6 +101,8 @@ def main():
              f"--array-bytes={triad['array_bytes']!r}",
              f"--l3-bytes={triad['l3_bytes']}",
              f"--ref-checksum={ref['checksum']!r}"]
+    if args.corrupt_checksum:
+        solve.append("--corrupt-checksum")
     if args.trace:
         traces = build_dir() / "traces"
         traces.mkdir(parents=True, exist_ok=True)
