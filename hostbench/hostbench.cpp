@@ -1,23 +1,22 @@
 // hostbench: the bwlab host benchmark driver (see NOTES.md for the
 // workloads, the metrics and what each metric is expected to move).
-// run.py builds it and calls its three modes in separate processes, so
-// neither the STREAM arrays nor the reference solve count towards the
-// workload's peak resident set:
+// run.py builds it and calls its two modes in separate processes, so the
+// reference solve does not count towards the workload's peak resident set:
 //
-//   hostbench triad
-//       BabelStream triad over arrays of 4x the L3 size; prints one JSON
-//       line {"triad_gbs", "array_bytes", "l3_bytes"}.
 //   hostbench reference --workload W --seed S
 //       the 1-rank, 1-thread eager solve of the workload's deck; prints
 //       {"checksum"}.
 //   hostbench solve --workload W --seed S --seconds T --trace 0|1
-//                   --triad-gbs G --array-bytes A --l3-bytes L
 //                   --ref-checksum C [--trace-file F] [--corrupt-checksum]
-//       closed-loop timed solves, one at a time; prints the result line
+//       closed-loop timed solves, one at a time, each followed by a
+//       set-up-only run (--trace 0) or by a traced solve and one repetition
+//       of the STREAM triad roof probe (--trace 1); prints the result line
 //       {"correct", "attempted", "failed", "metrics"} as the last line.
 //       --corrupt-checksum perturbs each solve's checksum, so the
 //       correctness gate must report every solve as failed.
+#include <malloc.h>
 #include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -26,6 +25,7 @@
 #include <exception>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -112,8 +112,16 @@ apps::Options make_workload(const Cli& cli) {
   o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   o.n = kCloverN;
   o.iterations = kCloverSteps;
+  // The bwfault progress watchdog is off like every other gate. It polls
+  // every 100 ms and run() joins it, so it would add 0 to 100 ms of
+  // waiting to each distributed run.
+  o.watchdog_ms = 0;
   if (name == "clover2d-tiled") {
-    o.threads = kMaxThreads;
+    // One thread: with a team, each of the ~7,000 pool regions of a solve
+    // waits for the host to wake the workers, and the scheduler alternates
+    // between running them side by side and on one vCPU; that made both
+    // the wall and the CPU time of a solve swing by 25% or more on a shared
+    // host. The pool's cost per region is measured by a probe instead.
     o.tiled = true;
     o.tile_size = 0;  // auto height at the context's cache budget
   } else if (name == "clover2d-mpi") {
@@ -193,9 +201,19 @@ TraceLayers reduce_trace(const std::vector<trace::TrackView>& tracks) {
 
 // --- One solve and its derived quantities -----------------------------------
 
+/// CPU seconds the process has used, over all its threads, including those
+/// that have already ended (the SimMPI ranks of a finished run). Time a
+/// thread spends blocked, or descheduled by the hypervisor, does not count.
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 struct Sample {
   bool ok = false;   ///< passed the correctness gate
   double run_s = 0;  ///< wall time of the run() call
+  double cpu_s = 0;  ///< CPU time of the run() call, all threads
   long long pool_regions = 0;
   apps::Result result;
 
@@ -248,13 +266,26 @@ struct Runner {
         "clover2d solve",
         [&] {
           BenchSpan span("bench.run");
+          const double c0 = process_cpu_s();
           apps::Result res = apps::clover2d::run(opt);
+          s.cpu_s = process_cpu_s() - c0;
           s.run_s = span.seconds();
           return res;
         },
         ref_checksum, s.result);
     s.pool_regions = par::pool_census().regions - regions0;
     return s;
+  }
+
+  /// CPU seconds of one run() of the deck with no steps: the set-up and
+  /// teardown of a solve. Its checksum is that of an empty summary, so it
+  /// is not checked.
+  double setup_cpu_s() {
+    apps::Options o = opt;
+    o.iterations = 0;
+    const double c0 = process_cpu_s();
+    apps::clover2d::run(o);
+    return process_cpu_s() - c0;
   }
 
   /// One solve with bwtrace on, reduced to per-layer self times. A
@@ -401,6 +432,57 @@ Op2Layer probe_op2(std::uint64_t seed, Tally& tally) {
   return out;
 }
 
+// --- Host roof probe --------------------------------------------------------
+
+/// host.triad_gbs: BabelStream triad through `micro::BabelStream`, over
+/// arrays of 4x the L3 size the host reports (`sysconf`, the figure lscpu
+/// prints). The repetitions are spread over the timed loop, one after
+/// each pair of solves, and the roof is their median, just as
+/// apps.solve_s is the median of the solves. Numerator and denominator of
+/// apps.roof_frac thus see the same minutes of other tenants' memory
+/// traffic on a shared host; a roof taken at another moment, or a best
+/// repetition set against a median solve, moves apps.roof_frac with that
+/// traffic.
+class TriadRoof {
+ public:
+  TriadRoof()
+      : l3_bytes_(host_l3_bytes()),
+        n_(4 * l3_bytes_ / static_cast<idx_t>(sizeof(double))),
+        pool_(kMaxThreads),
+        stream_(n_, pool_) {
+    stream_.triad();  // warm-up: a = 0.2 + 0.4 * 0.0
+  }
+
+  /// Times `reps` more repetitions.
+  void measure(int reps) {
+    for (int i = 0; i < reps; ++i) {
+      const Timer timer;
+      stream_.triad();
+      secs_.push_back(timer.elapsed());
+    }
+  }
+
+  double gbs() {
+    BWLAB_REQUIRE(stream_.dot() > 0, "triad arrays hold no data");
+    return 3.0 * array_bytes() / median(secs_) / 1e9;
+  }
+  double array_bytes() const { return static_cast<double>(n_) * sizeof(double); }
+  double l3_bytes() const { return static_cast<double>(l3_bytes_); }
+  std::size_t reps() const { return secs_.size(); }
+
+ private:
+  static idx_t host_l3_bytes() {
+    const long l3 = sysconf(_SC_LEVEL3_CACHE_SIZE);
+    return l3 > 0 ? l3 : idx_t{32} << 20;
+  }
+
+  idx_t l3_bytes_;
+  idx_t n_;
+  par::ThreadPool pool_;
+  micro::BabelStream stream_;
+  std::vector<double> secs_;
+};
+
 // --- Output -----------------------------------------------------------------
 
 struct Metric {
@@ -438,30 +520,6 @@ double peak_rss_mb() {
 
 // --- Modes ------------------------------------------------------------------
 
-int cmd_triad() {
-  long l3 = sysconf(_SC_LEVEL3_CACHE_SIZE);
-  if (l3 <= 0) l3 = 32L << 20;
-  const idx_t n = 4 * static_cast<idx_t>(l3) / static_cast<idx_t>(sizeof(double));
-  par::ThreadPool pool(kMaxThreads);
-  micro::BabelStream stream(n, pool);
-  stream.triad();  // warm-up: a = 0.2 + 0.4 * 0.0
-  // Best of 20: the roof is the bandwidth the host sustains when no other
-  // tenant competes for it.
-  std::vector<double> secs;
-  for (int rep = 0; rep < 20; ++rep) {
-    const Timer timer;
-    stream.triad();
-    secs.push_back(timer.elapsed());
-  }
-  BWLAB_REQUIRE(stream.dot() > 0, "triad arrays hold no data");
-  const double bytes = 3.0 * static_cast<double>(n) * sizeof(double);
-  std::printf("{\"triad_gbs\": %.17g, \"array_bytes\": %.17g, "
-              "\"l3_bytes\": %ld}\n",
-              bytes / *std::min_element(secs.begin(), secs.end()) / 1e9,
-              static_cast<double>(n) * sizeof(double), l3);
-  return 0;
-}
-
 int cmd_reference(const Cli& cli) {
   const apps::Result r = apps::clover2d::run(reference_options(make_workload(cli)));
   std::printf("{\"checksum\": %.17g}\n", r.checksum);
@@ -469,58 +527,89 @@ int cmd_reference(const Cli& cli) {
 }
 
 int cmd_solve(const Cli& cli) {
+  // Every array of a solve gets fresh pages from mmap, as in a process
+  // that solves once. By default glibc raises the mmap threshold after the
+  // first large free, and the SimMPI ranks' arrays then come now from
+  // fresh pages, now from memory a previous solve left in a rank thread's
+  // arena, which made the set-up time of clover2d-mpi swing by 1.5x.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   Runner r;
   r.opt = make_workload(cli);
   r.ref_checksum = cli.get_double("ref-checksum", 0);
   r.tally.corrupt = cli.has("corrupt-checksum");
   const double seconds = cli.get_double("seconds", 10);
-  const double triad_gbs = cli.get_double("triad-gbs", 0);
-  BWLAB_REQUIRE(triad_gbs > 0, "--triad-gbs must be positive");
   const bool traced = cli.get_int("trace", 0) != 0;
 
   // One verified warm-up solve lets the allocator and the page tables
   // settle. The peak resident set is read after it, so it is the peak of
   // one solve rather than of allocator growth over however many solves
-  // fit in the run.
+  // fit in the run, and before the triad arrays are allocated.
   r.solve();
   const double rss_mb = peak_rss_mb();
   // Untraced solves give the end-to-end metrics and the instrumentation-
-  // derived layers. A traced run alternates them with traced solves, so
-  // both halves of trace.overhead_frac see the same machine state. Only
-  // solves that passed the correctness gate enter the medians.
+  // derived layers; in an untraced run each is followed by a set-up-only
+  // run. A traced run instead alternates them with traced solves, so both
+  // halves of trace.overhead_frac see the same machine state, and with
+  // repetitions of the host roof, which only the per-layer metrics use.
+  // Only solves that passed the correctness gate enter the medians.
+  std::optional<TriadRoof> roof;
+  if (traced) {
+    roof.emplace();
+    roof->measure(kMinSamples);
+  }
   std::vector<Sample> samples, traced_samples;
   std::vector<TraceLayers> layers;
+  std::vector<double> setup_cpu;
   std::uint64_t dropped = 0;
   closed_loop(seconds, [&] {
     if (Sample s = r.solve(); s.ok) samples.push_back(std::move(s));
-    if (!traced) return;
+    if (!traced) {
+      setup_cpu.push_back(r.setup_cpu_s());
+      return;
+    }
     TraceLayers l;
     if (Sample s = r.traced_solve(l, dropped); s.ok) {
       traced_samples.push_back(std::move(s));
       layers.push_back(l);
     }
+    roof->measure(1);
   });
+  const auto solve_time = [](const Sample& s) { return s.solve_s(); };
+  const auto cpu_time = [](const Sample& s) { return s.cpu_s; };
+  const auto setup_time = [](const Sample& s) { return s.setup_s(); };
+  const auto print_samples = [&](const char* name, auto f) {
+    std::fprintf(stderr, "  %-12s samples:", name);
+    for (const Sample& s : samples) std::fprintf(stderr, " %.4f", f(s));
+    std::fprintf(stderr, "\n");
+  };
+  print_samples("apps.solve_s", solve_time);
+  print_samples("run_cpu_s", cpu_time);
+  print_samples("apps.setup_s", setup_time);
   if (samples.empty() || (traced && traced_samples.empty())) {
     print_result(r.tally, {}, 0);  // no verified solve, so no figures
     return 0;
   }
-  const auto solve_time = [](const Sample& s) { return s.solve_s(); };
-  const double solve_s = median_of(samples, solve_time);
-  const double bytes = useful_bytes(samples.front().result.instr, r.opt.ranks);
-  std::fprintf(stderr, "  solve_s samples:");
-  for (const Sample& s : samples) std::fprintf(stderr, " %.4f", s.solve_s());
-  std::fprintf(stderr, "\n");
-
   if (!traced) {
-    print_result(
-        r.tally,
-        {{"solve_s", solve_s, "s"},
-         {"roof_frac", bytes / solve_s / (triad_gbs * 1e9), "ratio"},
-         {"setup_s", median_of(samples, [](const Sample& s) { return s.setup_s(); }), "s"},
-         {"peak_rss_mb", rss_mb, "MB"}},
-        samples.size());
+    std::fprintf(stderr, "  %-12s samples:", "setup_s");
+    for (const double c : setup_cpu) std::fprintf(stderr, " %.4f", c);
+    std::fprintf(stderr, "\n");
+    print_result(r.tally,
+                 {{"run_cpu_s", median_of(samples, cpu_time), "s"},
+                  {"setup_s", median(setup_cpu), "s"},
+                  {"peak_rss_mb", rss_mb, "MB"}},
+                 samples.size());
     return 0;
   }
+
+  const double triad_gbs = roof->gbs();
+  const double triad_array_mb = roof->array_bytes() / 1048576.0;
+  const double l3_mb = roof->l3_bytes() / 1048576.0;
+  std::fprintf(stderr, "  triad %.2f GB/s over %.0f MiB arrays (L3 %.0f MiB), "
+                       "median of %zu\n",
+               triad_gbs, triad_array_mb, l3_mb, roof->reps());
+  roof.reset();  // frees the triad arrays before the probes allocate theirs
+  const double solve_s = median_of(samples, solve_time);
+  const double bytes = useful_bytes(samples.front().result.instr, r.opt.ranks);
 
   const std::string trace_file = cli.get("trace-file", "");
   if (!trace_file.empty()) trace::write_chrome_json_file(trace_file);
@@ -562,16 +651,19 @@ int cmd_solve(const Cli& cli) {
   const double kernel_s = median_of(samples, kernel_time);
 
   // Outside-in probes. Ring and allreduce run where the workload sends
-  // messages, the pool probe where it has a team; the op2 probes always.
+  // messages, the pool probe where it dispatches tiles; the op2 probes always.
   const double ring_us =
       halo_msgs > 0 ? probe_ring_us(static_cast<std::size_t>(halo_bytes / halo_msgs)) : 0;
   const double allreduce_us = halo_msgs > 0 ? probe_allreduce_us() : 0;
-  const double pool_region_us = r.opt.threads > 1 ? probe_pool_region_us() : 0;
+  const double pool_region_us = r.opt.tiled ? probe_pool_region_us() : 0;
   const Op2Layer op2l = probe_op2(r.opt.seed, r.tally);
 
   print_result(
       r.tally,
-      {{"ops.kernel_s", kernel_s, "s"},
+      {{"apps.solve_s", solve_s, "s"},
+       {"apps.roof_frac", bytes / solve_s / (triad_gbs * 1e9), "ratio"},
+       {"apps.setup_s", median_of(samples, setup_time), "s"},
+       {"ops.kernel_s", kernel_s, "s"},
        {"ops.kernel_gbs", bytes / std::max(r.opt.ranks, 1) / kernel_s / 1e9, "GB/s"},
        {"ops.loop_calls", static_cast<double>(loop_calls), "count"},
        {"ops.tiles", static_cast<double>(lr.instr.tiling().tiles), "count"},
@@ -608,8 +700,8 @@ int cmd_solve(const Cli& cli) {
        {"datmove.spill_bytes",
         static_cast<double>(dm.result.instr.reuse().est_spill_bytes(tile_budget)), "B"},
        {"host.triad_gbs", triad_gbs, "GB/s"},
-       {"host.triad_array_mb", cli.get_double("array-bytes", 0) / 1048576.0, "MB"},
-       {"host.l3_mb", cli.get_double("l3-bytes", 0) / 1048576.0, "MB"}},
+       {"host.triad_array_mb", triad_array_mb, "MB"},
+       {"host.l3_mb", l3_mb, "MB"}},
       samples.size());
   return 0;
 }
@@ -621,10 +713,9 @@ int main(int argc, char** argv) {
     const Cli cli(argc, argv);
     const std::string mode =
         cli.positional().empty() ? "" : cli.positional().front();
-    if (mode == "triad") return cmd_triad();
     if (mode == "reference") return cmd_reference(cli);
     if (mode == "solve") return cmd_solve(cli);
-    std::fprintf(stderr, "usage: hostbench triad | reference | solve [options]\n");
+    std::fprintf(stderr, "usage: hostbench reference | solve [options]\n");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hostbench: %s\n", e.what());
   }

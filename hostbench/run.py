@@ -7,8 +7,9 @@ Run from the repository root:
 
 It builds hostbench/ (and with it the repository's src/) into
 $CARGO_TARGET_DIR/hostbench, default .bench_build/hostbench, then makes
-three processes: the STREAM triad probe, the reference solve and the timed
-solves. The last line of standard output is the result:
+two processes: the reference solve, and the timed solves (with the STREAM
+triad roof probe in a traced run). The last line of standard output is the
+result:
 
     {"correct": true, "attempted": N, "failed": 0, "metrics": {...}}
 
@@ -90,16 +91,9 @@ def main():
     deadline = time.monotonic() + RUN_BUDGET_S
     left = lambda: max(1.0, deadline - time.monotonic())
     deck = [f"--workload={args.workload}", f"--seed={args.seed}"]
-    triad = last_json(call([exe, "triad"], left()))
-    log(f"triad {triad['triad_gbs']:.2f} GB/s over "
-        f"{triad['array_bytes'] / 2**20:.0f} MiB arrays "
-        f"(L3 {triad['l3_bytes'] / 2**20:.0f} MiB)")
     ref = last_json(call([exe, "reference", *deck], left()))
     solve = [exe, "solve", *deck,
              f"--seconds={args.seconds}", f"--trace={args.trace}",
-             f"--triad-gbs={triad['triad_gbs']!r}",
-             f"--array-bytes={triad['array_bytes']!r}",
-             f"--l3-bytes={triad['l3_bytes']}",
              f"--ref-checksum={ref['checksum']!r}"]
     if args.corrupt_checksum:
         solve.append("--corrupt-checksum")
