@@ -1,14 +1,16 @@
 // Microbenchmark of the bwmem instrumentation's disabled fast path.
-// Every ops::par_loop / op2::par_loop / chain-tile execution carries a
-// `datmove::enabled()` guard in front of the byte-accounting calls; with
-// the profiler OFF that guard must cost one relaxed atomic load plus a
-// branch (the record/touch arguments must not even be evaluated). This
-// binary measures the guarded loop-hook and reuse-touch sites and FAILS
-// if the median cost exceeds the same 5 ns budget gb_trace_overhead and
-// gb_causal_overhead enforce, so the guard runs under `ctest -L bench`.
+// Every loop execution passes its loop event through datmove::record (the
+// bwmem stage of record_loop), and every chain tile carries a
+// `datmove::enabled()` guard in front of its reuse touches; with the
+// profiler OFF each must cost one relaxed atomic load plus a branch (the
+// record/touch arguments must not even be evaluated). This binary
+// measures those sites and FAILS if the median cost exceeds the same 5 ns
+// budget gb_trace_overhead and gb_causal_overhead enforce, so the guard
+// runs under `ctest -L bench`.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "bench/bench_common.hpp"
 #include "common/instrument.hpp"
@@ -17,6 +19,7 @@ using namespace bwlab;
 
 namespace {
 Instrumentation g_instr;
+const std::string g_dat = "a";
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -36,27 +39,21 @@ int main(int argc, char** argv) {
       run.time_ns_per_iter("touch_hook.disabled", kIters, [] {
         if (datmove::enabled()) g_instr.datmove_touch(&g_instr, 256, 256);
       });
-  const double site_ns =
-      run.time_ns_per_iter("loop_site.disabled", kIters, [] {
-        // The full per-use site as ops::par_loop emits it.
-        if (datmove::enabled()) {
-          g_instr.datmove_add("bench.loop", "a", 192, 64);
-          g_instr.datmove_dat("a", 4096, 256);
-          g_instr.datmove_touch(&g_instr, 256, 256);
-        }
-      });
+  // The single counting site of the loop-event path, as record_loop()
+  // calls it for a one-dat loop.
+  const LoopDatArg arg{&g_dat, &g_dat, 4096, 192, 64, nullptr};
+  LoopEvent ev;
+  ev.instr = &g_instr;
+  ev.rec = &g_instr.loop("bench.loop");
+  ev.args = {&arg, 1};
+  const double site_ns = run.time_ns_per_iter(
+      "loop_site.disabled", kIters, [&ev] { datmove::record(ev); });
 
   // Enabled path for reference only (real map/stack updates; not
   // asserted).
   datmove::enable();
-  const double enabled_ns =
-      run.time_ns_per_iter("loop_site.enabled", kIters / 100, [] {
-        if (datmove::enabled()) {
-          g_instr.datmove_add("bench.loop", "a", 192, 64);
-          g_instr.datmove_dat("a", 4096, 256);
-          g_instr.datmove_touch(&g_instr, 256, 256);
-        }
-      });
+  const double enabled_ns = run.time_ns_per_iter(
+      "loop_site.enabled", kIters / 100, [&ev] { datmove::record(ev); });
   datmove::disable();
   g_instr.clear();
 

@@ -1,15 +1,14 @@
 #include "common/benchjson.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 
 #ifndef BWLAB_GIT_SHA
@@ -167,156 +166,31 @@ void write_file(const std::string& path, const ResultFile& f) {
   BWLAB_REQUIRE(os.good(), "failed writing bench results to '" << path << "'");
 }
 
-// --- Minimal JSON parser -----------------------------------------------------
-// Parses exactly the value grammar the writer above emits (plus
-// whitespace tolerance): objects, arrays, strings with \" and \\ escapes,
-// numbers, null. Good enough to round-trip our own files and to read
-// hand-edited baselines; anything else is a loud error.
+// --- Reader ------------------------------------------------------------------
+// Bench files are read through the shared parser (common/json); this layer
+// only checks the schema: required members, their types, the version.
 
 namespace {
 
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  enum class Kind { Null, Number, String, Object, Array } kind = Kind::Null;
-  double number = 0;
-  std::string string;
-  JsonObject object;
-  JsonArray array;
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    BWLAB_REQUIRE(pos_ == s_.size(),
-                  "trailing content in bench JSON at byte " << pos_);
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    BWLAB_REQUIRE(pos_ < s_.size(), "unexpected end of bench JSON");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    BWLAB_REQUIRE(peek() == c, "bench JSON: expected '"
-                                   << c << "' at byte " << pos_ << ", got '"
-                                   << s_[pos_] << "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 'n') {
-      BWLAB_REQUIRE(s_.compare(pos_, 4, "null") == 0,
-                    "bench JSON: bad literal at byte " << pos_);
-      pos_ += 4;
-      return {};
-    }
-    return number();
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      JsonValue key = string_value();
-      expect(':');
-      v.object.emplace(std::move(key.string), value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Array;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue string_value() {
-    expect('"');
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    while (true) {
-      BWLAB_REQUIRE(pos_ < s_.size(), "unterminated string in bench JSON");
-      const char c = s_[pos_++];
-      if (c == '"') return v;
-      if (c == '\\') {
-        BWLAB_REQUIRE(pos_ < s_.size(), "unterminated escape in bench JSON");
-        v.string.push_back(s_[pos_++]);
-      } else {
-        v.string.push_back(c);
-      }
-    }
-  }
-
-  JsonValue number() {
-    skip_ws();
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double d = std::strtod(start, &end);
-    BWLAB_REQUIRE(end != start, "bench JSON: expected a number at byte "
-                                    << pos_);
-    pos_ += static_cast<std::size_t>(end - start);
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.number = d;
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue& require_field(const JsonObject& o, const char* key,
-                               JsonValue::Kind kind, const char* where) {
-  const auto it = o.find(key);
-  BWLAB_REQUIRE(it != o.end(),
+const json::Value& require_field(const json::Value& o, const char* key,
+                                 json::Value::Kind kind, const char* where) {
+  const json::Value* v = o.find(key);
+  BWLAB_REQUIRE(v != nullptr,
                 "bench JSON: missing \"" << key << "\" in " << where);
-  BWLAB_REQUIRE(it->second.kind == kind,
-                "bench JSON: \"" << key << "\" in " << where
-                                 << " has the wrong type");
-  return it->second;
+  BWLAB_REQUIRE(v->kind == kind, "bench JSON: \"" << key << "\" in " << where
+                                                   << " has the wrong type");
+  return *v;
+}
+
+const std::string& require_str(const json::Value& o, const char* key,
+                               const char* where) {
+  return require_field(o, key, json::Value::Kind::Str, where).str;
+}
+
+const std::vector<json::Value>& require_arr(const json::Value& o,
+                                            const char* key,
+                                            const char* where) {
+  return require_field(o, key, json::Value::Kind::Arr, where).arr;
 }
 
 Better parse_better(const std::string& s) {
@@ -329,60 +203,36 @@ Better parse_better(const std::string& s) {
 
 }  // namespace
 
-ResultFile parse(const std::string& json) {
-  const JsonValue root = Parser(json).parse();
-  BWLAB_REQUIRE(root.kind == JsonValue::Kind::Object,
+ResultFile parse(const std::string& text) {
+  using Kind = json::Value::Kind;
+  const json::Value root = json::parse(text);
+  BWLAB_REQUIRE(root.kind == Kind::Obj,
                 "bench JSON: top level must be an object");
   ResultFile f;
   f.schema_version = static_cast<int>(
-      require_field(root.object, "schema_version", JsonValue::Kind::Number,
-                    "result file")
-          .number);
+      require_field(root, "schema_version", Kind::Num, "result file").num);
   BWLAB_REQUIRE(f.schema_version == kSchemaVersion,
                 "bench JSON schema_version " << f.schema_version
                                              << " is not the supported "
                                              << kSchemaVersion);
-  f.git_sha = require_field(root.object, "git_sha", JsonValue::Kind::String,
-                            "result file")
-                  .string;
-  for (const JsonValue& sv :
-       require_field(root.object, "suites", JsonValue::Kind::Array,
-                     "result file")
-           .array) {
-    BWLAB_REQUIRE(sv.kind == JsonValue::Kind::Object,
+  f.git_sha = require_str(root, "git_sha", "result file");
+  for (const json::Value& sv : require_arr(root, "suites", "result file")) {
+    BWLAB_REQUIRE(sv.kind == Kind::Obj,
                   "bench JSON: suites[] entries must be objects");
     Suite s;
-    s.suite = require_field(sv.object, "suite", JsonValue::Kind::String,
-                            "suite")
-                  .string;
-    s.machine = require_field(sv.object, "machine", JsonValue::Kind::String,
-                              "suite")
-                    .string;
-    for (const JsonValue& mv :
-         require_field(sv.object, "metrics", JsonValue::Kind::Array, "suite")
-             .array) {
-      BWLAB_REQUIRE(mv.kind == JsonValue::Kind::Object,
+    s.suite = require_str(sv, "suite", "suite");
+    s.machine = require_str(sv, "machine", "suite");
+    for (const json::Value& mv : require_arr(sv, "metrics", "suite")) {
+      BWLAB_REQUIRE(mv.kind == Kind::Obj,
                     "bench JSON: metrics[] entries must be objects");
       Metric m;
-      m.name = require_field(mv.object, "name", JsonValue::Kind::String,
-                             "metric")
-                   .string;
-      m.unit = require_field(mv.object, "unit", JsonValue::Kind::String,
-                             "metric")
-                   .string;
-      m.better = parse_better(
-          require_field(mv.object, "better", JsonValue::Kind::String, "metric")
-              .string);
-      for (const JsonValue& x :
-           require_field(mv.object, "samples", JsonValue::Kind::Array,
-                         "metric")
-               .array) {
-        BWLAB_REQUIRE(x.kind == JsonValue::Kind::Number ||
-                          x.kind == JsonValue::Kind::Null,
+      m.name = require_str(mv, "name", "metric");
+      m.unit = require_str(mv, "unit", "metric");
+      m.better = parse_better(require_str(mv, "better", "metric"));
+      for (const json::Value& x : require_arr(mv, "samples", "metric")) {
+        BWLAB_REQUIRE(x.kind == Kind::Num || x.kind == Kind::Null,
                       "bench JSON: samples must be numbers");
-        m.samples.push_back(x.kind == JsonValue::Kind::Number
-                                ? x.number
-                                : std::nan(""));
+        m.samples.push_back(x.kind == Kind::Num ? x.num : std::nan(""));
       }
       BWLAB_REQUIRE(!m.samples.empty(), "bench JSON: metric '"
                                             << m.name << "' has no samples");

@@ -10,13 +10,16 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/gate.hpp"
 #include "common/metrics.hpp"
 #include "common/pattern.hpp"
+#include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "common/types.hpp"
 
@@ -25,7 +28,7 @@ namespace bwlab {
 // --- bwmem: data-movement accounting switch ---------------------------------
 //
 // Exact byte counting (datmove) follows the bwtrace/bwfault contract: the
-// collection sites in ops::par_loop / op2::par_loop / ops::ChainQueue are
+// collection site on the loop-event path (datmove::record, below) is
 // compiled in but runtime-disabled, and the disabled fast path is a single
 // relaxed atomic load plus one branch (asserted < 5 ns by
 // bench/gb_datmove_overhead). The analysis side lives in core/datmove.
@@ -214,9 +217,9 @@ class Instrumentation {
   TilingRecord& tiling() { return tiling_; }
   const TilingRecord& tiling() const { return tiling_; }
 
-  // --- bwmem collection (hot paths call these only when
-  // datmove::enabled(); none of this is thread-shared — the recording
-  // sites run on the rank's calling thread, outside team regions) --------
+  // --- bwmem collection (called only when datmove::enabled(); none of
+  // this is thread-shared — the recording sites run on the rank's calling
+  // thread, outside team regions) ------------------------------------------
 
   /// Accumulates exact bytes of one loop execution touching one dat.
   void datmove_add(const std::string& loop, const std::string& dat,
@@ -352,6 +355,92 @@ class Instrumentation {
   std::vector<ReuseEntry> reuse_stack_;
   std::vector<ChainMoveRecord> chains_;
   count_t datmove_total_ = 0;
+};
+
+// --- Loop accounting: one event per loop execution -------------------------
+//
+// Every par_loop executor (ops eager / blocked / chained, op2) describes a
+// loop execution as one LoopEvent and hands it to record_loop(), which is
+// the one place that decides what a loop execution records: the LoopRecord
+// update, the bwlive useful-bytes hook, the `<layer>.loop_invocations`
+// counter and `<layer>.kernel_seconds` histogram, the bwmem per-dat byte
+// records and the bwfault NaN guard — each behind the gate it always had.
+
+/// Counts the non-finite values of a dat, storing the scan-order index of
+/// the first one in `*first`.
+using NonfiniteScan = long long (*)(const void* dat, long long* first);
+
+/// One dat argument of an executed loop.
+struct LoopDatArg {
+  const void* id = nullptr;  ///< dat identity (address)
+  const std::string* name = nullptr;
+  count_t alloc_bytes = 0;    ///< allocated bytes (owned + ghosts)
+  count_t read_bytes = 0;     ///< exact bytes read over the executed range
+  count_t written_bytes = 0;  ///< exact bytes written
+  /// Set when the NaN guard scans this dat after the loop.
+  NonfiniteScan scan = nullptr;
+};
+
+/// Executor family; picks the `ops.*` or `op2.*` loop metrics.
+enum class LoopLayer { Ops, Op2 };
+
+/// What one loop execution records.
+struct LoopEvent {
+  Instrumentation* instr = nullptr;
+  LoopRecord* rec = nullptr;
+  LoopLayer layer = LoopLayer::Ops;
+  count_t points = 0;  ///< owned points executed
+  count_t bytes = 0;   ///< useful bytes (LoopRecord convention)
+  double flops = 0;
+  seconds_t seconds = 0;
+  Pattern pattern = Pattern::Streaming;
+  int max_radius = 0;
+  int ndims = 2;
+  /// Reuse-distance touch per dat argument; off for the tiled chain,
+  /// which touches per (tile, loop) instead.
+  bool touch = true;
+  /// Dat arguments; an argument that moved no bytes (a reduction, or a
+  /// dat of a loop whose executed range was empty) gets no datmove record.
+  std::span<const LoopDatArg> args;
+};
+
+/// Records one loop execution (see the section comment).
+void record_loop(const LoopEvent& ev);
+
+namespace datmove {
+namespace detail {
+void record(const LoopEvent& ev);
+}  // namespace detail
+
+/// The bwmem stage of record_loop(): the exact bytes of every dat argument
+/// (add / dat / touch records and the Perfetto counter). The only site
+/// that adds counted bytes; disabled it costs one relaxed load and a
+/// branch.
+inline void record(const LoopEvent& ev) {
+  if (enabled()) detail::record(ev);
+}
+}  // namespace datmove
+
+/// Opens the Kernel span and the timer around one loop execution and
+/// delivers the event to record_loop() when it closes (not while an
+/// exception unwinds through it; the NaN guard may throw from here).
+class LoopScope {
+ public:
+  explicit LoopScope(const LoopEvent& ev)
+      : ev_(ev), span_(trace::Cat::Kernel, ev.rec->name) {}
+  ~LoopScope() noexcept(false) {
+    ev_.seconds = timer_.elapsed();
+    span_.end();
+    if (std::uncaught_exceptions() == unwinding_) record_loop(ev_);
+  }
+  LoopScope(const LoopScope&) = delete;
+  LoopScope& operator=(const LoopScope&) = delete;
+
+ private:
+  LoopEvent ev_;
+  trace::TraceSpan span_;
+  int unwinding_ = std::uncaught_exceptions();
+  Timer timer_;  // last: starts after the span opened
 };
 
 }  // namespace bwlab

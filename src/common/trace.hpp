@@ -210,8 +210,11 @@ class TraceSpan {
     active_ = true;
     detail::begin_span_args(c, name, suffix, args);
   }
-  ~TraceSpan() {
+  ~TraceSpan() { end(); }
+  /// Closes the span before the destructor would (idempotent).
+  void end() {
     if (active_) detail::end_span();
+    active_ = false;
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;

@@ -17,15 +17,11 @@
 
 #include <array>
 #include <cmath>
+#include <span>
 #include <tuple>
 #include <vector>
 
-#include "common/fault.hpp"
 #include "common/instrument.hpp"
-#include "common/live.hpp"
-#include "common/metrics.hpp"
-#include "common/timer.hpp"
-#include "common/trace.hpp"
 #include "op2/color.hpp"
 #include "op2/set.hpp"
 #include "par/thread_pool.hpp"
@@ -339,89 +335,91 @@ constexpr bool is_inc(const ArgIInc<T>&) {
   return true;
 }
 
-// bwmem exact data-movement recording: unstructured loops touch every
-// element once, so counted bytes are descriptor × set-size products.
-// Indirect map-index bytes are attributed to the target dat's record so
-// counted totals match arg_bytes exactly (zero drift by construction).
+// --- Loop-event dat arguments (common/instrument record_loop) --------------
+// Unstructured loops touch every element once, so counted bytes are
+// descriptor × set-size products. Indirect map-index bytes are attributed
+// to the target dat's record so counted totals match arg_bytes exactly
+// (zero drift by construction). Written and incremented dats are scanned
+// by the NaN guard.
+
 template <class T>
-void datmove_acc(Instrumentation& ins, const std::string& loop, Dat<T>& d,
-                 count_t read_b, count_t write_b) {
-  ins.datmove_add(loop, d.name(), read_b, write_b);
-  ins.datmove_dat(d.name(),
-                  static_cast<count_t>(d.size_flat()) * sizeof(T),
-                  read_b + write_b);
-  ins.datmove_touch(&d, read_b + write_b, read_b + write_b);
+long long count_nonfinite(const void* dat, long long* first) {
+  const Dat<T>& d = *static_cast<const Dat<T>*>(dat);
+  const T* p = d.data();
+  long long bad = 0;
+  for (idx_t x = 0; x < d.size_flat(); ++x)
+    if (!std::isfinite(p[static_cast<std::size_t>(x)]) && bad++ == 0)
+      *first = x;
+  return bad;
 }
 
 template <class T>
-void datmove_record(Instrumentation& ins, const std::string& loop, idx_t n,
-                    const ArgDRead<T>& a) {
-  const count_t b =
-      sizeof(T) * static_cast<count_t>(a.d->dim()) * static_cast<count_t>(n);
-  datmove_acc(ins, loop, *a.d, b, 0);
+LoopDatArg dat_arg(const Dat<T>& d, count_t read_b, count_t write_b,
+                   bool guarded) {
+  NonfiniteScan scan = nullptr;
+  if constexpr (std::is_floating_point_v<T>)
+    if (guarded) scan = &count_nonfinite<T>;
+  return {&d, &d.name(), static_cast<count_t>(d.size_flat()) * sizeof(T),
+          read_b, write_b, scan};
 }
-template <class T>
-void datmove_record(Instrumentation& ins, const std::string& loop, idx_t n,
-                    const ArgDWrite<T>& a) {
-  const count_t b =
-      sizeof(T) * static_cast<count_t>(a.d->dim()) * static_cast<count_t>(n);
-  datmove_acc(ins, loop, *a.d, 0, b);
-}
-template <class T>
-void datmove_record(Instrumentation& ins, const std::string& loop, idx_t n,
-                    const ArgDRW<T>& a) {
-  const count_t b =
-      sizeof(T) * static_cast<count_t>(a.d->dim()) * static_cast<count_t>(n);
-  datmove_acc(ins, loop, *a.d, b, b);
-}
-template <class T>
-void datmove_record(Instrumentation& ins, const std::string& loop, idx_t n,
-                    const ArgIRead<T>& a) {
-  const count_t b =
-      sizeof(T) * static_cast<count_t>(a.d->dim()) * static_cast<count_t>(n);
-  const count_t map_b = sizeof(idx_t) * static_cast<count_t>(n);
-  datmove_acc(ins, loop, *a.d, b + map_b, 0);
-}
-template <class T>
-void datmove_record(Instrumentation& ins, const std::string& loop, idx_t n,
-                    const ArgIInc<T>& a) {
-  const count_t b =
-      sizeof(T) * static_cast<count_t>(a.d->dim()) * static_cast<count_t>(n);
-  const count_t map_b = sizeof(idx_t) * static_cast<count_t>(n);
-  datmove_acc(ins, loop, *a.d, b + map_b, b);
-}
-template <class A>
-void datmove_record(Instrumentation&, const std::string&, idx_t, const A&) {}
 
-// NaN/Inf field guard (bwfault): scans dats a loop wrote or incremented.
+/// Bytes of `n` elements of `d` (each a dim-vector).
 template <class T>
-void guard_scan(const std::string& loop, const Dat<T>& d) {
-  if constexpr (std::is_floating_point_v<T>) {
-    const T* p = d.data();
-    const idx_t n = d.size_flat();
-    long long first = -1, bad = 0;
-    for (idx_t x = 0; x < n; ++x)
-      if (!std::isfinite(p[static_cast<std::size_t>(x)])) {
-        if (first < 0) first = x;
-        ++bad;
-      }
-    if (bad > 0) fault::report_nonfinite(loop, d.name(), first, bad);
-  }
+count_t vec_bytes(const Dat<T>& d, idx_t n) {
+  return sizeof(T) * static_cast<count_t>(d.dim()) * static_cast<count_t>(n);
+}
+
+template <class T>
+LoopDatArg event_arg(const ArgDRead<T>& a, idx_t n) {
+  return dat_arg(*a.d, vec_bytes(*a.d, n), 0, false);
 }
 template <class T>
-void guard_check(const std::string& loop, const ArgDWrite<T>& a) {
-  guard_scan(loop, *a.d);
+LoopDatArg event_arg(const ArgDWrite<T>& a, idx_t n) {
+  return dat_arg(*a.d, 0, vec_bytes(*a.d, n), true);
 }
 template <class T>
-void guard_check(const std::string& loop, const ArgDRW<T>& a) {
-  guard_scan(loop, *a.d);
+LoopDatArg event_arg(const ArgDRW<T>& a, idx_t n) {
+  return dat_arg(*a.d, vec_bytes(*a.d, n), vec_bytes(*a.d, n), true);
 }
 template <class T>
-void guard_check(const std::string& loop, const ArgIInc<T>& a) {
-  guard_scan(loop, *a.d);
+LoopDatArg event_arg(const ArgIRead<T>& a, idx_t n) {
+  const count_t map_b = sizeof(idx_t) * static_cast<count_t>(n);
+  return dat_arg(*a.d, vec_bytes(*a.d, n) + map_b, 0, false);
+}
+template <class T>
+LoopDatArg event_arg(const ArgIInc<T>& a, idx_t n) {
+  const count_t map_b = sizeof(idx_t) * static_cast<count_t>(n);
+  return dat_arg(*a.d, vec_bytes(*a.d, n) + map_b, vec_bytes(*a.d, n),
+                 true);
 }
 template <class A>
-void guard_check(const std::string&, const A&) {}
+LoopDatArg event_arg(const A&, idx_t) {
+  return {};
+}
+
+/// The loop event of one execution of `meta` over `set` with dat
+/// arguments `dats`; the scope that records it adds the time.
+template <class... Args>
+LoopEvent loop_event(Runtime& rt, const LoopMeta& meta, const Set& set,
+                     std::span<const LoopDatArg> dats, const Args&... args) {
+  const auto n = static_cast<count_t>(set.size());
+  count_t bytes_pp = 0;
+  ((bytes_pp += arg_bytes(args)), ...);
+  const bool any_inc = (is_inc(args) || ...);
+  const bool any_ind = (is_indirect(args) || ...);
+  LoopEvent ev;
+  ev.instr = &rt.instr();
+  ev.rec = &rt.instr().loop(meta.name);
+  ev.layer = LoopLayer::Op2;
+  ev.points = n;
+  ev.bytes = bytes_pp * n;
+  ev.flops = meta.flops_per_elem * static_cast<double>(n);
+  ev.pattern = any_inc ? Pattern::GatherScatter
+                       : (any_ind ? Pattern::Indirect : Pattern::Streaming);
+  ev.ndims = 1;
+  ev.args = dats;
+  return ev;
+}
 
 }  // namespace detail
 
@@ -433,8 +431,9 @@ template <class Kernel, class... Args>
 void par_loop_colored(Runtime& rt, const LoopMeta& meta, const Set& set,
                       const Coloring& coloring, Kernel&& kernel,
                       Args... args) {
-  Timer t;
-  trace::TraceSpan span(trace::Cat::Kernel, meta.name);
+  const std::array<LoopDatArg, sizeof...(Args)> dats{
+      detail::event_arg(args, set.size())...};
+  LoopScope scope(detail::loop_event(rt, meta, set, dats, args...));
   par::ThreadPool* pool = rt.pool();
   for (const auto& elements : coloring.by_color) {
     const idx_t n = static_cast<idx_t>(elements.size());
@@ -460,7 +459,6 @@ void par_loop_colored(Runtime& rt, const LoopMeta& meta, const Set& set,
     for (auto& bound : results)
       std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
   }
-  record(rt, meta, set, t.elapsed(), /*colored=*/true, args...);
 }
 
 template <class Kernel, class... Args>
@@ -488,8 +486,9 @@ void par_loop(Runtime& rt, const LoopMeta& meta, const Set& set, Mode mode,
     return;
   }
 
-  Timer t;
-  trace::TraceSpan span(trace::Cat::Kernel, meta.name);
+  const std::array<LoopDatArg, sizeof...(Args)> dats{
+      detail::event_arg(args, set.size())...};
+  LoopScope scope(detail::loop_event(rt, meta, set, dats, args...));
   auto bound = std::make_tuple(detail::bind(args)...);
   const idx_t n = set.size();
   if (mode == Mode::Serial) {
@@ -505,40 +504,6 @@ void par_loop(Runtime& rt, const LoopMeta& meta, const Set& set, Mode mode,
     }
   }
   std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
-  record(rt, meta, set, t.elapsed(), /*colored=*/false, args...);
-}
-
-/// Instrumentation shared by both entry points.
-template <class... Args>
-void record(Runtime& rt, const LoopMeta& meta, const Set& set,
-            seconds_t elapsed, bool colored, const Args&... args) {
-  LoopRecord& rec = rt.instr().loop(meta.name);
-  ++rec.calls;
-  rec.points += static_cast<count_t>(set.size());
-  count_t bytes_pp = 0;
-  ((bytes_pp += detail::arg_bytes(args)), ...);
-  rec.bytes += bytes_pp * static_cast<count_t>(set.size());
-  live::on_loop_bytes(bytes_pp * static_cast<count_t>(set.size()));
-  rec.flops += meta.flops_per_elem * static_cast<double>(set.size());
-  rec.host_seconds += elapsed;
-  rec.ndims = 1;
-  const bool any_inc = (detail::is_inc(args) || ...);
-  const bool any_ind = (detail::is_indirect(args) || ...);
-  rec.pattern = any_inc ? Pattern::GatherScatter
-                        : (any_ind ? Pattern::Indirect : Pattern::Streaming);
-  (void)colored;
-  if (datmove::enabled() && set.size() > 0) {
-    (detail::datmove_record(rt.instr(), meta.name, set.size(), args), ...);
-    rt.instr().datmove_emit_counter();
-  }
-  static Counter& invocations =
-      MetricsRegistry::global().counter("op2.loop_invocations");
-  static Histogram& seconds =
-      MetricsRegistry::global().histogram("op2.kernel_seconds");
-  invocations.inc();
-  seconds.observe(elapsed);
-  if (fault::nan_policy() != fault::NanPolicy::Off)
-    (detail::guard_check(meta.name, args), ...);
 }
 
 }  // namespace bwlab::op2

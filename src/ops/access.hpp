@@ -79,7 +79,25 @@ struct Range {
   bool empty() const {
     return extent(0) <= 0 || extent(1) <= 0 || extent(2) <= 0;
   }
+  /// Points a loop executing this range runs (0 when empty).
+  count_t count() const {
+    return empty() ? 0 : static_cast<count_t>(points());
+  }
 };
+
+/// Points a read through per-dimension radii `radius` touches when a loop
+/// executes `r`: the range dilated by the radius in each dimension (0 when
+/// the range is empty). Eager and chained execution count reads with this
+/// one rule.
+inline count_t read_footprint(const Range& r,
+                              const std::array<int, 3>& radius) {
+  if (r.empty()) return 0;
+  count_t pts = 1;
+  for (int d = 0; d < 3; ++d)
+    pts *= static_cast<count_t>(r.extent(d) +
+                                2 * radius[static_cast<std::size_t>(d)]);
+  return pts;
+}
 
 /// Per-loop metadata the app author annotates: a stable name (profile
 /// key) and the flop count per grid point (used for roofline placement;

@@ -57,38 +57,25 @@ void execute_range_team(par::ThreadPool* pool, const Range& r, int outer_dim,
       par::Schedule::Dynamic, 1);
 }
 
-// --- bwmem exact data-movement recording (chain executor) ------------------
-// Chain bytes are counted ONCE per chain over the extended local ranges
-// ext[i] — fixed by the skew analysis, independent of tile height and
-// thread-pool size — so the accounting is bitwise deterministic. Reuse
-// touches happen per executed (tile, loop, use) on the calling thread,
-// with the touch's own moved bytes as its resident footprint, so tiling
-// shortens stack distances exactly as it shortens real reuse distances.
+// --- bwmem exact data-movement accounting (chain executor) -----------------
+// Chain bytes are counted ONCE per chain over the executed local ranges —
+// ext[i] for the tiled executor, fixed by the skew analysis, independent
+// of tile height and thread-pool size — so the accounting is bitwise
+// deterministic, and with the footprint rule eager execution uses
+// (read_footprint). Reuse touches happen per executed (tile, loop, use) on
+// the calling thread, with the touch's own moved bytes as its resident
+// footprint, so tiling shortens stack distances exactly as it shortens
+// real reuse distances.
 
-count_t use_read_bytes(const ChainDatUse& u, const Range& r, int ndims) {
-  count_t pts = 1;
-  for (int d = 0; d < 3; ++d) {
-    idx_t e = r.extent(d);
-    if (d < ndims) e += 2 * u.read_radius;
-    pts *= static_cast<count_t>(e);
-  }
-  return pts * u.elem_bytes;
-}
-
-count_t use_write_bytes(const ChainDatUse& u, const Range& r) {
-  return static_cast<count_t>(r.points()) * u.elem_bytes;
-}
-
-count_t use_alloc_bytes(const ChainDatUse& u) {
-  count_t b = u.elem_bytes;
-  for (int d = 0; d < 3; ++d)
-    b *= static_cast<count_t>(u.alloc_extent[static_cast<std::size_t>(d)]);
-  return b;
-}
-
-count_t use_moved_bytes(const ChainDatUse& u, const Range& r, int ndims) {
-  return (u.is_read ? use_read_bytes(u, r, ndims) : 0) +
-         (u.is_written ? use_write_bytes(u, r) : 0);
+LoopDatArg use_arg(const ChainDatUse& u, const Range& r) {
+  count_t alloc = u.elem_bytes;
+  for (const idx_t e : u.alloc_extent) alloc *= static_cast<count_t>(e);
+  return {u.id,
+          &u.name,
+          alloc,
+          u.is_read ? read_footprint(r, u.radius) * u.elem_bytes : 0,
+          u.is_written ? r.count() * u.elem_bytes : 0,
+          u.scan};
 }
 
 }  // namespace
@@ -103,8 +90,14 @@ idx_t auto_tile_height(double bytes_per_row, double cache_budget_bytes,
 }
 
 void ChainQueue::enqueue(ChainLoop loop) {
-  for (const ChainDatUse& u : loop.uses)
-    loop.read_radius = std::max(loop.read_radius, u.read_radius);
+  for (const ChainDatUse& u : loop.uses) {
+    loop.read_radius = std::max(loop.read_radius, u.max_radius());
+    // A later write of a dat moves its NaN-guard scan to this loop.
+    if (!u.is_written) continue;
+    for (ChainLoop& prev : loops_)
+      for (ChainDatUse& p : prev.uses)
+        if (p.id == u.id) p.scan = nullptr;
+  }
   loops_.push_back(std::move(loop));
 }
 
@@ -173,47 +166,56 @@ Range ChainQueue::extended_local_range(
   return out;
 }
 
+void ChainQueue::finish(const std::vector<Range>& ranges,
+                        const std::vector<seconds_t>& seconds,
+                        ChainMoveRecord cm) {
+  const std::vector<ChainLoop> loops = std::move(loops_);
+  loops_.clear();
+  std::set<const void*> seen;
+  std::vector<LoopDatArg> args;
+  for (std::size_t i = 0; i < loops.size(); ++i) {
+    const ChainLoop& l = loops[i];
+    const Range& r = ranges[i];
+    args.clear();
+    for (const ChainDatUse& u : l.uses) {
+      args.push_back(use_arg(u, r));
+      if (r.empty()) continue;
+      cm.counted_bytes += args.back().read_bytes + args.back().written_bytes;
+      if (seen.insert(u.id).second)
+        cm.working_set_bytes += args.back().alloc_bytes;
+    }
+    if (!r.empty()) ++cm.loops;
+    LoopEvent ev = l.event;
+    ev.seconds = seconds[i];
+    ev.touch = !cm.tiled;
+    ev.args = args;
+    record_loop(ev);
+  }
+  if (datmove::enabled()) ctx_->instr().datmove_chain(cm);
+}
+
 void ChainQueue::execute_untiled() {
   BWLAB_REQUIRE(!ctx_->lazy(),
                 "disable lazy mode before executing the captured chain");
   trace::TraceSpan chain_span(trace::Cat::Region, "chain.untiled");
-  const bool dm = datmove::enabled();
-  ChainMoveRecord cm;
-  std::set<const void*> cm_seen;
+  std::vector<Range> ranges;
+  std::vector<seconds_t> seconds;
   for (ChainLoop& l : loops_) {
     for (const ChainDatUse& u : l.uses)
-      if (u.is_read && u.read_radius > 0) u.exchange();
+      if (u.is_read && u.max_radius() > 0) u.exchange();
     const Range local =
         extended_local_range(l, 0, {false, false, false});
-    if (dm && !local.empty()) {
-      Instrumentation& ins = ctx_->instr();
-      const int nd = l.block->ndims();
-      ++cm.loops;
-      for (const ChainDatUse& u : l.uses) {
-        const count_t rb = u.is_read ? use_read_bytes(u, local, nd) : 0;
-        const count_t wb = u.is_written ? use_write_bytes(u, local) : 0;
-        ins.datmove_add(l.name, u.name, rb, wb);
-        ins.datmove_dat(u.name, use_alloc_bytes(u), rb + wb);
-        ins.datmove_touch(u.id, rb + wb, rb + wb);
-        cm.counted_bytes += rb + wb;
-        if (cm_seen.insert(u.id).second)
-          cm.working_set_bytes += use_alloc_bytes(u);
-      }
-    }
     Timer t;
     {
-      trace::TraceSpan span(trace::Cat::Kernel, l.name);
+      trace::TraceSpan span(trace::Cat::Kernel, l.name());
       if (!local.empty()) l.body(local);
     }
-    ctx_->instr().loop(l.name).host_seconds += t.elapsed();
+    seconds.push_back(t.elapsed());
+    ranges.push_back(local);
     for (const ChainDatUse& u : l.uses)
       if (u.is_written) u.mark_dirty();
   }
-  if (dm) {
-    ctx_->instr().datmove_chain(cm);
-    ctx_->instr().datmove_emit_counter();
-  }
-  loops_.clear();
+  finish(ranges, seconds, ChainMoveRecord{});
 }
 
 void ChainQueue::execute_tiled(idx_t tile_outer) {
@@ -242,7 +244,8 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
         if (!w.is_written) continue;
         for (const ChainDatUse& r : loops_[is].uses)
           if (r.is_read && r.id == w.id)
-            s = std::max(s, sigma[static_cast<std::size_t>(j)] + r.read_radius);
+            s = std::max(s,
+                         sigma[static_cast<std::size_t>(j)] + r.max_radius());
       }
     sigma[is] = s;
   }
@@ -309,35 +312,8 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
     tiling.cache_budget_bytes = ctx_->tile_cache_bytes();
   }
 
-  // bwmem: count the whole chain's bytes over ext[i] up front (see the
-  // recording comment above — this is what makes the accounting invariant
-  // under tile height and pool size).
   const bool dm = datmove::enabled();
-  if (dm) {
-    Instrumentation& ins = ctx_->instr();
-    ChainMoveRecord cm;
-    cm.tiled = true;
-    cm.tile_height = tile_outer;
-    std::set<const void*> cm_seen;
-    for (int i = 0; i < n; ++i) {
-      const ChainLoop& l = loops_[static_cast<std::size_t>(i)];
-      const Range& r = ext[static_cast<std::size_t>(i)];
-      if (r.empty()) continue;
-      const int nd = l.block->ndims();
-      ++cm.loops;
-      for (const ChainDatUse& u : l.uses) {
-        const count_t rb = u.is_read ? use_read_bytes(u, r, nd) : 0;
-        const count_t wb = u.is_written ? use_write_bytes(u, r) : 0;
-        ins.datmove_add(l.name, u.name, rb, wb);
-        ins.datmove_dat(u.name, use_alloc_bytes(u), rb + wb);
-        cm.counted_bytes += rb + wb;
-        if (cm_seen.insert(u.id).second)
-          cm.working_set_bytes += use_alloc_bytes(u);
-      }
-    }
-    ins.datmove_chain(cm);
-  }
-
+  std::vector<seconds_t> seconds(static_cast<std::size_t>(n), 0.0);
   par::ThreadPool* pool = ctx_->pool();
   static Counter& tiles =
       MetricsRegistry::global().counter("ops.tiles_executed");
@@ -360,21 +336,21 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
       if (dm) {
         // Per-tile reuse touches: the footprint between two touches of
         // the same dat is the sum of the tile-sized slices in between.
-        const int nd = l.block->ndims();
         for (const ChainDatUse& u : l.uses) {
-          const count_t mb = use_moved_bytes(u, r, nd);
+          const LoopDatArg a = use_arg(u, r);
+          const count_t mb = a.read_bytes + a.written_bytes;
           ctx_->instr().datmove_touch(u.id, mb, mb);
         }
       }
       Timer t;
       {
-        trace::TraceSpan span(trace::Cat::Kernel, l.name);
+        trace::TraceSpan span(trace::Cat::Kernel, l.name());
         // Split this loop's tile sub-range over the thread team. Bodies
         // are strictly serial range executors (see par_loop), so the
         // partition is safe and bitwise identical to a serial sweep.
         execute_range_team(pool, r, outer_dim, l.body);
       }
-      ctx_->instr().loop(l.name).host_seconds += t.elapsed();
+      seconds[static_cast<std::size_t>(i)] += t.elapsed();
       // Physical-boundary ghosts of freshly-written dats must track the
       // interior inside the chain (reads in the next loops of this tile
       // touch only rows this refresh sees as current). Runs after the
@@ -387,15 +363,17 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
   for (const ChainLoop& l : loops_)
     for (const ChainDatUse& u : l.uses)
       if (u.is_written) u.mark_dirty();
-  if (dm) ctx_->instr().datmove_emit_counter();
-  loops_.clear();
+  ChainMoveRecord cm;
+  cm.tiled = true;
+  cm.tile_height = tile_outer;
+  finish(ext, seconds, cm);
 }
 
-void enqueue_lazy(Context& ctx, const LoopMeta& meta, Block& b,
+void enqueue_lazy(Context& ctx, const LoopEvent& event, Block& b,
                   const Range& range, std::function<void(const Range&)> body,
                   std::vector<ChainDatUse> uses) {
   ChainLoop loop;
-  loop.name = meta.name;
+  loop.event = event;
   loop.block = &b;
   loop.range = range;
   loop.body = std::move(body);

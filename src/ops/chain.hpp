@@ -30,6 +30,7 @@
 // served from cache rather than DRAM.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <string>
@@ -48,7 +49,7 @@ struct ChainDatUse {
   std::string name;
   bool is_read = false;
   bool is_written = false;
-  int read_radius = 0;  ///< max stencil radius of the read
+  std::array<int, 3> radius{0, 0, 0};  ///< per-dimension read-stencil radius
   int halo_depth = 0;
   std::array<bool, 3> periodic{false, false, false};
   std::size_t elem_bytes = 0;  ///< sizeof the dat element
@@ -59,16 +60,27 @@ struct ChainDatUse {
   std::function<void()> mark_dirty;  ///< Dat::mark_halos_dirty
   /// Dat::refresh_physical_bcs restricted to outer rows [lo, hi).
   std::function<void(idx_t, idx_t)> refresh_bcs;
+  /// NaN-guard scan, kept only on the chain's last write of the dat: the
+  /// guard scans each written dat once, after the chain.
+  NonfiniteScan scan = nullptr;
+
+  int max_radius() const {
+    return std::max(radius[0], std::max(radius[1], radius[2]));
+  }
 };
 
 /// One captured loop.
 struct ChainLoop {
-  std::string name;
+  /// The loop event par_loop built at enqueue time (LoopRecord, useful
+  /// bytes, flops, pattern); the executor adds the dats and the time.
+  LoopEvent event;
   Block* block = nullptr;
   Range range;  ///< global range as supplied by the app
-  int read_radius = 0;
+  int read_radius = 0;  ///< max stencil radius over the reads
   std::vector<ChainDatUse> uses;
   std::function<void(const Range&)> body;  ///< executes exactly the given range
+
+  const std::string& name() const { return event.rec->name; }
 };
 
 class ChainQueue {
@@ -103,6 +115,11 @@ class ChainQueue {
   Range extended_local_range(const ChainLoop& loop, int ext,
                              const std::array<bool, 3>& wrap) const;
   void exchange_chain_inputs();
+  /// Empties the queue and delivers one loop event per chained loop:
+  /// loop i executed `ranges[i]` in `seconds[i]` of kernel time. Also
+  /// records the chain's bwmem summary `cm`.
+  void finish(const std::vector<Range>& ranges,
+              const std::vector<seconds_t>& seconds, ChainMoveRecord cm);
   int min_halo_depth_read() const;
   /// Per-dimension periodicity of the chain (must be uniform over dats).
   std::array<bool, 3> chain_periodicity() const;
@@ -111,8 +128,8 @@ class ChainQueue {
   std::vector<ChainLoop> loops_;
 };
 
-/// Called by par_loop in lazy mode.
-void enqueue_lazy(Context& ctx, const LoopMeta& meta, Block& b,
+/// Called by par_loop in lazy mode with the loop's event.
+void enqueue_lazy(Context& ctx, const LoopEvent& event, Block& b,
                   const Range& range, std::function<void(const Range&)> body,
                   std::vector<ChainDatUse> uses);
 

@@ -6,7 +6,8 @@
 //   3. executes the kernel over the local range (optionally across the
 //      rank's thread team, parallelized over the outermost dimension),
 //   4. merges reductions across threads (and across ranks on request),
-//   5. records useful-bytes/flops/time instrumentation (Figure 8), and
+//   5. records one loop event — useful bytes, flops, time (Figure 8) —
+//      through common/instrument's record_loop, and
 //   6. marks written dats' halos dirty.
 //
 // Kernels receive one accessor per dat argument, centered on the current
@@ -14,15 +15,12 @@
 // idiom of OPS-generated code — and a plain `T&` for reductions.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <tuple>
 #include <vector>
 
-#include "common/fault.hpp"
-#include "common/live.hpp"
-#include "common/metrics.hpp"
-#include "common/timer.hpp"
-#include "common/trace.hpp"
+#include "common/instrument.hpp"
 #include "ops/chain.hpp"
 #include "ops/dat.hpp"
 
@@ -172,34 +170,6 @@ void post_mark(const ArgRW<T>& a) {
 template <class A>
 void post_mark(const A&) {}
 
-// NaN/Inf field guard (bwfault): after an eager loop, scan the owned
-// region of every written dat. Off costs one relaxed atomic load per
-// loop; Report/Abort cost one pass over the written fields.
-template <class T>
-void guard_scan(const std::string& loop, const Dat<T>& d) {
-  if constexpr (std::is_floating_point_v<T>) {
-    long long first = -1, bad = 0, idx = 0;
-    for (idx_t k = d.exec_lo(2); k < d.exec_hi(2); ++k)
-      for (idx_t j = d.exec_lo(1); j < d.exec_hi(1); ++j)
-        for (idx_t i = d.exec_lo(0); i < d.exec_hi(0); ++i, ++idx)
-          if (!std::isfinite(d.at(i, j, k))) {
-            if (first < 0) first = idx;
-            ++bad;
-          }
-    if (bad > 0) fault::report_nonfinite(loop, d.name(), first, bad);
-  }
-}
-template <class T>
-void guard_check(const std::string& loop, const ArgWrite<T>& a) {
-  guard_scan(loop, *a.dat);
-}
-template <class T>
-void guard_check(const std::string& loop, const ArgRW<T>& a) {
-  guard_scan(loop, *a.dat);
-}
-template <class A>
-void guard_check(const std::string&, const A&) {}
-
 template <class T>
 count_t arg_bytes(const ArgRead<T>&) {
   return sizeof(T);
@@ -226,49 +196,58 @@ int arg_radius(const A&) {
   return 0;
 }
 
-// --- bwmem exact data-movement recording (eager ops loops) -----------------
-// Read footprint = executed range dilated per-dimension by the stencil
-// radius; write footprint = executed points. Both are exact consequences
-// of descriptor × range, so they are identical for every thread-pool size.
+// --- Loop-event dat arguments (common/instrument record_loop) --------------
+// Read footprint = executed range dilated per dimension by the stencil
+// radius (read_footprint, shared with the chain executor); write footprint
+// = executed points. Both are exact consequences of descriptor × range, so
+// they are identical for every thread-pool size.
+
+/// NaN-guard scan of a dat's owned region (index in exec-region order).
+template <class T>
+long long count_nonfinite(const void* dat, long long* first) {
+  const Dat<T>& d = *static_cast<const Dat<T>*>(dat);
+  long long bad = 0, idx = 0;
+  for (idx_t k = d.exec_lo(2); k < d.exec_hi(2); ++k)
+    for (idx_t j = d.exec_lo(1); j < d.exec_hi(1); ++j)
+      for (idx_t i = d.exec_lo(0); i < d.exec_hi(0); ++i, ++idx)
+        if (!std::isfinite(d.at(i, j, k)) && bad++ == 0) *first = idx;
+  return bad;
+}
+
+/// The NaN-guard scan of a written Dat<T> (none for non-float fields).
+template <class T>
+NonfiniteScan nonfinite_scan() {
+  if constexpr (std::is_floating_point_v<T>) return &count_nonfinite<T>;
+  return nullptr;
+}
 
 template <class T>
-void datmove_dat_arg(Context& ctx, const std::string& loop, Dat<T>& d,
-                     count_t read_b, count_t write_b) {
+LoopDatArg dat_arg(const Dat<T>& d, count_t read_b, count_t write_b,
+                   NonfiniteScan scan) {
   count_t alloc = Dat<T>::elem_bytes();
   for (int dim = 0; dim < 3; ++dim)
     alloc *= static_cast<count_t>(d.alloc_hi(dim) - d.alloc_lo(dim));
-  Instrumentation& ins = ctx.instr();
-  ins.datmove_add(loop, d.name(), read_b, write_b);
-  ins.datmove_dat(d.name(), alloc, read_b + write_b);
-  // Touch footprint = this touch's moved bytes — the same convention the
-  // chain executor uses per tile, so eager vs tiled reuse histograms are
-  // directly comparable.
-  ins.datmove_touch(&d, read_b + write_b, read_b + write_b);
+  return {&d, &d.name(), alloc, read_b, write_b, scan};
 }
 
 template <class T>
-void datmove_record(Context& ctx, const std::string& loop, const Range& local,
-                    const ArgRead<T>& a) {
-  count_t pts = 1;
-  for (std::size_t d = 0; d < 3; ++d)
-    pts *= static_cast<count_t>(local.hi[d] - local.lo[d] +
-                                2 * a.sten.radius[d]);
-  datmove_dat_arg(ctx, loop, *a.dat, pts * sizeof(T), 0);
+LoopDatArg event_arg(const ArgRead<T>& a, const Range& r) {
+  return dat_arg(*a.dat, read_footprint(r, a.sten.radius) * sizeof(T), 0,
+                 nullptr);
 }
 template <class T>
-void datmove_record(Context& ctx, const std::string& loop, const Range& local,
-                    const ArgWrite<T>& a) {
-  const count_t pts = static_cast<count_t>(local.points());
-  datmove_dat_arg(ctx, loop, *a.dat, 0, pts * sizeof(T));
+LoopDatArg event_arg(const ArgWrite<T>& a, const Range& r) {
+  return dat_arg(*a.dat, 0, r.count() * sizeof(T), nonfinite_scan<T>());
 }
 template <class T>
-void datmove_record(Context& ctx, const std::string& loop, const Range& local,
-                    const ArgRW<T>& a) {
-  const count_t pts = static_cast<count_t>(local.points());
-  datmove_dat_arg(ctx, loop, *a.dat, pts * sizeof(T), pts * sizeof(T));
+LoopDatArg event_arg(const ArgRW<T>& a, const Range& r) {
+  const count_t b = r.count() * sizeof(T);
+  return dat_arg(*a.dat, b, b, nonfinite_scan<T>());
 }
 template <class A>
-void datmove_record(Context&, const std::string&, const Range&, const A&) {}
+LoopDatArg event_arg(const A&, const Range&) {
+  return {};
+}
 
 template <class A>
 constexpr bool is_reduction(const A&) {
@@ -322,6 +301,33 @@ inline Pattern infer_pattern(const Block& b, const Range& r, int max_radius,
 
 namespace detail {
 
+/// The loop event of `meta` over `range` that eager, blocked and chained
+/// execution all record: the LoopRecord, the useful bytes and flops of the
+/// owned part `local`, and the access pattern. The executor adds the dat
+/// arguments and the time.
+template <class... Args>
+LoopEvent loop_event(const LoopMeta& meta, Block& b, const Range& range,
+                     const Range& local, const Args&... args) {
+  int max_radius = 0;
+  ((max_radius = std::max(max_radius, arg_radius(args))), ...);
+  count_t bytes_pp = 0;
+  ((bytes_pp += arg_bytes(args)), ...);
+  const bool has_red = (is_reduction(args) || ...);
+  Instrumentation& ins = b.ctx().instr();
+  LoopEvent ev;
+  ev.instr = &ins;
+  ev.rec = &ins.loop(meta.name);
+  ev.points = local.count();
+  ev.bytes = ev.points * bytes_pp;
+  ev.flops = static_cast<double>(ev.points) * meta.flops_per_point;
+  ev.pattern = meta.has_pattern
+                   ? meta.pattern
+                   : infer_pattern(b, range, max_radius, has_red);
+  ev.max_radius = max_radius;
+  ev.ndims = b.ndims();
+  return ev;
+}
+
 // ChainDatUse extraction for lazy (tiled) execution.
 template <class T>
 ChainDatUse dat_use(Dat<T>* d) {
@@ -345,13 +351,14 @@ template <class T>
 void add_use(std::vector<ChainDatUse>& v, const ArgRead<T>& a) {
   ChainDatUse u = dat_use(a.dat);
   u.is_read = true;
-  u.read_radius = a.sten.max_radius();
+  u.radius = a.sten.radius;
   v.push_back(std::move(u));
 }
 template <class T>
 void add_use(std::vector<ChainDatUse>& v, const ArgWrite<T>& a) {
   ChainDatUse u = dat_use(a.dat);
   u.is_written = true;
+  u.scan = nonfinite_scan<T>();
   v.push_back(std::move(u));
 }
 template <class T>
@@ -359,6 +366,7 @@ void add_use(std::vector<ChainDatUse>& v, const ArgRW<T>& a) {
   ChainDatUse u = dat_use(a.dat);
   u.is_read = true;
   u.is_written = true;
+  u.scan = nonfinite_scan<T>();
   v.push_back(std::move(u));
 }
 template <class A>
@@ -376,37 +384,11 @@ void par_loop(const LoopMeta& meta, Block& b, const Range& range,
   //    executor exchanges once per chain with deep halos).
   if (!ctx.lazy()) (detail::pre_exchange(args), ...);
 
-  // 2. Ownership.
+  // 2. Ownership. The event counts the loop even when the local part is
+  //    empty, for profile shape.
   const Range local = local_range(b, range);
-
-  // Stats (counted even when the local part is empty, for profile shape).
-  int max_radius = 0;
-  ((max_radius = std::max(max_radius, detail::arg_radius(args))), ...);
-  count_t bytes_pp = 0;
-  ((bytes_pp += detail::arg_bytes(args)), ...);
+  LoopEvent ev = detail::loop_event(meta, b, range, local, args...);
   const bool has_red = (detail::is_reduction(args) || ...);
-
-  LoopRecord& rec = ctx.instr().loop(meta.name);
-  ++rec.calls;
-  rec.max_radius = std::max(rec.max_radius, max_radius);
-  rec.ndims = b.ndims();
-  rec.pattern = meta.has_pattern
-                    ? meta.pattern
-                    : infer_pattern(b, range, max_radius, has_red);
-
-  const count_t pts =
-      local.empty() ? 0 : static_cast<count_t>(local.points());
-  rec.points += pts;
-  rec.bytes += pts * bytes_pp;
-  rec.flops += static_cast<double>(pts) * meta.flops_per_point;
-  live::on_loop_bytes(pts * bytes_pp);
-
-  // bwmem: exact bytes for eager execution (lazy loops are counted by the
-  // chain executor over the extended ranges it actually runs).
-  if (!ctx.lazy() && datmove::enabled() && !local.empty()) {
-    (detail::datmove_record(ctx, meta.name, local, args), ...);
-    ctx.instr().datmove_emit_counter();
-  }
 
   // 3+4. Execute. exec_range runs exactly the given range on the calling
   // thread (own bound-argument copies per call, no pool access) and
@@ -487,9 +469,9 @@ void par_loop(const LoopMeta& meta, Block& b, const Range& range,
     // The enqueued body is strictly serial: the tiled chain executor owns
     // the threading (it dispatches disjoint pieces of each tile across
     // the team), so the body must be safe to call concurrently and must
-    // never re-enter the pool.
+    // never re-enter the pool. The chain delivers the event once it ran.
     enqueue_lazy(
-        ctx, meta, b, range,
+        ctx, ev, b, range,
         [exec_range](const Range& rr) mutable {
           if (!rr.empty()) exec_range(rr);
         },
@@ -497,30 +479,17 @@ void par_loop(const LoopMeta& meta, Block& b, const Range& range,
     return;
   }
 
-  Timer t;
-  {
-    trace::TraceSpan span(trace::Cat::Kernel, meta.name);
-    execute_over(local);
-  }
-  const seconds_t elapsed = t.elapsed();
-  rec.host_seconds += elapsed;
-  {
-    static Counter& invocations =
-        MetricsRegistry::global().counter("ops.loop_invocations");
-    static Histogram& seconds =
-        MetricsRegistry::global().histogram("ops.kernel_seconds");
-    invocations.inc();
-    seconds.observe(elapsed);
-  }
-
-  // 5. Cross-rank reduction is the caller's choice (apps call
-  //    comm->allreduce on the target); loop-local merge already happened.
+  // 5. The loop event is recorded when the scope closes. Cross-rank
+  //    reduction is the caller's choice (apps call comm->allreduce on the
+  //    target); loop-local merge already happened.
+  const std::array<LoopDatArg, sizeof...(Args)> dats{
+      detail::event_arg(args, local)...};
+  ev.args = dats;
+  LoopScope scope(ev);
+  execute_over(local);
 
   // 6. Dirty halos of written dats.
   (detail::post_mark(args), ...);
-
-  if (fault::nan_policy() != fault::NanPolicy::Off)
-    (detail::guard_check(meta.name, args), ...);
 }
 
 /// Executes `kernel` over `range` in workgroup-blocked order: the range
@@ -541,25 +510,11 @@ void par_loop_blocked(const LoopMeta& meta, Block& b, const Range& range,
                   "workgroup extents must be >= 1");
   (detail::pre_exchange(args), ...);
   const Range local = local_range(b, range);
-
-  LoopRecord& rec = ctx.instr().loop(meta.name);
-  ++rec.calls;
-  count_t bytes_pp = 0;
-  ((bytes_pp += detail::arg_bytes(args)), ...);
-  const count_t pts = local.empty() ? 0 : static_cast<count_t>(local.points());
-  rec.points += pts;
-  rec.bytes += pts * bytes_pp;
-  rec.flops += static_cast<double>(pts) * meta.flops_per_point;
-  rec.ndims = b.ndims();
-  live::on_loop_bytes(pts * bytes_pp);
-
-  if (datmove::enabled() && !local.empty()) {
-    (detail::datmove_record(ctx, meta.name, local, args), ...);
-    ctx.instr().datmove_emit_counter();
-  }
-
-  Timer t;
-  trace::TraceSpan span(trace::Cat::Kernel, meta.name);
+  LoopEvent ev = detail::loop_event(meta, b, range, local, args...);
+  const std::array<LoopDatArg, sizeof...(Args)> dats{
+      detail::event_arg(args, local)...};
+  ev.args = dats;
+  LoopScope scope(ev);
   if (!local.empty()) {
     auto bound = std::make_tuple(detail::bind(args)...);
     for (idx_t bk = local.lo[2]; bk < local.hi[2]; bk += wg[2])
@@ -576,10 +531,7 @@ void par_loop_blocked(const LoopMeta& meta, Block& b, const Range& range,
         }
     std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
   }
-  rec.host_seconds += t.elapsed();
   (detail::post_mark(args), ...);
-  if (fault::nan_policy() != fault::NanPolicy::Off)
-    (detail::guard_check(meta.name, args), ...);
 }
 
 }  // namespace bwlab::ops

@@ -110,6 +110,52 @@ TEST(DatMove, StencilReadsDilateTheCountedFootprint) {
   }
 }
 
+// The read footprint is the executed range dilated by the stencil radius in
+// each dimension, whichever executor ran the loop: an anisotropic chain
+// counts the same bytes eagerly, untiled and tiled at any tile height.
+TEST(DatMove, AnisotropicReadsCountTheSameBytesInEveryExecutor) {
+  const DatMoveGuard guard;
+  using ByteMap = std::map<std::pair<std::string, std::string>,
+                           std::pair<count_t, count_t>>;
+  constexpr idx_t kEager = -1, kUntiled = 0;
+  // Runs the two-loop chain; `mode` is kEager, kUntiled or a tile height.
+  const auto run = [](idx_t mode) {
+    constexpr idx_t kN = 64;
+    Context ctx;
+    Block blk(ctx, "g", 2, {kN, kN, 1});
+    Dat<double> u(blk, "u", 4), f(blk, "f", 4), g(blk, "g", 4);
+    u.fill(1.0);
+    ctx.set_lazy(mode != kEager);
+    par_loop({"flux_x", 1.0}, blk, Range::make2d(0, kN, 0, kN),
+             [](Acc<const double> a, Acc<double> o) {
+               o(0, 0) = a(-1, 0) + a(1, 0);
+             },
+             read(u, Stencil::radii({1, 0, 0}, 2)), write(f));
+    par_loop({"flux_y", 1.0}, blk, Range::make2d(0, kN, 0, kN),
+             [](Acc<const double> a, Acc<double> o) {
+               o(0, 0) = a(0, -1) + a(0, 1);
+             },
+             read(f, Stencil::radii({0, 1, 0}, 2)), write(g));
+    ctx.set_lazy(false);
+    if (mode == kUntiled) ctx.chain().execute_untiled();
+    if (mode > 0) ctx.chain().execute_tiled(mode);
+    ByteMap out;
+    for (const DatMoveRecord* r : ctx.instr().datmoves())
+      out[{r->loop, r->dat}] = {r->bytes_read, r->bytes_written};
+    return out;
+  };
+
+  const ByteMap eager = run(kEager);
+  ASSERT_EQ(eager.size(), 4u);
+  // Dilated in x only (flux_x) or in y only (flux_y): 66 x 64 points.
+  EXPECT_EQ(eager.at({"flux_x", "u"}).first, 66u * 64u * 8u);
+  EXPECT_EQ(eager.at({"flux_y", "f"}).first, 64u * 66u * 8u);
+  EXPECT_EQ(eager.at({"flux_y", "g"}).second, 64u * 64u * 8u);
+  EXPECT_EQ(run(kUntiled), eager);
+  for (const idx_t h : {2, 7, 64})
+    EXPECT_EQ(run(h), eager) << "tile height " << h;
+}
+
 // --- Distributed halo accounting --------------------------------------------
 
 TEST(DatMove, CloverHaloBytesMatchRankStats) {

@@ -396,6 +396,37 @@ TEST_F(NanGuard, AbortNamesLoopDatAndIndex) {
   }
 }
 
+// A chain is guarded once it ran: each written dat is scanned once and a
+// finding names the last loop of the chain that wrote it.
+TEST_F(NanGuard, AbortCoversTiledChains) {
+  set_nan_policy(NanPolicy::Abort);
+  ops::Context ctx;
+  ops::Block b(ctx, "g", 2, {16, 16, 1});
+  ops::Dat<double> u(b, "u", 2), v(b, "v", 2);
+  u.fill(1.0);
+  ctx.set_lazy(true);
+  ops::par_loop({"copy", 1.0}, b, ops::Range::make2d(0, 16, 0, 16),
+                [](ops::Acc<const double> a, ops::Acc<double> o) {
+                  o(0, 0) = a(0, 0);
+                },
+                ops::read(u), ops::write(v));
+  ops::par_loop({"poison", 1.0}, b, ops::Range::make2d(0, 16, 0, 16),
+                [](ops::Acc<const double> a, ops::Acc<double> o) {
+                  o(0, 0) = a(0, 0) * std::numeric_limits<double>::quiet_NaN();
+                },
+                ops::read(u), ops::write(v));
+  ctx.set_lazy(false);
+  try {
+    ctx.chain().execute_tiled(4);
+    FAIL() << "expected nan-guard Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("loop 'poison'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("dat 'v'"), std::string::npos) << msg;
+  }
+  EXPECT_TRUE(ctx.chain().empty());
+}
+
 TEST_F(NanGuard, ReportCountsWithoutThrowing) {
   set_nan_policy(NanPolicy::Report);
   Counter& fields = MetricsRegistry::global().counter(

@@ -175,6 +175,36 @@ TEST(ParLoop, InstrumentationCountsBytesAndFlops) {
   EXPECT_EQ(rec.bytes, 100u * 16u);  // one read + one write of 8 B
   EXPECT_DOUBLE_EQ(rec.flops, 700.0);
   EXPECT_EQ(rec.pattern, Pattern::Streaming);
+
+  // par_loop_blocked records exactly what par_loop records for the same
+  // range and descriptors.
+  const auto stencil_loop = [](bool blocked) {
+    Context c;
+    Block blk(c, "g", 2, {10, 10, 1});
+    Dat<double> x(blk, "x", 1), y(blk, "y", 1);
+    x.fill(1.0);
+    const auto k = [](Acc<const double> a, Acc<double> o) {
+      o(0, 0) = a(-1, 0) + a(0, 1);
+    };
+    const Range r = Range::make2d(1, 9, 1, 9);
+    if (blocked)
+      par_loop_blocked({"s", 3.0}, blk, r, {4, 2, 1}, k,
+                       read(x, Stencil::star(2, 1)), write(y));
+    else
+      par_loop({"s", 3.0}, blk, r, k, read(x, Stencil::star(2, 1)), write(y));
+    return c.instr().loop("s");
+  };
+  const LoopRecord eager = stencil_loop(false);
+  const LoopRecord blocked = stencil_loop(true);
+  EXPECT_EQ(blocked.calls, eager.calls);
+  EXPECT_EQ(blocked.points, eager.points);
+  EXPECT_EQ(blocked.bytes, eager.bytes);
+  EXPECT_DOUBLE_EQ(blocked.flops, eager.flops);
+  EXPECT_EQ(blocked.pattern, eager.pattern);
+  EXPECT_EQ(eager.pattern, Pattern::Stencil);
+  EXPECT_EQ(blocked.max_radius, eager.max_radius);
+  EXPECT_EQ(eager.max_radius, 1);
+  EXPECT_EQ(blocked.ndims, eager.ndims);
 }
 
 TEST(ParLoop, PatternInference) {
