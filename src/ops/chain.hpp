@@ -23,7 +23,10 @@
 //    serial range executors, so the partition never changes results.
 //  * physical-boundary ghost fills of written dats are refreshed after
 //    each producing loop inside each tile, so boundary reads observe
-//    current values exactly as in untiled execution.
+//    current values exactly as in untiled execution. The refresh covers
+//    exactly the rows the tile wrote (Dat::refresh_physical_bcs): side
+//    ghosts are row-local, and an outer-face strip is refreshed whole
+//    whenever a written row lies within depth of the face.
 //
 // The result is bitwise identical to untiled execution (tested), while
 // the traffic of a chain of N loops over a tile that fits in cache is

@@ -9,6 +9,7 @@
 // needed").
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -186,12 +187,22 @@ class Dat {
 
   /// Re-applies the physical-boundary ghost fills (used by the tiled
   /// chain executor to keep boundary ghosts current mid-chain). When
-  /// `outer_lo < outer_hi` the refresh is restricted, in the outermost
-  /// dimension, to rows intersecting [outer_lo - 2*depth, outer_hi +
-  /// 2*depth) — enough to cover every skewed read of the current tile
-  /// while keeping the per-tile cost proportional to the tile.
+  /// `outer_lo < outer_hi`, only outer rows [outer_lo, outer_hi) were
+  /// written since the ghosts were last consistent, and the refresh costs
+  /// what those rows cost:
+  ///  * faces of the non-outer dimensions are refreshed exactly on the
+  ///    written rows (clipped to the allocation, so redundantly computed
+  ///    ghost rows of the outer dimension are covered). A side ghost
+  ///    mirrors or copies a point of its own row, so no other row can be
+  ///    stale.
+  ///  * an outer face is refreshed whole when a written row lies within
+  ///    depth of it, i.e. among the rows its strip is sourced from
+  ///    ([exec_lo, exec_lo + depth] low, [exec_hi - depth - 1, exec_hi)
+  ///    high), and skipped otherwise.
   void refresh_physical_bcs(idx_t outer_lo = 0, idx_t outer_hi = -1) {
     const int outer = block_->ndims() - 1;
+    const auto os = static_cast<std::size_t>(outer);
+    const bool rows = outer_lo < outer_hi;
     for (int d = 0; d < block_->ndims(); ++d) {
       const auto ds = static_cast<std::size_t>(d);
       if (bc_[ds][0] == Bc::Periodic) continue;
@@ -201,30 +212,19 @@ class Dat {
       high.lo[ds] = exec_hi(d);
       high.hi[ds] =
           exec_hi(d) + depth_ + stagger_[ds] - (exec_hi(d) - own_hi_[ds]);
-      if (outer_lo < outer_hi) {
-        // Restrict to the rows the current tile can read: for non-outer
-        // faces clamp the strip; for the outer faces themselves this
-        // skips strips the tile never reaches.
-        const auto os = static_cast<std::size_t>(outer);
-        const idx_t lo_clip = outer_lo - 2 * depth_;
-        const idx_t hi_clip = outer_hi + 2 * depth_;
-        if (d != outer) {
-          // Mid-chain, ghost rows of the outer dimension hold redundantly
-          // computed (periodic-image) values, so the non-outer faces must
-          // cover them too; base_box spans only the exec range.
-          low.lo[os] = std::max(alo_[os], lo_clip);
-          low.hi[os] = std::min(ahi_[os], hi_clip);
-          high.lo[os] = std::max(alo_[os], lo_clip);
-          high.hi[os] = std::min(ahi_[os], hi_clip);
-        } else {
-          low.lo[os] = std::max(low.lo[os], lo_clip);
-          low.hi[os] = std::min(low.hi[os], hi_clip);
-          high.lo[os] = std::max(high.lo[os], lo_clip);
-          high.hi[os] = std::min(high.hi[os], hi_clip);
-        }
+      bool do_low = block_->neighbor(d, -1) < 0;
+      bool do_high = block_->neighbor(d, +1) < 0;
+      if (rows && d != outer) {
+        low.lo[os] = high.lo[os] = std::max(alo_[os], outer_lo);
+        low.hi[os] = high.hi[os] = std::min(ahi_[os], outer_hi);
+      } else if (rows) {
+        do_low = do_low && outer_lo <= exec_lo(d) + depth_ &&
+                 outer_hi > exec_lo(d);
+        do_high = do_high && outer_lo < exec_hi(d) &&
+                  outer_hi > exec_hi(d) - depth_ - 1;
       }
-      if (block_->neighbor(d, -1) < 0) fill_bc(d, 0, low);
-      if (block_->neighbor(d, +1) < 0) fill_bc(d, 1, high);
+      if (do_low) fill_bc(d, 0, low);
+      if (do_high) fill_bc(d, 1, high);
     }
   }
 
@@ -397,43 +397,44 @@ class Dat {
     }
   }
 
+  /// Fills the ghost box of face (d, side) from the interior. The source
+  /// index in dimension d is affine in the ghost index, src = a + b*g:
+  /// CopyNearest repeats the boundary point (b = 0), Reflect/ReflectNeg
+  /// mirror (b = -1). For cell-centered fields the mirror plane sits
+  /// between cells (lo-1|lo and hi-1|hi); for node-centered fields it *is*
+  /// the boundary node (lo and hi-1). Walks rows: a mirrored run within
+  /// the row for d = 0, a whole-row copy from the source row otherwise.
   void fill_bc(int d, int side, const Box& ghosts) {
     const auto ds = static_cast<std::size_t>(d);
     const Bc bc = bc_[ds][static_cast<std::size_t>(side)];
-    if (bc == Bc::None) return;
+    if (bc == Bc::None || bc == Bc::Periodic) return;  // periodic: exchanged
     const idx_t lo = exec_lo(d), hi = exec_hi(d);
-    // Mirror plane: for cell-centered fields the wall sits between cells
-    // (lo-1|lo and hi-1|hi); for node-centered fields the wall *is* the
-    // boundary node (lo and hi-1).
-    const bool node = stagger_[ds] == 1;
+    const idx_t node = stagger_[ds];
+    idx_t a = side == 0 ? lo : hi - 1, b = 0;
+    if (bc != Bc::CopyNearest) {
+      a = side == 0 ? 2 * lo - 1 + node : 2 * hi - 1 - node;
+      b = -1;
+    }
+    const bool neg = bc == Bc::ReflectNeg;
+    const idx_t n = ghosts.hi[0] - ghosts.lo[0];
     for (idx_t k = ghosts.lo[2]; k < ghosts.hi[2]; ++k)
-      for (idx_t j = ghosts.lo[1]; j < ghosts.hi[1]; ++j)
-        for (idx_t i = ghosts.lo[0]; i < ghosts.hi[0]; ++i) {
-          std::array<idx_t, 3> g{i, j, k};
-          const idx_t gd = g[ds];
-          idx_t src = gd;
-          switch (bc) {
-            case Bc::CopyNearest:
-              src = side == 0 ? lo : hi - 1;
-              break;
-            case Bc::Reflect:
-            case Bc::ReflectNeg: {
-              if (side == 0)
-                src = node ? 2 * lo - gd : 2 * lo - 1 - gd;
-              else
-                src = node ? 2 * (hi - 1) - gd : 2 * hi - 1 - gd;
-              break;
-            }
-            case Bc::None:
-            case Bc::Periodic:
-              return;  // handled elsewhere
+      for (idx_t j = ghosts.lo[1]; j < ghosts.hi[1]; ++j) {
+        T* dst = ptr(ghosts.lo[0], j, k);
+        if (d == 0) {
+          const T* src = ptr(a + b * ghosts.lo[0], j, k);
+          for (idx_t x = 0; x < n; ++x) {
+            const T v = src[b * x];
+            dst[x] = neg ? -v : v;
           }
-          std::array<idx_t, 3> s = g;
-          s[ds] = src;
-          T v = at(s[0], s[1], s[2]);
-          if (bc == Bc::ReflectNeg) v = -v;
-          at(g[0], g[1], g[2]) = v;
+          continue;
         }
+        const T* src = d == 1 ? ptr(ghosts.lo[0], a + b * j, k)
+                              : ptr(ghosts.lo[0], j, a + b * k);
+        if (neg)
+          for (idx_t x = 0; x < n; ++x) dst[x] = -src[x];
+        else
+          std::copy(src, src + n, dst);
+      }
   }
 
   Block* block_;

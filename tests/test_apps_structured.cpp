@@ -113,6 +113,24 @@ TEST(CloverLeaf3D, DistributedMatchesSerial) {
   EXPECT_LT(rel_diff(r.checksum, ref.checksum), 1e-11);
 }
 
+TEST(CloverLeaf3D, TiledIsBitwiseIdenticalSerially) {
+  // The 3D chain tiles over k, so every tile refreshes the i and j faces
+  // on its own k rows and the k faces only near the domain edges.
+  Options o;
+  o.n = 20;
+  o.iterations = 3;
+  const Result eager = clover3d::run(o);
+  for (const idx_t h : {1, 4, 7, 17})
+    for (const int threads : {1, 3}) {
+      Options t = o;
+      t.tiled = true;
+      t.tile_size = h;
+      t.threads = threads;
+      EXPECT_EQ(clover3d::run(t).checksum, eager.checksum)
+          << "tile height " << h << ", " << threads << " threads";
+    }
+}
+
 // --- Acoustic ----------------------------------------------------------------
 
 TEST(Acoustic, PlaneWaveEigenmodePreserved) {

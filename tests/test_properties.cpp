@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <random>
@@ -293,6 +294,9 @@ struct FuzzLoop {
 struct FuzzSpec {
   int ndats = 2;
   bool periodic_x = false, periodic_y = false;
+  /// Non-periodic face BCs: x-low, x-high, y-low, y-high.
+  std::array<Bc, 4> walls{Bc::CopyNearest, Bc::CopyNearest, Bc::CopyNearest,
+                          Bc::CopyNearest};
   std::vector<FuzzLoop> loops;
 };
 
@@ -334,10 +338,10 @@ DatPtrs make_fuzz_dats(Block& b, const FuzzSpec& spec) {
     // Periodicity is per dimension and uniform across dats (tiled chains
     // require that); the non-periodic alternative still has halo reads.
     for (int side = 0; side < 2; ++side) {
-      dat->set_bc(0, side,
-                  spec.periodic_x ? Bc::Periodic : Bc::CopyNearest);
+      const auto s = static_cast<std::size_t>(side);
+      dat->set_bc(0, side, spec.periodic_x ? Bc::Periodic : spec.walls[s]);
       dat->set_bc(1, side,
-                  spec.periodic_y ? Bc::Periodic : Bc::CopyNearest);
+                  spec.periodic_y ? Bc::Periodic : spec.walls[2 + s]);
     }
     const double phase = 0.1 * static_cast<double>(d + 1);
     dat->fill_indexed([phase](idx_t i, idx_t j, idx_t) {
@@ -370,34 +374,57 @@ void run_fuzz_loops(Block& b, DatPtrs& dats, const FuzzSpec& spec) {
   }
 }
 
+/// Runs `spec` eagerly on one thread as the reference, then tiled at every
+/// (tile height, pool size) pair, and asserts every dat bitwise equal.
+void expect_tiled_matches_eager(const FuzzSpec& spec,
+                                std::initializer_list<idx_t> heights,
+                                std::initializer_list<int> pools, int trial) {
+  Context ref_ctx;
+  Block ref_b(ref_ctx, "g", 2, {kFuzzN, kFuzzN, 1});
+  DatPtrs ref = make_fuzz_dats(ref_b, spec);
+  run_fuzz_loops(ref_b, ref, spec);
+  for (const idx_t h : heights)
+    for (const int p : pools) {
+      Context ctx(p);
+      Block b(ctx, "g", 2, {kFuzzN, kFuzzN, 1});
+      DatPtrs dats = make_fuzz_dats(b, spec);
+      ctx.set_lazy(true);
+      run_fuzz_loops(b, dats, spec);
+      ctx.set_lazy(false);
+      ctx.chain().execute_tiled(h);
+      for (int d = 0; d < spec.ndats; ++d)
+        for (idx_t j = 0; j < kFuzzN; ++j)
+          for (idx_t i = 0; i < kFuzzN; ++i)
+            ASSERT_EQ(dats[static_cast<std::size_t>(d)]->at(i, j),
+                      ref[static_cast<std::size_t>(d)]->at(i, j))
+                << "trial " << trial << " tile " << h << " pool " << p
+                << " dat " << d << " at " << i << "," << j;
+    }
+}
+
 TEST(FuzzChains, TiledParallelBitwiseEqualsEagerForRandomChains) {
-  const idx_t heights[] = {2, 5, 9, 64, 1000};  // 1000 >> the 24-row domain
-  const int pools[] = {1, 2, 4};
   std::mt19937 rng(20260805u);
-  for (int trial = 0; trial < 6; ++trial) {
-    const FuzzSpec spec = random_spec(rng);
-    // Eager serial reference.
-    Context ref_ctx;
-    Block ref_b(ref_ctx, "g", 2, {kFuzzN, kFuzzN, 1});
-    DatPtrs ref = make_fuzz_dats(ref_b, spec);
-    run_fuzz_loops(ref_b, ref, spec);
-    for (const idx_t h : heights)
-      for (const int p : pools) {
-        Context ctx(p);
-        Block b(ctx, "g", 2, {kFuzzN, kFuzzN, 1});
-        DatPtrs dats = make_fuzz_dats(b, spec);
-        ctx.set_lazy(true);
-        run_fuzz_loops(b, dats, spec);
-        ctx.set_lazy(false);
-        ctx.chain().execute_tiled(h);
-        for (int d = 0; d < spec.ndats; ++d)
-          for (idx_t j = 0; j < kFuzzN; ++j)
-            for (idx_t i = 0; i < kFuzzN; ++i)
-              ASSERT_EQ(dats[static_cast<std::size_t>(d)]->at(i, j),
-                        ref[static_cast<std::size_t>(d)]->at(i, j))
-                  << "trial " << trial << " tile " << h << " pool " << p
-                  << " dat " << d << " at " << i << "," << j;
-      }
+  // Tile height 1000 is far taller than the 24-row domain.
+  for (int trial = 0; trial < 6; ++trial)
+    ASSERT_NO_FATAL_FAILURE(expect_tiled_matches_eager(
+        random_spec(rng), {2, 5, 9, 64, 1000}, {1, 2, 4}, trial));
+}
+
+// Reflecting walls: the tiled executor refreshes wall ghosts per tile on
+// the rows it wrote, and a mirrored ghost reads a different row than a
+// copied one. Outer-dim (y) walls, side walls with a periodic y, and
+// both, each with Reflect/ReflectNeg/CopyNearest drawn per face.
+TEST(FuzzChains, ReflectingWallsTiledBitwiseEqualsEager) {
+  std::mt19937 rng(20261017u);
+  for (int trial = 0; trial < 12; ++trial) {
+    FuzzSpec spec = random_spec(rng);
+    spec.periodic_x = trial % 3 == 1;
+    spec.periodic_y = trial % 3 == 2;
+    for (Bc& w : spec.walls)
+      w = std::array<Bc, 3>{Bc::Reflect, Bc::ReflectNeg,
+                            Bc::CopyNearest}[rng() % 3];
+    ASSERT_NO_FATAL_FAILURE(expect_tiled_matches_eager(
+        spec, {1, 2, 5, 9, 64, 1000}, {1, 3}, trial));
   }
 }
 
