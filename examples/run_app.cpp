@@ -167,9 +167,10 @@ int main(int argc, char** argv) {
               << "  --mode=hbm|flat|cache --snc=0|1 "
                  "--place=auto|hbm|ddr|firsttouch\n"
               << "  --machine=ID --attr-tol=X\n"
-              << "  --faults=SPEC --watchdog-ms=G --checkpoint-every=K\n"
-              << "  --max-restarts=R --nan-guard=0|1|2\n"
-              << "  --resil --retry-max=N --backoff-us=U --degraded\n"
+              << "  --faults=SPEC --watchdog-ms=G --nan-guard=0|1|2\n"
+              << "  --checkpoint-every=K (crash rollback checkpoints)\n"
+              << "  --resil --retry-max=N --backoff-us=U --degraded "
+                 "(Comm retry policy)\n"
               << "  --live --live-interval-ms=M --live-status "
                  "--live-listen=PORT|unix:PATH\n"
               << "  --live-out=FILE --live-ring=N --live-stall-windows=W\n";
@@ -391,17 +392,16 @@ int main(int argc, char** argv) {
                   << " tag=" << e.tag;
       std::cout << "\n";
     }
-    if (result.metric("restarts") > 0)
-      std::cout << "recovered via checkpoint/restart: "
-                << result.metric("restarts") << " restart(s)\n";
+    if (result.metric("rollbacks") > 0)
+      std::cout << "recovered via buddy rollback: "
+                << result.metric("rollbacks") << " rollback(s), "
+                << result.metric("buddy_restores") << " buddy restore(s)\n";
   }
   if (rob.resil) {
     const resil::Stats st = resil::stats();
     std::cout << "resil: retries=" << st.retries
               << " recovered=" << st.recovered
-              << " degraded=" << st.degraded_events
-              << " rollbacks=" << st.rollbacks
-              << " buddy_restores=" << st.buddy_restores << "\n";
+              << " degraded=" << st.degraded_events << "\n";
   }
   if (cli.get_bool("summary", false)) {
     std::cout << "\n";

@@ -34,12 +34,11 @@ struct Options {
   // --- Robustness (bwfault) --------------------------------------------------
   /// Progress-watchdog grace period for distributed runs; <= 0 disables.
   double watchdog_ms = 1000.0;
-  /// Checkpoint the field state every K steps (0 = off). Enables the
-  /// crash-recovery supervisor in apps that support restart (CloverLeaf
-  /// 2D); an injected rank crash then restarts from the last checkpoint.
+  /// Checkpoint the field state every K steps (0 = off) in the apps that
+  /// recover from crashes (CloverLeaf 2D/3D, miniWeather): an injected
+  /// rank crash rolls every rank back to the last checkpoint, the failed
+  /// rank from its buddy's mirror (apps/resilient_loop.hpp).
   int checkpoint_every = 0;
-  /// Restart attempts after recoverable (injected-crash) failures.
-  int max_restarts = 2;
   /// Post-loop NaN/Inf field guard: 0 off, 1 report, 2 abort.
   int nan_guard = 0;
 };

@@ -3,11 +3,8 @@
 #include <cmath>
 
 #include "apps/resilient_loop.hpp"
-#include "common/fault.hpp"
-#include "common/metrics.hpp"
 #include "common/resil.hpp"
 #include "common/timer.hpp"
-#include "common/trace.hpp"
 #include "ops/checkpoint.hpp"
 #include "ops/par_loop.hpp"
 
@@ -401,16 +398,11 @@ struct Solver {
 Result run(const Options& opt) {
   apply_robustness(opt);
   Result result;
-  // Per-rank checkpoint stores, outliving the rank threads (as in
-  // CloverLeaf 2D): the supervisor path restores them across a relaunch,
-  // the bwresil path rolls them back online.
-  std::vector<ops::CheckpointStore> stores(
-      static_cast<std::size_t>(opt.ranks > 0 ? opt.ranks : 1));
-  if (resil::active()) resil::buddy_resize(opt.ranks > 0 ? opt.ranks : 1);
+  // Buddy board for the checkpoint mirrors, as in CloverLeaf 2D.
+  resil::buddy_resize(opt.ranks > 0 ? opt.ranks : 1);
 
   auto run_rank = [&](par::Comm* comm) {
     const int rank = comm ? comm->rank() : 0;
-    ops::CheckpointStore& store = stores[static_cast<std::size_t>(rank)];
     std::unique_ptr<ops::Context> ctx =
         comm ? std::make_unique<ops::Context>(*comm, opt.threads)
              : std::make_unique<ops::Context>(opt.threads);
@@ -420,18 +412,12 @@ Result run(const Options& opt) {
       ctx->set_tile_cache_bytes(opt.tile_cache_bytes);
     Solver s(*ctx, opt.n, depth);
     s.initialize();
-    int start = 0;
-    if (store.valid()) {
-      trace::TraceSpan span(trace::Cat::Fault, "recovery:restore");
-      for (ops::Dat<double>* d : s.fields()) store.restore(*d);
-      start = static_cast<int>(store.step()) + 1;
-    }
+    ops::CheckpointStore store;
     Timer timer;
     Solver::Summary sum;
     ResilientLoop lp;
     lp.rank = rank;
     lp.comm = comm;
-    lp.start = start;
     lp.iterations = opt.iterations;
     lp.checkpoint_every = opt.checkpoint_every;
     lp.store = &store;
@@ -450,49 +436,26 @@ Result run(const Options& opt) {
       for (ops::Dat<double>* d : s.fields()) store.restore(*d);
     };
     lp.reinit = [&] { s.initialize(); };
-    run_resilient_loop(lp);
-    if (!comm || comm->rank() == 0) {
+    const LoopRun run = run_resilient_loop(lp);
+    if (rank == 0) {
       result.elapsed = timer.elapsed();
       result.metrics["mass"] = sum.mass;
       result.metrics["internal_energy"] = sum.ie;
       result.metrics["kinetic_energy"] = sum.ke;
+      result.metrics["rollbacks"] = static_cast<double>(run.rollbacks);
+      result.metrics["buddy_restores"] =
+          static_cast<double>(run.buddy_restores);
       result.checksum = sum.mass + sum.ie + sum.ke;
       result.instr = ctx->instr();
       if (comm) result.comm_seconds = comm->comm_seconds();
     }
   };
 
-  // Crash-recovery supervisor (plain protocol only; with a resil policy
-  // the loop above recovers online and no restart ever fires).
-  int restarts = 0;
-  for (;;) {
-    try {
-      if (opt.ranks > 1) {
-        result.rank_stats =
-            run_distributed(opt, [&](par::Comm& c) { run_rank(&c); });
-      } else {
-        run_rank(nullptr);
-      }
-      break;
-    } catch (const par::RankFailure&) {
-      if (opt.checkpoint_every <= 0 || restarts >= opt.max_restarts) throw;
-    } catch (const par::MultiRankError& e) {
-      if (!e.any_rank_failure() || opt.checkpoint_every <= 0 ||
-          restarts >= opt.max_restarts)
-        throw;
-    }
-    ++restarts;
-    trace::TraceSpan span(trace::Cat::Fault, "recovery:restart");
-    static Counter& counter =
-        MetricsRegistry::global().counter("recovery.restarts");
-    counter.inc();
-  }
-  result.metrics["restarts"] = restarts;
-  if (resil::active()) {
-    const resil::Stats rs = resil::stats();
-    result.metrics["rollbacks"] = static_cast<double>(rs.rollbacks);
-    result.metrics["buddy_restores"] = static_cast<double>(rs.buddy_restores);
-  }
+  if (opt.ranks > 1)
+    result.rank_stats =
+        run_distributed(opt, [&](par::Comm& c) { run_rank(&c); });
+  else
+    run_rank(nullptr);
   return result;
 }
 

@@ -4,11 +4,8 @@
 #include <cmath>
 
 #include "apps/resilient_loop.hpp"
-#include "common/fault.hpp"
-#include "common/metrics.hpp"
 #include "common/resil.hpp"
 #include "common/timer.hpp"
-#include "common/trace.hpp"
 #include "ops/checkpoint.hpp"
 #include "ops/par_loop.hpp"
 
@@ -306,36 +303,27 @@ struct Solver {
 Result run(const Options& opt) {
   apply_robustness(opt);
   Result result;
-  // Per-rank checkpoint stores (the four evolving DatArrs, ghosts
-  // included), outliving the rank threads as in CloverLeaf.
-  std::vector<ops::CheckpointStore> stores(
-      static_cast<std::size_t>(opt.ranks > 0 ? opt.ranks : 1));
-  if (resil::active()) resil::buddy_resize(opt.ranks > 0 ? opt.ranks : 1);
+  // Buddy board for the checkpoint mirrors, as in CloverLeaf.
+  resil::buddy_resize(opt.ranks > 0 ? opt.ranks : 1);
 
   auto run_rank = [&](par::Comm* comm) {
     const int rank = comm ? comm->rank() : 0;
-    ops::CheckpointStore& store = stores[static_cast<std::size_t>(rank)];
     std::unique_ptr<ops::Context> ctx =
         comm ? std::make_unique<ops::Context>(*comm, opt.threads)
              : std::make_unique<ops::Context>(opt.threads);
     Solver s(*ctx, opt.n, std::max<idx_t>(opt.n / 2, 8));
     s.initialize();
     const Solver::Summary s0 = s.summary();
+    // Checkpoints hold the four evolving DatArrs, ghosts included.
+    ops::CheckpointStore store;
     auto each_field = [&s](auto&& fn) {
       for (DatArr* a : {&s.state, &s.state_tmp, &s.fx, &s.fz})
         for (ops::Dat<double>& d : *a) fn(d);
     };
-    int start = 0;
-    if (store.valid()) {
-      trace::TraceSpan span(trace::Cat::Fault, "recovery:restore");
-      each_field([&store](ops::Dat<double>& d) { store.restore(d); });
-      start = static_cast<int>(store.step()) + 1;
-    }
     Timer timer;
     ResilientLoop lp;
     lp.rank = rank;
     lp.comm = comm;
-    lp.start = start;
     lp.iterations = opt.iterations;
     lp.checkpoint_every = opt.checkpoint_every;
     lp.store = &store;
@@ -349,52 +337,29 @@ Result run(const Options& opt) {
       each_field([&store](ops::Dat<double>& d) { store.restore(d); });
     };
     lp.reinit = [&] { s.initialize(); };
-    run_resilient_loop(lp);
+    const LoopRun run = run_resilient_loop(lp);
     const Solver::Summary s1 = s.summary();
-    if (!comm || comm->rank() == 0) {
+    if (rank == 0) {
       result.elapsed = timer.elapsed();
       result.metrics["mass"] = s1.mass;
       result.metrics["mass_initial"] = s0.mass;
       result.metrics["theta_integral"] = s1.te;
       result.metrics["theta_integral_initial"] = s0.te;
       result.metrics["w_max"] = s1.wmax;
+      result.metrics["rollbacks"] = static_cast<double>(run.rollbacks);
+      result.metrics["buddy_restores"] =
+          static_cast<double>(run.buddy_restores);
       result.checksum = s1.te + s1.wmax;
       result.instr = ctx->instr();
       if (comm) result.comm_seconds = comm->comm_seconds();
     }
   };
 
-  // Crash-recovery supervisor (plain protocol only; the bwresil loop
-  // recovers online and no restart ever fires).
-  int restarts = 0;
-  for (;;) {
-    try {
-      if (opt.ranks > 1) {
-        result.rank_stats =
-            run_distributed(opt, [&](par::Comm& c) { run_rank(&c); });
-      } else {
-        run_rank(nullptr);
-      }
-      break;
-    } catch (const par::RankFailure&) {
-      if (opt.checkpoint_every <= 0 || restarts >= opt.max_restarts) throw;
-    } catch (const par::MultiRankError& e) {
-      if (!e.any_rank_failure() || opt.checkpoint_every <= 0 ||
-          restarts >= opt.max_restarts)
-        throw;
-    }
-    ++restarts;
-    trace::TraceSpan span(trace::Cat::Fault, "recovery:restart");
-    static Counter& counter =
-        MetricsRegistry::global().counter("recovery.restarts");
-    counter.inc();
-  }
-  result.metrics["restarts"] = restarts;
-  if (resil::active()) {
-    const resil::Stats rs = resil::stats();
-    result.metrics["rollbacks"] = static_cast<double>(rs.rollbacks);
-    result.metrics["buddy_restores"] = static_cast<double>(rs.buddy_restores);
-  }
+  if (opt.ranks > 1)
+    result.rank_stats =
+        run_distributed(opt, [&](par::Comm& c) { run_rank(&c); });
+  else
+    run_rank(nullptr);
   return result;
 }
 

@@ -1,5 +1,7 @@
 #include "apps/resilient_loop.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/live.hpp"
@@ -12,16 +14,32 @@ namespace bwlab::apps {
 namespace {
 
 bool checkpoint_due(const ResilientLoop& lp, long long it) {
-  return lp.checkpoint_every > 0 && lp.store != nullptr &&
-         (it + 1) % lp.checkpoint_every == 0 && it + 1 < lp.iterations;
+  return lp.checkpoint_every > 0 && (it + 1) % lp.checkpoint_every == 0 &&
+         it + 1 < lp.iterations;
 }
 
-/// Localized rollback after the health check reported a failed rank.
-/// Returns the agreed resume step. Symmetric across ranks by
-/// construction: commits (and their buddy mirrors) happen at the same
-/// steps everywhere, so every rank computes the same resume step.
-long long rollback(const ResilientLoop& lp, int failed_rank) {
+/// Rollback after the health check flagged the ranks in `failed`.
+/// Returns the resume step. Symmetric across ranks by construction: all
+/// see the same flags, and commits (with their buddy mirrors) happen at
+/// the same steps everywhere, so `committed` and every decision agree.
+long long rollback(const ResilientLoop& lp, const std::vector<double>& failed,
+                   long long committed, LoopRun& run) {
   trace::TraceSpan span(trace::Cat::Fault, "recovery:rollback");
+  const int nranks = static_cast<int>(failed.size());
+  long long nfailed = 0;
+  for (int r = 0; r < nranks; ++r) {
+    if (failed[static_cast<std::size_t>(r)] == 0) continue;
+    ++nfailed;
+    // Only a committed checkpoint has a mirror to lose.
+    const int b = resil::buddy_of(r, nranks);
+    BWLAB_REQUIRE(committed < 0 || b == r ||
+                      failed[static_cast<std::size_t>(b)] == 0,
+                  "rank " << r << " and its buddy rank " << b
+                          << " failed at the same step: the mirror of rank "
+                          << r << "'s checkpoint (step " << committed
+                          << ") is lost");
+  }
+  ++run.rollbacks;
   // One rollback *event* spans all ranks; count it once.
   if (lp.rank == 0) {
     static Counter& rollbacks =
@@ -29,72 +47,68 @@ long long rollback(const ResilientLoop& lp, int failed_rank) {
     rollbacks.inc();
     resil::count_rollback();
   }
-  if (lp.rank == failed_rank) {
-    // The failed rank's own state (store included) is considered lost;
-    // its buddy holds the serialized snapshot.
-    if (lp.store != nullptr && resil::buddy_has(lp.rank)) {
-      resil::buddy_restore(lp.rank, *lp.store);
-      lp.restore();
-      return lp.store->step() + 1;
-    }
+  if (committed < 0) {
     lp.reinit();
     return 0;
   }
-  if (lp.store != nullptr && lp.store->valid()) {
+  run.buddy_restores += nfailed;
+  if (failed[static_cast<std::size_t>(lp.rank)] != 0) {
+    // The failed rank's own state (store included) is considered lost;
+    // its buddy holds the serialized snapshot.
+    resil::buddy_restore(lp.rank, *lp.store);
+    BWLAB_REQUIRE(lp.store->step() == committed,
+                  "rank " << lp.rank << "'s buddy mirror is at step "
+                          << lp.store->step() << ", expected " << committed);
+    lp.restore();
+  } else {
     trace::TraceSpan rspan(trace::Cat::Fault, "recovery:restore");
     lp.restore();
-    return lp.store->step() + 1;
   }
-  lp.reinit();
-  return 0;
+  return committed + 1;
 }
 
 }  // namespace
 
-std::vector<long long> run_resilient_loop(const ResilientLoop& lp) {
-  BWLAB_REQUIRE(lp.step != nullptr, "resilient loop needs a step hook");
-  std::vector<long long> executed;
-  if (!resil::active()) {
-    // Plain protocol: crashes propagate to the app's supervisor.
-    for (long long it = lp.start; it < lp.iterations; ++it) {
-      fault::on_step(lp.rank, it);
-      live::on_step(lp.rank);
-      lp.step(it);
-      executed.push_back(it);
-      if (checkpoint_due(lp, it)) lp.capture(it);
-    }
-    return executed;
-  }
-  // Localized protocol. Iterations stay in lockstep across ranks (one
-  // health allreduce per loop turn), so the allreduce counts always
-  // match up.
-  long long it = lp.start;
+LoopRun run_resilient_loop(const ResilientLoop& lp) {
+  BWLAB_REQUIRE(lp.step != nullptr && lp.reinit != nullptr,
+                "resilient loop needs step and reinit hooks");
+  BWLAB_REQUIRE(lp.checkpoint_every <= 0 || lp.store != nullptr,
+                "resilient loop checkpoints need a store");
+  LoopRun run;
+  long long committed = -1;  // step of the last checkpoint commit
+  // Iterations stay in lockstep across ranks (one health allreduce per
+  // loop turn), so the allreduce counts always match up.
+  std::vector<double> failed(
+      static_cast<std::size_t>(lp.comm != nullptr ? lp.comm->size() : 1));
+  long long it = 0;
   while (it < lp.iterations) {
-    int my_failure = -1;
+    std::fill(failed.begin(), failed.end(), 0.0);
     try {
       fault::on_step(lp.rank, it);
       live::on_step(lp.rank);
     } catch (const par::RankFailure&) {
-      my_failure = lp.rank;
+      failed[static_cast<std::size_t>(lp.rank)] = 1;
     }
-    double failed = my_failure;
-    if (lp.comm != nullptr) failed = lp.comm->allreduce_max(failed);
-    if (failed >= 0) {
-      it = rollback(lp, static_cast<int>(failed));
+    if (lp.comm != nullptr)
+      lp.comm->allreduce(failed.data(), static_cast<int>(failed.size()),
+                         par::ReduceOp::Max);
+    if (std::find(failed.begin(), failed.end(), 1.0) != failed.end()) {
+      it = rollback(lp, failed, committed, run);
       continue;
     }
     // Health check passed: crash faults only fire at step tops, so this
     // step runs crash-free on every rank; drops and delays inside it
-    // are survived by the resilient Comm layer.
+    // are survived by the Comm layer (or diagnosed by the watchdog).
     lp.step(it);
-    executed.push_back(it);
+    run.executed.push_back(it);
     if (checkpoint_due(lp, it)) {
       lp.capture(it);
       resil::buddy_mirror(lp.rank, *lp.store);
+      committed = it;
     }
     ++it;
   }
-  return executed;
+  return run;
 }
 
 }  // namespace bwlab::apps

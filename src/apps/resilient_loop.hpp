@@ -1,29 +1,23 @@
-// bwresil: the shared resilient step loop of the distributed apps.
+// bwresil: the shared resilient step loop of the distributed apps, and
+// their only crash-recovery path.
 //
-// One loop shape, two protocols:
-//
-//  * plain (no resil policy): fault::on_step at the top of every step; a
-//    RankFailure propagates out to the app's checkpoint/restart
-//    supervisor, which relaunches the whole world (the PR-2 path,
-//    unchanged).
-//
-//  * localized (resil policy active): every iteration opens with a
-//    health allreduce. Crash faults fire only at step tops
-//    (fault::on_step), so a rank that catches its own RankFailure flags
-//    itself in that allreduce *before* any step work starts — no
-//    point-to-point traffic is ever in flight at rollback time. All
-//    ranks then roll back symmetrically to the last committed
-//    checkpoint: the failed rank restores its store from its buddy's
-//    mirror (rank+1 mod N holds the serialized bytes), surviving ranks
-//    restore from their local stores, and everyone resumes at
-//    checkpoint step + 1 (or re-initializes to step 0 when no
-//    checkpoint exists). No supervisor restart, no world teardown.
+// Every iteration opens with a health check: an elementwise max-allreduce
+// of one failure flag per rank. Crash faults fire only at step tops
+// (fault::on_step), so a rank that catches its own RankFailure flags
+// itself *before* any step work starts — no point-to-point traffic is
+// ever in flight at rollback time. When any flag is set, all ranks roll
+// back symmetrically to the last committed checkpoint: each failed rank
+// restores its store from its buddy's mirror (rank+1 mod N holds the
+// serialized bytes), surviving ranks restore from their local stores,
+// and everyone resumes at checkpoint step + 1 — or re-initializes to
+// step 0 when no checkpoint exists. If a failed rank's buddy failed in
+// the same turn, its mirror is lost and every rank raises the same
+// diagnosed Error naming both ranks (a 1-rank run is its own buddy).
 //
 // The health allreduce doubles as the per-step lockstep barrier that
 // keeps checkpoint steps, buddy mirrors and the resume step globally
 // agreed. Checkpoint commits additionally mirror the serialized store to
-// the buddy board. The executed step sequence is returned so tests can
-// assert exact step accounting across recoveries.
+// the buddy board, which the app sizes before launching its ranks.
 #pragma once
 
 #include <functional>
@@ -42,7 +36,6 @@ namespace bwlab::apps {
 struct ResilientLoop {
   int rank = 0;
   par::Comm* comm = nullptr;  ///< null for single-rank runs
-  long long start = 0;        ///< first step (supervisor restarts resume here)
   long long iterations = 0;
   int checkpoint_every = 0;   ///< commit every K completed steps (0 = off)
   fault::SnapshotStore* store = nullptr;  ///< this rank's checkpoint store
@@ -52,9 +45,17 @@ struct ResilientLoop {
   std::function<void()> reinit;
 };
 
-/// Runs the loop under the protocol the installed policies select and
-/// returns the sequence of steps this rank executed (rolled-back steps
-/// included, in execution order) — the step-accounting witness.
-std::vector<long long> run_resilient_loop(const ResilientLoop& lp);
+/// What one run of the loop did. Every rank sees the same health flags,
+/// so the recovery counts are identical on all ranks.
+struct LoopRun {
+  /// Steps this rank executed, rolled-back steps included, in execution
+  /// order — the step-accounting witness.
+  std::vector<long long> executed;
+  long long rollbacks = 0;       ///< rollback events (one per failed turn)
+  long long buddy_restores = 0;  ///< failed ranks restored from a mirror
+};
+
+/// Runs the loop to `iterations`, recovering every injected crash.
+LoopRun run_resilient_loop(const ResilientLoop& lp);
 
 }  // namespace bwlab::apps

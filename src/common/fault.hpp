@@ -14,7 +14,7 @@
 //                              with a nonzero seed-derived mask
 //
 // Entries are ';'-separated and each fires exactly once (one-shot), so a
-// checkpoint/restart retry re-runs past a crash instead of re-crashing.
+// rolled-back step re-runs past a crash instead of re-crashing.
 // Same spec + same seed => the same fault event sequence (events()), which
 // turns every injected failure into a reproducible test case. Fired events
 // are also emitted as trace::Cat::Fault spans for the Perfetto timeline.
@@ -28,9 +28,9 @@
 
 namespace bwlab::par {
 
-/// Thrown by fault::on_step to kill a rank at its injection step; the app
-/// supervisor treats it as recoverable (checkpoint/restart) while any
-/// other exception stays fatal.
+/// Thrown by fault::on_step to kill a rank at its injection step. The
+/// apps with checkpoints catch it in their resilient step loop and roll
+/// back; anywhere else it stays fatal like any other exception.
 class RankFailure : public Error {
  public:
   RankFailure(int rank, long long step)

@@ -45,7 +45,7 @@ void bump_loop_bytes(std::uint64_t bytes);
 inline bool enabled() { return detail::g_on.enabled(); }
 
 /// Per-rank application progress: called at the top of each time step
-/// (apps/resilient_loop.cpp). Steps are cumulative across restarts.
+/// (apps/resilient_loop.cpp). Steps are cumulative across rollbacks.
 inline void on_step(int rank) {
   if (enabled()) detail::bump_step(rank);
 }

@@ -120,12 +120,6 @@ void buddy_mirror(int rank, const fault::SnapshotStore& store) {
   g_board_step[static_cast<std::size_t>(rank)] = store.step();
 }
 
-bool buddy_has(int rank) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return static_cast<std::size_t>(rank) < g_board.size() &&
-         !g_board[static_cast<std::size_t>(rank)].empty();
-}
-
 long long buddy_step(int rank) {
   std::lock_guard<std::mutex> lock(g_mu);
   if (static_cast<std::size_t>(rank) >= g_board_step.size()) return -1;

@@ -1,21 +1,23 @@
 // bwresil: online localized recovery for the SimMPI runtime stack.
 //
-// Three cooperating pieces, all off by default and free when disabled
-// (one relaxed atomic load at every hook, same budget as bwfault):
+// Three cooperating pieces:
 //
-//  * a resilient Comm policy — par::Comm sequences every point-to-point
-//    message and keeps a sender-side replay log, so a receive that times
-//    out (a bwfault drop or long delay) is retried from the log under
-//    bounded, seeded exponential backoff instead of tripping the
-//    watchdog; when retries exhaust, DegradedMode either continues with
-//    the stale buffer (skip-and-extrapolate halo / stale allreduce) or
-//    raises a diagnosed error — never a hang;
+//  * a resilient Comm policy (off by default, one relaxed atomic load at
+//    every hook when disabled, same budget as bwfault) — par::Comm
+//    sequences every point-to-point message and keeps a sender-side
+//    replay log, so a receive that times out (a bwfault drop or long
+//    delay) is retried from the log under bounded, seeded exponential
+//    backoff instead of tripping the watchdog; when retries exhaust,
+//    DegradedMode either continues with the stale buffer
+//    (skip-and-extrapolate halo / stale allreduce) or raises a diagnosed
+//    error — never a hang;
 //
 //  * a buddy-checkpoint board — each rank mirrors its committed
 //    SnapshotStore bytes (ghosts included) to rank+1 mod N after every
 //    checkpoint commit, so a crashed rank restores from its buddy while
-//    the surviving ranks roll back locally to the same step: recovery is
-//    localized, no supervisor world-restart;
+//    the surviving ranks roll back locally to the same step. This is the
+//    apps' only crash-recovery path (apps/resilient_loop.hpp) and does
+//    not depend on the Comm policy;
 //
 //  * deterministic accounting — retry, degraded and rollback events are
 //    counted (stats()), and recovery work is emitted as
@@ -109,9 +111,6 @@ void buddy_resize(int nranks);
 /// Serializes `store` (committed snapshot, ghosts included) into slot
 /// `rank`. Emits a "recovery:mirror" trace span.
 void buddy_mirror(int rank, const fault::SnapshotStore& store);
-
-/// True when slot `rank` holds a mirror.
-bool buddy_has(int rank);
 
 /// Step of the mirror in slot `rank`, or -1 when empty.
 long long buddy_step(int rank);

@@ -1,8 +1,7 @@
 #include "common/snapshot.hpp"
 
+#include <algorithm>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -12,7 +11,21 @@ namespace bwlab::fault {
 
 namespace {
 constexpr char kMagic[8] = {'B', 'W', 'C', 'K', 'P', 'T', '1', '\n'};
+
+/// FNV-1a over 8-byte words (zero-padded tail). Each word is folded in
+/// by an xor and a multiply by an odd constant — a bijection of the
+/// running hash — so any change confined to one word, a single bit
+/// flip included, always changes the result.
+std::uint64_t checksum(const char* p, std::size_t n) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t i = 0; i < n; i += sizeof h) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i, std::min(sizeof w, n - i));
+    h = (h ^ w) * 0x100000001B3ULL;
+  }
+  return h;
 }
+}  // namespace
 
 void SnapshotStore::begin(long long step) {
   staging_.clear();
@@ -84,7 +97,7 @@ void SnapshotStore::reset() {
 
 std::vector<char> SnapshotStore::serialize() const {
   BWLAB_REQUIRE(valid_, "serialize of an empty checkpoint store");
-  std::size_t total = sizeof kMagic + 2 * sizeof(std::uint64_t);
+  std::size_t total = sizeof kMagic + 3 * sizeof(std::uint64_t);
   for (const Field& f : fields_)
     total += 3 * sizeof(std::uint64_t) + f.name.size() + f.bytes.size();
   std::vector<char> out(total);
@@ -104,13 +117,22 @@ std::vector<char> SnapshotStore::serialize() const {
     put_u64(f.bytes.size());
     put(f.bytes.data(), f.bytes.size());
   }
+  put_u64(checksum(out.data(), pos));
   return out;
 }
 
 void SnapshotStore::deserialize(const std::vector<char>& bytes) {
+  std::uint64_t sum = 0;
+  BWLAB_REQUIRE(bytes.size() >= sizeof kMagic + sizeof sum,
+                "truncated serialized checkpoint (" << bytes.size() << " B)");
+  const std::size_t end = bytes.size() - sizeof sum;
+  std::memcpy(&sum, bytes.data() + end, sizeof sum);
+  BWLAB_REQUIRE(sum == checksum(bytes.data(), end),
+                "corrupted serialized checkpoint: checksum mismatch over "
+                    << end << " B");
   std::size_t pos = 0;
-  auto get = [&bytes, &pos](void* p, std::size_t n) {
-    BWLAB_REQUIRE(pos + n <= bytes.size(),
+  auto get = [&bytes, &pos, end](void* p, std::size_t n) {
+    BWLAB_REQUIRE(pos + n <= end,
                   "truncated serialized checkpoint (" << bytes.size()
                                                       << " B)");
     std::memcpy(p, bytes.data() + pos, n);
@@ -137,31 +159,13 @@ void SnapshotStore::deserialize(const std::vector<char>& bytes) {
     get(f.bytes.data(), f.bytes.size());
     fields.push_back(std::move(f));
   }
+  BWLAB_REQUIRE(pos == end, "serialized checkpoint has " << end - pos
+                                                         << " trailing B");
   fields_ = std::move(fields);
   step_ = step;
   valid_ = true;
   in_txn_ = false;
   staging_.clear();
-}
-
-void SnapshotStore::write_file(const std::string& path) const {
-  const std::vector<char> bytes = serialize();
-  std::ofstream os(path, std::ios::binary);
-  BWLAB_REQUIRE(os.good(), "cannot open checkpoint file '" << path << "'");
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  BWLAB_REQUIRE(os.good(), "failed writing checkpoint to '" << path << "'");
-}
-
-void SnapshotStore::read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  BWLAB_REQUIRE(is.good(), "cannot open checkpoint file '" << path << "'");
-  std::vector<char> bytes{std::istreambuf_iterator<char>(is),
-                          std::istreambuf_iterator<char>()};
-  try {
-    deserialize(bytes);
-  } catch (const Error& e) {
-    throw Error("checkpoint file '" + path + "': " + e.what());
-  }
 }
 
 }  // namespace bwlab::fault

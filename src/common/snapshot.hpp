@@ -1,4 +1,4 @@
-// SnapshotStore: the byte-level core of bwfault checkpoint/restart.
+// SnapshotStore: the byte-level core of bwfault checkpoint/rollback.
 //
 // A store holds one committed snapshot of a set of named byte buffers
 // (one per field) plus the application step it was taken at. Capture is
@@ -10,8 +10,8 @@
 // snapshots structured Dat allocations (including ghost cells) and
 // op2::CheckpointStore snapshots flat unstructured dats. Stores are
 // per-rank and not thread-safe; in a run_ranks execution each rank owns
-// its own store, and the supervisor keeps the vector of stores alive
-// across restart attempts.
+// its own store, and its serialized bytes are mirrored on the buddy
+// rank (common/resil.hpp).
 #pragma once
 
 #include <cstdint>
@@ -49,21 +49,17 @@ class SnapshotStore {
   /// Discards committed and staged state.
   void reset();
 
-  /// Serializes the committed snapshot to a byte buffer — the exact bytes
-  /// write_file would emit. This is the bwresil buddy-mirror wire format:
-  /// a rank ships these bytes to its buddy, and a restore on any store
-  /// (same fields, same shapes) is bitwise-faithful, ghosts included.
+  /// Serializes the committed snapshot to a byte buffer, ending in a
+  /// 64-bit checksum of everything before it. This is the bwresil
+  /// buddy-mirror wire format: a rank ships these bytes to its buddy, and
+  /// a restore on any store (same fields, same shapes) is
+  /// bitwise-faithful, ghosts included.
   std::vector<char> serialize() const;
 
   /// Replaces the committed snapshot with a previously serialized one;
-  /// diagnosed error on malformed or truncated input.
+  /// diagnosed error on malformed, truncated or corrupted (checksum
+  /// mismatch) input.
   void deserialize(const std::vector<char>& bytes);
-
-  /// Binary serialization of the committed snapshot (single-rank runs /
-  /// debugging; in-memory stores are the supervisor's primary path).
-  /// File contents are serialize() bytes verbatim.
-  void write_file(const std::string& path) const;
-  void read_file(const std::string& path);
 
  private:
   struct Field {

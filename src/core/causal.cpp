@@ -39,9 +39,9 @@ const char* bucket_of(const SpanRec& s) {
                                                             : "comm_wait";
     case trace::Cat::Fault:
       // bwresil emits all recovery work (rollback, buddy mirror/restore,
-      // retry backoff, supervisor restart) as Fault spans named
-      // "recovery:*"; attribute those to their own bucket so recovery
-      // cost is visible in the critical path.
+      // retry backoff) as Fault spans named "recovery:*"; attribute those
+      // to their own bucket so recovery cost is visible in the critical
+      // path.
       return s.name.rfind("recovery", 0) == 0 ? "recovery" : "other";
     default: return "other";
   }
@@ -174,7 +174,7 @@ Report analyze(const std::vector<trace::TrackView>& tracks,
                const Options& opts) {
   Report rep;
 
-  // Merge rank-main (tid 0) tracks per rank: checkpoint/restart runs can
+  // Merge rank-main (tid 0) tracks per rank: several runs in one trace
   // leave several buffers with the same identity (a fresh thread per
   // run_ranks call), and analysis wants one timeline per rank.
   std::map<int, std::vector<trace::EventView>> per_rank;

@@ -23,7 +23,7 @@
 //    wall time to kernel / halo_pack / comm_wait / imbalance / recovery /
 //    other buckets that sum exactly to the traced wall interval
 //    (recovery covers the bwresil "recovery:*" spans — rollback, buddy
-//    mirror/restore, retry backoff, supervisor restart).
+//    mirror/restore, retry backoff).
 //
 // Everything here runs post-join on the snapshot (or on a parsed
 // .trace.json for the offline tools/trace_analyze) — the hot path pays

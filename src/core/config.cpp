@@ -165,7 +165,6 @@ void Robustness::install() const {
 void Robustness::apply(apps::Options& opt) const {
   opt.watchdog_ms = watchdog_ms;
   opt.checkpoint_every = checkpoint_every;
-  opt.max_restarts = max_restarts;
   opt.nan_guard = nan_guard;
 }
 
@@ -175,7 +174,6 @@ Robustness robustness_from_cli(const Cli& cli) {
   r.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345));
   r.watchdog_ms = cli.get_double("watchdog-ms", 1000.0);
   r.checkpoint_every = static_cast<int>(cli.get_int("checkpoint-every", 0));
-  r.max_restarts = static_cast<int>(cli.get_int("max-restarts", 2));
   r.nan_guard = static_cast<int>(cli.get_int("nan-guard", 0));
   r.resil = cli.get_bool("resil", false);
   r.retry_max = static_cast<int>(cli.get_int("retry-max", 8));

@@ -78,18 +78,17 @@ Layout layout(const sim::MachineModel& m, const Config& c);
 
 /// Runtime robustness knobs (bwfault), the configuration axis orthogonal
 /// to the paper's compiler/ZMM/HT space: fault injection, deadlock
-/// watchdog, checkpoint/restart and the NaN/Inf field guard. Shared by
+/// watchdog, checkpoint/rollback and the NaN/Inf field guard. Shared by
 /// every driver binary so the flags mean the same thing everywhere.
 struct Robustness {
   std::string faults;          ///< fault plan spec ("" = none)
   std::uint64_t seed = 12345;  ///< seeds the plan's payload-flip masks
   double watchdog_ms = 1000.0; ///< deadlock grace period (<= 0 disables)
-  int checkpoint_every = 0;    ///< checkpoint cadence in steps (0 = off)
-  int max_restarts = 2;        ///< crash-recovery attempts
+  int checkpoint_every = 0;    ///< rollback checkpoint cadence (0 = off)
   int nan_guard = 0;           ///< 0 off, 1 report, 2 abort
 
-  // --- bwresil (online localized recovery) ---------------------------------
-  bool resil = false;          ///< resilient Comm + buddy rollback
+  // --- bwresil (resilient Comm policy) -------------------------------------
+  bool resil = false;          ///< Comm retry/backoff/degraded policy
   int retry_max = 8;           ///< receive retries before giving up
   long long backoff_us = 100;  ///< initial retry backoff (doubles per try)
   bool degraded = false;       ///< stale-data continue when retries exhaust
@@ -103,9 +102,9 @@ struct Robustness {
 };
 
 /// Parses the shared robustness flags from an already-constructed Cli:
-/// --faults, --watchdog-ms, --checkpoint-every, --max-restarts,
-/// --nan-guard, --resil, --retry-max, --backoff-us, --degraded (seed
-/// comes from the common --seed flag).
+/// --faults, --watchdog-ms, --checkpoint-every, --nan-guard, --resil,
+/// --retry-max, --backoff-us, --degraded (seed comes from the common
+/// --seed flag).
 Robustness robustness_from_cli(const Cli& cli);
 
 }  // namespace bwlab::core

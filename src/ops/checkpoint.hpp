@@ -10,7 +10,7 @@
 //   store.begin(step);
 //   store.capture(density); store.capture(energy); ...
 //   store.commit();                       // atomic: all fields or none
-// and on restart:
+// and on rollback (apps/resilient_loop.cpp):
 //   store.restore(density); ...           // then resume at store.step()+1
 #pragma once
 

@@ -124,8 +124,7 @@ class MultiRankError : public Error {
  public:
   explicit MultiRankError(std::vector<RankError> errors);
   const std::vector<RankError>& errors() const { return errors_; }
-  /// True if any failed rank died of an injected crash (RankFailure) —
-  /// the checkpoint/restart supervisor's retry condition.
+  /// True if any failed rank died of an injected crash (RankFailure).
   bool any_rank_failure() const;
 
  private:

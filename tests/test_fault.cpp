@@ -2,18 +2,19 @@
 // one-shot firing, seeded flip masks, reproducible event sequences), the
 // two-phase SnapshotStore, the typed ops checkpoint front-end, the
 // NaN/Inf field guard, and the headline acceptance scenario — CloverLeaf
-// 2D recovering from an injected rank crash via checkpoint/restart with a
-// checksum equal to the fault-free run.
+// 2D/3D and miniWeather recovering from an injected rank crash by buddy
+// rollback with a checksum equal to the fault-free run.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdio>
 #include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
+#include "apps/cloverleaf/cloverleaf3d.hpp"
+#include "apps/miniweather/miniweather.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
@@ -312,42 +313,6 @@ TEST_F(Snapshot, RestoreDiagnosesMissingFieldAndShapeMismatch) {
                Error);
 }
 
-TEST_F(Snapshot, FileRoundTripAndReset) {
-  const std::string path =
-      ::testing::TempDir() + "bwfault_snapshot_roundtrip.ckpt";
-  const std::vector<double> u = {3.14, 2.71};
-  const std::vector<float> w = {1.5f, 2.5f, 3.5f};
-  {
-    SnapshotStore store;
-    store.begin(12);
-    store.capture_raw("u", u.data(), u.size() * sizeof(double),
-                      sizeof(double));
-    store.capture_raw("w", w.data(), w.size() * sizeof(float),
-                      sizeof(float));
-    store.commit();
-    store.write_file(path);
-  }
-  SnapshotStore loaded;
-  loaded.read_file(path);
-  EXPECT_TRUE(loaded.valid());
-  EXPECT_EQ(loaded.step(), 12);
-  EXPECT_EQ(loaded.fields(), 2u);
-  std::vector<double> u2(2, 0.0);
-  std::vector<float> w2(3, 0.0f);
-  loaded.restore_raw("u", u2.data(), u2.size() * sizeof(double),
-                     sizeof(double));
-  loaded.restore_raw("w", w2.data(), w2.size() * sizeof(float),
-                     sizeof(float));
-  EXPECT_EQ(u2, u);
-  EXPECT_EQ(w2, w);
-
-  loaded.reset();
-  EXPECT_FALSE(loaded.valid());
-  EXPECT_EQ(loaded.step(), -1);
-  EXPECT_EQ(loaded.fields(), 0u);
-  std::remove(path.c_str());
-}
-
 TEST_F(Snapshot, OpsCheckpointRestoresFullAllocationIncludingGhosts) {
   ops::Context ctx;
   ops::Block b(ctx, "g", 2, {8, 8, 1});
@@ -457,28 +422,26 @@ TEST_F(NanGuard, OffIsFree) {
                     ops::write(u)));
 }
 
-// --- CloverLeaf 2D crash recovery -------------------------------------------
+// --- Crash recovery by buddy rollback ----------------------------------------
 
 using Recovery = FaultTest;
 
-// The headline acceptance scenario: kill rank 1 at step 4 of a 2-rank
-// CloverLeaf 2D run with checkpoints every 2 steps. The supervisor must
-// restart from the last committed checkpoint and the recovered checksum
-// must match the fault-free run to 1e-12.
-TEST_F(Recovery, CloverleafRestartsFromCheckpointAfterInjectedCrash) {
-  apps::Options opt;
-  opt.n = 24;
-  opt.iterations = 6;
+/// Kills rank 1 at step 4 of a 2-rank run with checkpoints every 2
+/// steps and no resil policy installed: the loop must roll back to the
+/// last committed checkpoint (rank 1 from its buddy's mirror) and the
+/// recovered checksum must match the fault-free run to 1e-12.
+template <class Run>
+void expect_rollback_recovers(Run run, apps::Options opt) {
   opt.ranks = 2;
-
-  const apps::Result baseline = apps::clover2d::run(opt);
+  const apps::Result baseline = run(opt);
 
   install(FaultPlan::parse("crash:rank=1,step=4", 7));
   opt.checkpoint_every = 2;
-  const apps::Result recovered = apps::clover2d::run(opt);
+  const apps::Result recovered = run(opt);
 
   EXPECT_NEAR(recovered.checksum, baseline.checksum, 1e-12);
-  EXPECT_DOUBLE_EQ(recovered.metric("restarts"), 1.0);
+  EXPECT_GE(recovered.metric("rollbacks"), 1.0);
+  EXPECT_GE(recovered.metric("buddy_restores"), 1.0);
 
   const std::vector<Event> evs = events();
   ASSERT_EQ(evs.size(), 1u);
@@ -487,23 +450,43 @@ TEST_F(Recovery, CloverleafRestartsFromCheckpointAfterInjectedCrash) {
   EXPECT_EQ(evs[0].step, 4);
 }
 
-// Without checkpoints the injected crash is fatal and surfaces as an
-// aggregated MultiRankError naming the failed rank.
-TEST_F(Recovery, CrashWithoutCheckpointsIsFatal) {
+TEST_F(Recovery, CloverleafRollsBackToCheckpointAfterInjectedCrash) {
+  apps::Options opt;
+  opt.n = 24;
+  opt.iterations = 6;
+  expect_rollback_recovers(apps::clover2d::run, opt);
+}
+
+TEST_F(Recovery, Cloverleaf3dRollsBackToCheckpointAfterInjectedCrash) {
+  apps::Options opt;
+  opt.n = 12;
+  opt.iterations = 6;
+  expect_rollback_recovers(apps::clover3d::run, opt);
+}
+
+TEST_F(Recovery, MiniweatherRollsBackToCheckpointAfterInjectedCrash) {
+  apps::Options opt;
+  opt.n = 16;
+  opt.iterations = 6;
+  expect_rollback_recovers(apps::miniweather::run, opt);
+}
+
+// Without checkpoints there is nothing to roll back to: every rank
+// re-initializes to step 0 and the run still reproduces the checksum.
+TEST_F(Recovery, CrashWithoutCheckpointsReinitializes) {
   apps::Options opt;
   opt.n = 24;
   opt.iterations = 6;
   opt.ranks = 2;
   opt.checkpoint_every = 0;
+  const apps::Result baseline = apps::clover2d::run(opt);
+
   install(FaultPlan::parse("crash:rank=1,step=2", 7));
-  try {
-    apps::clover2d::run(opt);
-    FAIL() << "expected the injected crash to propagate";
-  } catch (const par::MultiRankError& e) {
-    EXPECT_TRUE(e.any_rank_failure());
-    ASSERT_EQ(e.errors().size(), 1u);
-    EXPECT_EQ(e.errors()[0].rank, 1);
-  }
+  const apps::Result recovered = apps::clover2d::run(opt);
+  EXPECT_NEAR(recovered.checksum, baseline.checksum, 1e-12);
+  EXPECT_EQ(recovered.metric("rollbacks"), 1.0);
+  EXPECT_EQ(recovered.metric("buddy_restores"), 0.0);
+  ASSERT_EQ(events().size(), 1u);
 }
 
 }  // namespace

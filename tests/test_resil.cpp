@@ -2,10 +2,11 @@
 // resilient Comm retry/replay/backoff protocol (drops and delays survived
 // without tripping the watchdog, degraded-mode continuation, retry
 // attempts named in the watchdog dump), bitwise buddy-checkpoint fidelity
-// ghosts included, the headline acceptance scenario — CloverLeaf 2D
-// recovering from an injected crash via buddy restore with no supervisor
-// restart and a checksum equal to the fault-free run — and the `recovery`
-// critical-path bucket.
+// ghosts included, checksummed mirrors, the headline acceptance scenario
+// — CloverLeaf 2D recovering from injected crashes via buddy restore with
+// a checksum equal to the fault-free run, or a diagnosed error when a
+// rank and its buddy fail together — and the `recovery` critical-path
+// bucket.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -83,39 +84,40 @@ struct ScalarLoop {
   }
 };
 
-TEST_F(ResilTest, StepSequenceWithoutFaultsIsIdenticalOnBothProtocols) {
-  ScalarLoop plain;
-  const std::vector<long long> seq_plain =
-      apps::run_resilient_loop(plain.loop(10, 3));
-
-  resil::install(enabled_policy());
+TEST_F(ResilTest, StepSequenceWithoutFaultsIsExact) {
   resil::buddy_resize(1);
-  ScalarLoop local;
-  const std::vector<long long> seq_local =
-      apps::run_resilient_loop(local.loop(10, 3));
+  ScalarLoop s;
+  const apps::LoopRun run = apps::run_resilient_loop(s.loop(10, 3));
 
   const std::vector<long long> want = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_EQ(seq_plain, want);
-  EXPECT_EQ(seq_local, want);
-  EXPECT_DOUBLE_EQ(local.x, plain.x);
+  EXPECT_EQ(run.executed, want);
+  double x = 0;
+  for (long long it = 0; it < 10; ++it) x = 3.0 * x + double(it + 1);
+  EXPECT_DOUBLE_EQ(s.x, x);
+  EXPECT_EQ(run.rollbacks, 0);
+  EXPECT_EQ(run.buddy_restores, 0);
+  EXPECT_EQ(resil::buddy_step(0), 8);  // commits after steps 2, 5 and 8
 }
 
 TEST_F(ResilTest, StepSequenceAcrossLocalizedRollbackIsExact) {
   // Fault-free reference value.
+  resil::buddy_resize(1);
   ScalarLoop ref;
   apps::run_resilient_loop(ref.loop(10, 3));
 
-  resil::install(enabled_policy());
   resil::buddy_resize(1);
   fault::install(fault::FaultPlan::parse("crash:rank=0,step=7", 42));
   ScalarLoop s;
-  const std::vector<long long> seq = apps::run_resilient_loop(s.loop(10, 3));
+  const apps::LoopRun run = apps::run_resilient_loop(s.loop(10, 3));
 
   // Checkpoints commit after steps 2 and 5; the crash at the top of step
   // 7 rolls back to 5+1=6, so 6 executes twice and nothing else repeats.
+  // A 1-rank run is its own buddy: the restore reads its own mirror.
   const std::vector<long long> want = {0, 1, 2, 3, 4, 5, 6, 6, 7, 8, 9};
-  EXPECT_EQ(seq, want);
+  EXPECT_EQ(run.executed, want);
   EXPECT_DOUBLE_EQ(s.x, ref.x);
+  EXPECT_EQ(run.rollbacks, 1);
+  EXPECT_EQ(run.buddy_restores, 1);
   EXPECT_EQ(resil::stats().rollbacks, 1);
   EXPECT_EQ(resil::stats().buddy_restores, 1);
   ASSERT_EQ(fault::events().size(), 1u);
@@ -126,16 +128,17 @@ TEST_F(ResilTest, CrashBeforeFirstCheckpointReinitializes) {
   ScalarLoop ref;
   apps::run_resilient_loop(ref.loop(5, 0));
 
-  resil::install(enabled_policy());
   resil::buddy_resize(1);
   fault::install(fault::FaultPlan::parse("crash:rank=0,step=2", 42));
   ScalarLoop s;
-  const std::vector<long long> seq = apps::run_resilient_loop(s.loop(5, 0));
+  const apps::LoopRun run = apps::run_resilient_loop(s.loop(5, 0));
 
   // No checkpoint exists, so the rollback re-initializes to step 0.
   const std::vector<long long> want = {0, 1, 0, 1, 2, 3, 4};
-  EXPECT_EQ(seq, want);
+  EXPECT_EQ(run.executed, want);
   EXPECT_DOUBLE_EQ(s.x, ref.x);
+  EXPECT_EQ(run.rollbacks, 1);
+  EXPECT_EQ(run.buddy_restores, 0);
 }
 
 // --- Resilient Comm: retry, replay, backoff, degraded mode -------------------
@@ -331,9 +334,9 @@ TEST_F(ResilTest, BuddyMirrorRoundTripsGhostsBitwise) {
 
   resil::buddy_resize(2);
   resil::buddy_mirror(0, store);
-  ASSERT_TRUE(resil::buddy_has(0));
+  ASSERT_FALSE(resil::buddy_bytes(0).empty());
   EXPECT_EQ(resil::buddy_step(0), 5);
-  EXPECT_FALSE(resil::buddy_has(1));
+  EXPECT_TRUE(resil::buddy_bytes(1).empty());
   // The mirror is the exact serialized wire format.
   EXPECT_EQ(resil::buddy_bytes(0), store.serialize());
 
@@ -360,9 +363,11 @@ TEST_F(ResilTest, BuddyMirrorRoundTripsGhostsBitwise) {
 
 TEST_F(ResilTest, SnapshotSerializeDeserializeRoundTrips) {
   fault::SnapshotStore store;
-  std::vector<double> u = {1.5, -2.5, 3.25};
+  const std::vector<double> u = {1.5, -2.5, 3.25};
+  const std::vector<float> w = {1.5f, 2.5f};
   store.begin(9);
   store.capture_raw("u", u.data(), u.size() * sizeof(double), sizeof(double));
+  store.capture_raw("w", w.data(), w.size() * sizeof(float), sizeof(float));
   store.commit();
   const std::vector<char> bytes = store.serialize();
 
@@ -370,17 +375,38 @@ TEST_F(ResilTest, SnapshotSerializeDeserializeRoundTrips) {
   loaded.deserialize(bytes);
   EXPECT_TRUE(loaded.valid());
   EXPECT_EQ(loaded.step(), 9);
-  EXPECT_EQ(loaded.fields(), 1u);
-  std::vector<double> v(3, 0.0);
-  loaded.restore_raw("u", v.data(), v.size() * sizeof(double),
+  EXPECT_EQ(loaded.fields(), 2u);
+  std::vector<double> u2(3, 0.0);
+  std::vector<float> w2(2, 0.0f);
+  loaded.restore_raw("u", u2.data(), u2.size() * sizeof(double),
                      sizeof(double));
-  EXPECT_EQ(v, u);
+  loaded.restore_raw("w", w2.data(), w2.size() * sizeof(float),
+                     sizeof(float));
+  EXPECT_EQ(u2, u);
+  EXPECT_EQ(w2, w);
   EXPECT_EQ(loaded.serialize(), bytes);
+
+  loaded.reset();
+  EXPECT_FALSE(loaded.valid());
+  EXPECT_EQ(loaded.step(), -1);
+  EXPECT_EQ(loaded.fields(), 0u);
 
   // Truncated input is a diagnosed error, not a crash.
   std::vector<char> cut(bytes.begin(), bytes.begin() + 10);
   fault::SnapshotStore bad;
   EXPECT_THROW(bad.deserialize(cut), Error);
+
+  // So is a single flipped payload bit: the checksum catches it.
+  std::vector<char> flipped = bytes;
+  flipped[bytes.size() / 2] = static_cast<char>(flipped[bytes.size() / 2] ^ 4);
+  try {
+    bad.deserialize(flipped);
+    FAIL() << "expected a checksum mismatch";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(bad.valid());
 }
 
 // --- CloverLeaf acceptance scenarios -----------------------------------------
@@ -395,7 +421,7 @@ apps::Options clover_options() {
   return opt;
 }
 
-TEST_F(ResilTest, CloverCrashRecoversLocallyWithoutSupervisorRestart) {
+TEST_F(ResilTest, CloverCrashRecoversByBuddyRollback) {
   const apps::Options opt = clover_options();
   resil::install(enabled_policy());
   const apps::Result ref = apps::clover2d::run(opt);
@@ -404,7 +430,6 @@ TEST_F(ResilTest, CloverCrashRecoversLocallyWithoutSupervisorRestart) {
   resil::install(enabled_policy());  // reset stats
   const apps::Result res = apps::clover2d::run(opt);
 
-  EXPECT_EQ(res.metric("restarts"), 0.0);  // no supervisor world-restart
   EXPECT_GE(res.metric("rollbacks"), 1.0);
   EXPECT_GE(res.metric("buddy_restores"), 1.0);
   EXPECT_NEAR(res.checksum, ref.checksum,
@@ -421,10 +446,64 @@ TEST_F(ResilTest, CloverSurvivesDropAndDelayWithEqualChecksum) {
   resil::install(enabled_policy());
   const apps::Result res = apps::clover2d::run(opt);
 
-  EXPECT_EQ(res.metric("restarts"), 0.0);
   EXPECT_GE(resil::stats().recovered, 1);
   EXPECT_NEAR(res.checksum, ref.checksum,
               1e-12 * std::max(1.0, std::abs(ref.checksum)));
+}
+
+/// A 4-rank clover run (rank r's mirror lives on rank r+1 mod 4).
+apps::Options clover4_options() {
+  apps::Options opt = clover_options();
+  opt.n = 24;
+  opt.ranks = 4;
+  return opt;
+}
+
+TEST_F(ResilTest, SimultaneousCrashesRestoreEveryFailedRankFromItsBuddy) {
+  // Ranks 0 and 2 die at the same step; their buddies (1 and 3) survive,
+  // so both must restore from their mirrors — not just the highest.
+  const apps::Options opt = clover4_options();
+  const apps::Result ref = apps::clover2d::run(opt);
+
+  fault::install(
+      fault::FaultPlan::parse("crash:rank=0,step=3;crash:rank=2,step=3", 42));
+  const apps::Result res = apps::clover2d::run(opt);
+
+  EXPECT_EQ(res.metric("rollbacks"), 1.0);
+  EXPECT_EQ(res.metric("buddy_restores"), 2.0);
+  EXPECT_EQ(fault::events().size(), 2u);
+  EXPECT_NEAR(res.checksum, ref.checksum, 1e-12);
+}
+
+TEST_F(ResilTest, BuddyPairLossIsDiagnosedOnEveryRank) {
+  // Rank 1's mirror lives on rank 2; both die at step 3, after the
+  // step-1 checkpoint. Every rank must raise the same diagnosis.
+  apps::Options opt = clover4_options();
+  fault::install(
+      fault::FaultPlan::parse("crash:rank=1,step=3;crash:rank=2,step=3", 42));
+  try {
+    apps::clover2d::run(opt);
+    FAIL() << "expected the buddy-pair loss to be diagnosed";
+  } catch (const par::MultiRankError& e) {
+    ASSERT_EQ(e.errors().size(), 4u);
+    for (const par::RankError& re : e.errors()) {
+      EXPECT_NE(re.message.find("rank 1 and its buddy rank 2"),
+                std::string::npos)
+          << re.message;
+      EXPECT_FALSE(re.rank_failure);
+    }
+  }
+
+  // Before any checkpoint there is no mirror to lose: the same pair
+  // crash re-initializes every rank and reproduces the checksum.
+  opt.checkpoint_every = 0;
+  const apps::Result ref = apps::clover2d::run(opt);
+  fault::install(
+      fault::FaultPlan::parse("crash:rank=1,step=3;crash:rank=2,step=3", 42));
+  const apps::Result res = apps::clover2d::run(opt);
+  EXPECT_EQ(res.metric("rollbacks"), 1.0);
+  EXPECT_EQ(res.metric("buddy_restores"), 0.0);
+  EXPECT_NEAR(res.checksum, ref.checksum, 1e-12);
 }
 
 TEST_F(ResilTest, CampaignClassificationIsDeterministic) {
@@ -439,9 +518,12 @@ TEST_F(ResilTest, CampaignClassificationIsDeterministic) {
     o.checkpoint_every = 2;
     return o;
   }();
+  // The last cell crashes both ranks of the buddy pair after the first
+  // checkpoint: rank 0's mirror dies with rank 1, so the run must die
+  // with a diagnosis rather than hang or restore from a dead slot.
   const std::vector<std::string> plans = {
       "drop:rank=1,msg=0", "delay:rank=0,us=5000,msg=1",
-      "crash:rank=1,step=2"};
+      "crash:rank=1,step=2", "crash:rank=0,step=3;crash:rank=1,step=3"};
 
   resil::install(enabled_policy());
   const apps::Result ref = apps::clover2d::run(opt);
@@ -456,12 +538,7 @@ TEST_F(ResilTest, CampaignClassificationIsDeterministic) {
         const apps::Result r = apps::clover2d::run(opt);
         const double err = std::abs(r.checksum - ref.checksum) /
                            std::max(1.0, std::abs(ref.checksum));
-        if (r.metric("restarts") > 0)
-          c = 'R';
-        else if (resil::stats().degraded_events == 0 && err <= 1e-12)
-          c = 'C';
-        else
-          c = 'D';
+        c = resil::stats().degraded_events == 0 && err <= 1e-12 ? 'C' : 'D';
       } catch (const Error&) {
         c = 'X';
       }
@@ -474,7 +551,7 @@ TEST_F(ResilTest, CampaignClassificationIsDeterministic) {
   const std::string first = classify();
   const std::string second = classify();
   EXPECT_EQ(first, second);
-  EXPECT_EQ(first, "CCC");  // every cell survives clean
+  EXPECT_EQ(first, "CCCX");  // only the buddy-pair loss dies
 }
 
 // --- The `recovery` critical-path bucket -------------------------------------

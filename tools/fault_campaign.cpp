@@ -1,15 +1,16 @@
 // fault_campaign: the bwresil survivability gate. Sweeps a seeded space
 // of fault plans (fault kind x target rank x step-or-message position x
 // intensity) over one application, runs every plan with the resilient
-// Comm + localized-recovery policy installed, and classifies each run:
+// Comm policy installed (crashes are recovered by the apps' buddy
+// rollback, which needs no policy), and classifies each run:
 //
 //   survived-clean     terminated, checksum == fault-free to 1e-12, no
-//                      degraded-mode continuation, no supervisor restart
+//                      degraded-mode continuation
 //   survived-degraded  terminated, but degraded mode fired or the
 //                      checksum drifted
-//   restarted          terminated only via a supervisor world-restart
 //   hung               the progress watchdog had to kill the run
-//   died               any other diagnosed failure
+//   died               any other diagnosed failure (e.g. a rank and its
+//                      buddy crashing at the same step)
 //
 // Same --seed + same sweep flags => the same plan list and the same
 // classification vector (printed as a compact string — the determinism
@@ -20,7 +21,7 @@
 // Examples:
 //   ./build/tools/fault_campaign --app=clover2d --n=24 --iters=8
 //       --ranks=4 --plans=50 --mode=random --bench-json
-//   ./build/tools/fault_campaign --kinds=drop,delay --plans=12
+//   ./build/tools/fault_campaign --kinds=drop,delay,crash --plans=60
 //       --require-survival=1.0        # CI smoke: every cell must survive
 #include <cmath>
 #include <cstdio>
@@ -44,13 +45,12 @@ using namespace bwlab;
 
 namespace {
 
-enum class Outcome { SurvivedClean, SurvivedDegraded, Restarted, Hung, Died };
+enum class Outcome { SurvivedClean, SurvivedDegraded, Hung, Died };
 
 const char* to_string(Outcome o) {
   switch (o) {
     case Outcome::SurvivedClean: return "survived-clean";
     case Outcome::SurvivedDegraded: return "survived-degraded";
-    case Outcome::Restarted: return "restarted";
     case Outcome::Hung: return "hung";
     case Outcome::Died: return "died";
   }
@@ -62,7 +62,6 @@ char letter(Outcome o) {
   switch (o) {
     case Outcome::SurvivedClean: return 'C';
     case Outcome::SurvivedDegraded: return 'D';
-    case Outcome::Restarted: return 'R';
     case Outcome::Hung: return 'H';
     case Outcome::Died: return 'X';
   }
@@ -171,7 +170,6 @@ int main(int argc, char** argv) {
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345));
   opt.watchdog_ms = cli.get_double("watchdog-ms", 1000.0);
   opt.checkpoint_every = static_cast<int>(cli.get_int("checkpoint-every", 2));
-  opt.max_restarts = static_cast<int>(cli.get_int("max-restarts", 2));
 
   resil::Policy pol;
   pol.enabled = true;
@@ -230,12 +228,8 @@ int main(int argc, char** argv) {
             std::max(1.0, std::abs(ref.checksum));
       if (err > max_err) max_err = err;
       const bool degraded = resil::stats().degraded_events > 0;
-      if (res.metric("restarts") > 0)
-        o = Outcome::Restarted;
-      else if (!degraded && err <= 1e-12)
-        o = Outcome::SurvivedClean;
-      else
-        o = Outcome::SurvivedDegraded;
+      o = !degraded && err <= 1e-12 ? Outcome::SurvivedClean
+                                    : Outcome::SurvivedDegraded;
     } catch (const par::WatchdogError&) {
       o = Outcome::Hung;
     } catch (const Error&) {
@@ -246,15 +240,13 @@ int main(int argc, char** argv) {
     by_class[to_string(o)]++;
     auto& [ok, total] = by_kind[c.kind];
     ++total;
-    if (o == Outcome::SurvivedClean || o == Outcome::SurvivedDegraded ||
-        o == Outcome::Restarted)
-      ++ok;
+    if (o == Outcome::SurvivedClean || o == Outcome::SurvivedDegraded) ++ok;
     std::printf("  plan %3zu  %-32s -> %-17s err %.3g\n", i, c.spec.c_str(),
                 to_string(o), err);
   }
 
-  const int survived = by_class["survived-clean"] +
-                       by_class["survived-degraded"] + by_class["restarted"];
+  const int survived =
+      by_class["survived-clean"] + by_class["survived-degraded"];
   const double survival =
       cells.empty() ? 1.0 : static_cast<double>(survived) /
                                 static_cast<double>(cells.size());
@@ -275,8 +267,6 @@ int main(int argc, char** argv) {
   run.record_value("campaign.survived_degraded", "count",
                    benchjson::Better::Lower,
                    static_cast<double>(by_class["survived-degraded"]));
-  run.record_value("campaign.restarted", "count", benchjson::Better::Lower,
-                   static_cast<double>(by_class["restarted"]));
   run.record_value("campaign.hung", "count", benchjson::Better::Lower,
                    static_cast<double>(by_class["hung"]));
   run.record_value("campaign.died", "count", benchjson::Better::Lower,
