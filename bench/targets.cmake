@@ -123,12 +123,15 @@ set_target_properties(gb_memtier_overhead PROPERTIES
 # The self-checking budget benches double as ctest entries under the
 # "bench" label (`ctest -L bench`), so the perf trip wires run with the
 # suite instead of needing a separate CI step. fig_modes is in the list
-# because it also self-checks (the Ibeid degradation shape).
+# because it also self-checks (the Ibeid degradation shape). They time
+# nanosecond budgets, so RUN_SERIAL keeps `ctest -j` from running them
+# beside the rest of the suite on a shared machine.
 if(BWLAB_BUILD_TESTS)
   foreach(b gb_trace_overhead gb_fault_overhead gb_causal_overhead
             gb_datmove_overhead gb_resil_overhead gb_live_overhead
             gb_memtier_overhead fig_modes)
     add_test(NAME ${b} COMMAND ${b})
-    set_tests_properties(${b} PROPERTIES TIMEOUT 120 LABELS bench)
+    set_tests_properties(${b} PROPERTIES TIMEOUT 120 LABELS bench
+                                         RUN_SERIAL TRUE)
   endforeach()
 endif()

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "apps/acoustic/acoustic.hpp"
 #include "apps/cloverleaf/cloverleaf2d.hpp"
 #include "apps/cloverleaf/cloverleaf3d.hpp"
 #include "apps/miniweather/miniweather.hpp"
 #include "apps/opensbli/opensbli.hpp"
+#include "common/aligned.hpp"
+#include "ops/context.hpp"
+#include "ops/dat.hpp"
 
 namespace bwlab::apps {
 namespace {
@@ -74,6 +78,36 @@ TEST(CloverLeaf2D, TiledIsBitwiseIdenticalSerially) {
   Options t = o;
   t.tiled = true;
   t.tile_size = 9;
+  const Result tiled = clover2d::run(t);
+  EXPECT_EQ(eager.checksum, tiled.checksum);
+}
+
+// At n = 768 every CloverLeaf dat (772² doubles at the eager halo depth,
+// ≈ 4.8 MB) takes the allocator's huge-page path, which the small decks
+// above never reach.
+TEST(CloverLeaf2D, LargeStorageBitwiseEagerVsTiled) {
+  constexpr idx_t n = 768;
+  {
+    ops::Context ctx;
+    ops::Block block(ctx, "clover2d", 2, {n, n, 1});
+    // The four CloverLeaf dat shapes: cell, node, x-face and y-face.
+    for (std::array<int, 3> stagger : {std::array<int, 3>{0, 0, 0},
+                                       std::array<int, 3>{1, 1, 0},
+                                       std::array<int, 3>{1, 0, 0},
+                                       std::array<int, 3>{0, 1, 0}}) {
+      ops::Dat<double> d(block, "field", 2, stagger);
+      EXPECT_GE(d.alloc_count() * sizeof(double), kLargeArrayBytes);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.alloc_data()) %
+                    kCacheLineBytes,
+                0u);
+    }
+  }
+  Options o;
+  o.n = n;
+  o.iterations = 2;
+  const Result eager = clover2d::run(o);
+  Options t = o;
+  t.tiled = true;  // tile_size 0: auto height
   const Result tiled = clover2d::run(t);
   EXPECT_EQ(eager.checksum, tiled.checksum);
 }

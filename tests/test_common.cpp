@@ -2,7 +2,11 @@
 // tables, CLI parsing, units, RNG determinism, error checking.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/aligned.hpp"
 #include "common/cli.hpp"
@@ -39,6 +43,126 @@ TEST(Aligned, VectorIsCacheLineAligned) {
               0u)
         << "n=" << n;
   }
+}
+
+std::uintptr_t addr(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+TEST(Aligned, LargePathIsColouredAndAligned) {
+  constexpr std::size_t n = kLargeArrayBytes / sizeof(double) + 3;
+  std::vector<aligned_vector<double>> vs(40);
+  for (auto& v : vs) v.reserve(n);  // mapped, never touched
+  for (const auto& v : vs)
+    EXPECT_EQ(addr(v.data()) % kCacheLineBytes, 0u);
+  for (std::size_t first = 0; first + kColours <= vs.size(); ++first) {
+    std::set<std::uintptr_t> mod4k, mod128k;
+    for (std::size_t i = first; i < first + kColours; ++i) {
+      mod4k.insert(addr(vs[i].data()) % 4096);
+      mod128k.insert(addr(vs[i].data()) % (128 * 1024));
+    }
+    EXPECT_EQ(mod4k.size(), kColours) << "window at " << first;
+    EXPECT_EQ(mod128k.size(), kColours) << "window at " << first;
+  }
+}
+
+TEST(Aligned, HugePageExtentsStayInsideTheArray) {
+  constexpr std::size_t H = kHugePageBytes;
+  const std::uintptr_t base = 64 * H;
+  // Shorter than one whole extent inside: nothing is advised.
+  EXPECT_TRUE(huge_page_extents(base, H - 1).empty());
+  EXPECT_TRUE(huge_page_extents(base + 64, H).empty());
+  EXPECT_TRUE(huge_page_extents(base + 64, 2 * H - 65).empty());
+  EXPECT_TRUE(huge_page_extents(base, 0).empty());
+  // Exact multiples on a boundary: the whole array.
+  for (std::size_t k : {1u, 2u, 3u}) {
+    const ByteRange r = huge_page_extents(base, k * H);
+    EXPECT_EQ(r.begin, 0u);
+    EXPECT_EQ(r.end, k * H);
+  }
+  // A coloured 4 MiB array: the one extent between its two boundaries.
+  const ByteRange c = huge_page_extents(base + kColourStepBytes, 2 * H);
+  EXPECT_EQ(c.begin, H - kColourStepBytes);
+  EXPECT_EQ(c.end, 2 * H - kColourStepBytes);
+  // In general: aligned, inside [p, p + bytes), and maximal.
+  for (std::uintptr_t off : {std::uintptr_t{0}, std::uintptr_t{64},
+                             std::uintptr_t{4160}, H - 64})
+    for (std::size_t bytes : {H - 1, H, H + 64, 2 * H + 4096, 5 * H - 1}) {
+      const std::uintptr_t p = base + off;
+      const ByteRange r = huge_page_extents(p, bytes);
+      if (r.empty()) {
+        EXPECT_LT(bytes, 2 * H) << off << "+" << bytes;
+        continue;
+      }
+      EXPECT_EQ((p + r.begin) % H, 0u);
+      EXPECT_EQ((p + r.end) % H, 0u);
+      EXPECT_LE(r.end, bytes);
+      EXPECT_LT(r.begin, H);
+      EXPECT_LT(bytes - r.end, H);
+    }
+}
+
+TEST(Aligned, RoundTripsAcrossTheLargeThreshold) {
+  constexpr std::size_t large = kLargeArrayBytes / sizeof(double);
+  auto check = [](const aligned_vector<double>& v, std::size_t n,
+                  double first) {
+    ASSERT_EQ(v.size(), n);
+    EXPECT_EQ(addr(v.data()) % kCacheLineBytes, 0u);
+    EXPECT_EQ(v.front(), first);
+    EXPECT_EQ(v.back(), first);
+  };
+  aligned_vector<double> v(1000, 1.0);
+  v.resize(large, 1.0);  // small -> large
+  check(v, large, 1.0);
+  v.resize(large - 1);
+  v.shrink_to_fit();  // large -> small (one element under the threshold)
+  check(v, large - 1, 1.0);
+  v.assign(large + 5, 2.0);
+  check(v, large + 5, 2.0);
+  aligned_vector<double> copy = v;
+  check(copy, large + 5, 2.0);
+  aligned_vector<double> moved = std::move(v);
+  check(moved, large + 5, 2.0);
+  moved.assign(10, 3.0);  // reuses the large block
+  moved.shrink_to_fit();
+  check(moved, 10, 3.0);
+  copy = aligned_vector<double>(10, 4.0);  // frees the large copy
+  check(copy, 10, 4.0);
+}
+
+TEST(Aligned, TouchingALargeArrayAddsOnlyItsOwnPages) {
+  // Anonymous memory from smaps_rollup, which sums the page tables
+  // exactly. statm's resident count is batched per CPU and drifts by tens
+  // of pages between two reads, and total RSS also grows whenever new code
+  // faults in library text.
+  auto anon_kb = []() -> long {
+    long kb = -1;
+    if (std::FILE* f = std::fopen("/proc/self/smaps_rollup", "r")) {
+      char line[256];
+      while (kb < 0 && std::fgets(line, sizeof line, f))
+        if (std::sscanf(line, "Anonymous: %ld kB", &kb) != 1) kb = -1;
+      std::fclose(f);
+    }
+    return kb;
+  };
+  const long before = anon_kb();
+  if (before < 0) GTEST_SKIP() << "/proc/self/smaps_rollup unreadable";
+  constexpr long kb = 64 * 1024;
+  aligned_vector<char> v(static_cast<std::size_t>(kb) * 1024, 1);  // touch
+  const long after = anon_kb();
+  ASSERT_GE(after, 0);
+  EXPECT_GE(after - before, kb);
+  EXPECT_LE(after - before, kb + 64);
+  EXPECT_EQ(v[v.size() / 2], 1);
+}
+
+TEST(Aligned, OverflowingCountThrowsBadAlloc) {
+  constexpr std::size_t max = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(AlignedAllocator<char>{}.allocate(max - 10), std::bad_alloc);
+  EXPECT_THROW(AlignedAllocator<double>{}.allocate(max / sizeof(double)),
+               std::bad_alloc);
+  EXPECT_THROW(AlignedAllocator<double>{}.allocate(max / 4),
+               std::bad_alloc);
 }
 
 TEST(Error, RequireThrowsWithMessage) {
