@@ -128,18 +128,17 @@ struct Solver {
           const double dvdy =
               0.5 * (v(0, 1) + v(1, 1) - v(0, 0) - v(1, 0)) / dyl;
           const double div = dudx + dvdy;
-          q(0, 0) = div < 0.0
-                        ? coef * d(0, 0) * div * div * dxl * dyl
-                        : 0.0;
+          const double qv = coef * d(0, 0) * div * div * dxl * dyl;
+          q(0, 0) = div < 0.0 ? qv : 0.0;
         },
         ops::read(xvel, ops::Stencil::box(2, 1)),
         ops::read(yvel, ops::Stencil::box(2, 1)), ops::read(density),
         ops::write(viscosity));
   }
 
-  double calc_dt() {
+  /// Reduces the rank's stable time step into `dt_min`.
+  void calc_dt(double& dt_min) {
     const double dxl = dx;
-    double dt_local = 1e30;
     ops::par_loop(
         {"calc_dt", 8.0}, block, cells(),
         [dxl](ops::Acc<const double> c, ops::Acc<const double> u,
@@ -148,9 +147,13 @@ struct Solver {
           dtm = std::min(dtm, dxl / std::max(speed, 1e-30));
         },
         ops::read(soundspeed), ops::read(xvel, ops::Stencil::box(2, 1)),
-        ops::read(yvel, ops::Stencil::box(2, 1)), ops::reduce_min(dt_local));
-    if (ctx.comm() != nullptr) dt_local = ctx.comm()->allreduce_min(dt_local);
-    return kCfl * dt_local;
+        ops::read(yvel, ops::Stencil::box(2, 1)), ops::reduce_min(dt_min));
+  }
+
+  /// The global time step from this rank's calc_dt minimum.
+  double finish_dt(double dt_min) {
+    if (ctx.comm() != nullptr) dt_min = ctx.comm()->allreduce_min(dt_min);
+    return kCfl * dt_min;
   }
 
   void accelerate(double dt) {
@@ -194,7 +197,7 @@ struct Solver {
                   ops::write(yvel));
   }
 
-  void flux_calc(double dt) {
+  void flux_calc_x(double dt) {
     const double dyl = dy;
     ops::par_loop(
         {"flux_calc_x", 4.0}, block, ops::Range::make2d(0, n + 1, 0, n),
@@ -203,6 +206,9 @@ struct Solver {
         },
         ops::read(xvel, ops::Stencil::radii({0, 1, 0}, 2)),
         ops::write(vol_flux_x));
+  }
+
+  void flux_calc_y(double dt) {
     const double dxl = dx;
     ops::par_loop(
         {"flux_calc_y", 4.0}, block, ops::Range::make2d(0, n, 0, n + 1),
@@ -213,7 +219,7 @@ struct Solver {
         ops::write(vol_flux_y));
   }
 
-  void advec_cell_x() {
+  void advec_donor_x() {
     ops::par_loop(
         {"advec_donor_x", 4.0}, block, ops::Range::make2d(0, n + 1, 0, n),
         [](ops::Acc<const double> fx, ops::Acc<const double> d,
@@ -221,14 +227,21 @@ struct Solver {
            ops::Acc<double> ef) {
           const double f = fx(0, 0);
           // Donor (upwind) cell: cell (i-1) for rightward flow, (i) else.
-          const double dd = f > 0.0 ? d(-1, 0) : d(0, 0);
-          const double de = f > 0.0 ? e(-1, 0) : e(0, 0);
+          // Both candidates are loaded before the select, so the row
+          // vectorizes (a conditional load would not).
+          const double dm = d(-1, 0), d0 = d(0, 0);
+          const double em = e(-1, 0), e0 = e(0, 0);
+          const double dd = f > 0.0 ? dm : d0;
+          const double de = f > 0.0 ? em : e0;
           mf(0, 0) = f * dd;
           ef(0, 0) = f * dd * de;
         },
         ops::read(vol_flux_x), ops::read(density, ops::Stencil::star(2, 1)),
         ops::read(energy, ops::Stencil::star(2, 1)), ops::write(mass_flux_x),
         ops::write(ene_flux_x));
+  }
+
+  void advec_update_x() {
     const double v = vol;
     ops::par_loop(
         {"advec_update_x", 10.0}, block, cells(),
@@ -245,21 +258,26 @@ struct Solver {
         ops::read_write(density), ops::read_write(energy));
   }
 
-  void advec_cell_y() {
+  void advec_donor_y() {
     ops::par_loop(
         {"advec_donor_y", 4.0}, block, ops::Range::make2d(0, n, 0, n + 1),
         [](ops::Acc<const double> fy, ops::Acc<const double> d,
            ops::Acc<const double> e, ops::Acc<double> mf,
            ops::Acc<double> ef) {
           const double f = fy(0, 0);
-          const double dd = f > 0.0 ? d(0, -1) : d(0, 0);
-          const double de = f > 0.0 ? e(0, -1) : e(0, 0);
+          const double dm = d(0, -1), d0 = d(0, 0);
+          const double em = e(0, -1), e0 = e(0, 0);
+          const double dd = f > 0.0 ? dm : d0;
+          const double de = f > 0.0 ? em : e0;
           mf(0, 0) = f * dd;
           ef(0, 0) = f * dd * de;
         },
         ops::read(vol_flux_y), ops::read(density, ops::Stencil::star(2, 1)),
         ops::read(energy, ops::Stencil::star(2, 1)), ops::write(mass_flux_y),
         ops::write(ene_flux_y));
+  }
+
+  void advec_update_y() {
     const double v = vol;
     ops::par_loop(
         {"advec_update_y", 10.0}, block, cells(),
@@ -276,31 +294,38 @@ struct Solver {
         ops::read_write(density), ops::read_write(energy));
   }
 
-  void advec_mom(double dt) {
-    // Upwind advection of nodal momentum, double-buffered per sweep.
-    const double cx = dt / dx, cy = dt / dy;
+  // Upwind advection of nodal momentum, double-buffered per sweep. Both
+  // one-sided differences are computed before the upwind select.
+  void advec_mom_x(double dt) {
+    const double cx = dt / dx;
     ops::par_loop(
         {"advec_mom_x", 14.0}, block, nodes(),
         [cx](ops::Acc<const double> u, ops::Acc<const double> v,
              ops::Acc<double> u1, ops::Acc<double> v1) {
           const double a = u(0, 0);
-          const double du = a > 0.0 ? u(0, 0) - u(-1, 0) : u(1, 0) - u(0, 0);
-          const double dv = a > 0.0 ? v(0, 0) - v(-1, 0) : v(1, 0) - v(0, 0);
+          const double dul = u(0, 0) - u(-1, 0), dur = u(1, 0) - u(0, 0);
+          const double dvl = v(0, 0) - v(-1, 0), dvr = v(1, 0) - v(0, 0);
+          const double du = a > 0.0 ? dul : dur;
+          const double dv = a > 0.0 ? dvl : dvr;
           u1(0, 0) = u(0, 0) - cx * a * du;
           v1(0, 0) = v(0, 0) - cx * a * dv;
         },
         ops::read(xvel, ops::Stencil::star(2, 1)),
         ops::read(yvel, ops::Stencil::star(2, 1)), ops::write(xvel1),
         ops::write(yvel1));
+  }
+
+  void advec_mom_y(double dt) {
+    const double cy = dt / dy;
     ops::par_loop(
         {"advec_mom_y", 14.0}, block, nodes(),
         [cy](ops::Acc<const double> u1, ops::Acc<const double> v1,
              ops::Acc<double> u, ops::Acc<double> v) {
           const double a = v1(0, 0);
-          const double du =
-              a > 0.0 ? u1(0, 0) - u1(0, -1) : u1(0, 1) - u1(0, 0);
-          const double dv =
-              a > 0.0 ? v1(0, 0) - v1(0, -1) : v1(0, 1) - v1(0, 0);
+          const double dul = u1(0, 0) - u1(0, -1), dur = u1(0, 1) - u1(0, 0);
+          const double dvl = v1(0, 0) - v1(0, -1), dvr = v1(0, 1) - v1(0, 0);
+          const double du = a > 0.0 ? dul : dur;
+          const double dv = a > 0.0 ? dvl : dvr;
           u(0, 0) = u1(0, 0) - cy * a * du;
           v(0, 0) = v1(0, 0) - cy * a * dv;
         },
@@ -321,8 +346,8 @@ struct Solver {
     double mass = 0, ie = 0, ke = 0, vmax = 0, press = 0;
   };
 
-  Summary field_summary() {
-    Summary s;
+  /// Reduces this rank's share of the field summary into `s`.
+  void field_summary(Summary& s) {
     const double v = vol;
     ops::par_loop(
         {"field_summary", 12.0}, block, cells(),
@@ -342,6 +367,10 @@ struct Solver {
         ops::read(yvel, ops::Stencil::box(2, 1)), ops::reduce_sum(s.mass),
         ops::reduce_sum(s.ie), ops::reduce_sum(s.ke),
         ops::reduce_sum(s.press));
+  }
+
+  /// The global summary from this rank's field_summary share.
+  Summary finish_summary(Summary s) {
     if (ctx.comm() != nullptr) {
       double vals[4] = {s.mass, s.ie, s.ke, s.press};
       ctx.comm()->allreduce(vals, 4, par::ReduceOp::Sum);
@@ -354,33 +383,20 @@ struct Solver {
   }
 
   /// One full hydro step: Lagrangian phase + advective remap.
-  void step(double dt, bool tiled, idx_t tile_size) {
-    if (!tiled) {
-      ideal_gas();
-      calc_viscosity();
-      accelerate(dt);
-      wall_bcs();
-      flux_calc(dt);
-      advec_cell_x();
-      advec_cell_y();
-      advec_mom(dt);
-      wall_bcs();
-      return;
-    }
-    // Tiled: capture the whole step as one lazy chain and execute it with
-    // the skewed cache-blocking executor (Figure 9).
-    ctx.set_lazy(true);
+  void step(double dt) {
     ideal_gas();
     calc_viscosity();
     accelerate(dt);
     wall_bcs();
-    flux_calc(dt);
-    advec_cell_x();
-    advec_cell_y();
-    advec_mom(dt);
+    flux_calc_x(dt);
+    flux_calc_y(dt);
+    advec_donor_x();
+    advec_update_x();
+    advec_donor_y();
+    advec_update_y();
+    advec_mom_x(dt);
+    advec_mom_y(dt);
     wall_bcs();
-    ctx.set_lazy(false);
-    ctx.chain().execute_tiled(tile_size);
   }
 };
 
@@ -416,11 +432,22 @@ Result run(const Options& opt) {
     lp.iterations = opt.iterations;
     lp.checkpoint_every = opt.checkpoint_every;
     lp.store = &store;
+    // Each step is two chains when tiled: the EoS refresh with the dt
+    // reduction, then the hydro step with the field summary. Eager runs
+    // the same loops in the same order.
     lp.step = [&](long long) {
-      s.ideal_gas();  // EoS refresh for the dt estimate (lagged when tiled)
-      const double dt = s.calc_dt();
-      s.step(dt, opt.tiled, opt.tile_size);
-      sum = s.field_summary();
+      double dt_min = 1e30;
+      ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
+        s.ideal_gas();
+        s.calc_dt(dt_min);
+      });
+      const double dt = s.finish_dt(dt_min);
+      Solver::Summary part;
+      ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
+        s.step(dt);
+        s.field_summary(part);
+      });
+      sum = s.finish_summary(part);
     };
     lp.capture = [&](long long it) {
       store.begin(it);

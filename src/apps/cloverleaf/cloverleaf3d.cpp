@@ -126,8 +126,8 @@ struct Solver {
                                w(0, 1, 0) - w(1, 1, 0)) /
                               dxl;
           const double div = dudx + dvdy + dwdz;
-          q(0, 0, 0) =
-              div < 0.0 ? coef * d(0, 0, 0) * div * div * dxl * dxl : 0.0;
+          const double qv = coef * d(0, 0, 0) * div * div * dxl * dxl;
+          q(0, 0, 0) = div < 0.0 ? qv : 0.0;
         },
         ops::read(xvel, ops::Stencil::box(3, 1)),
         ops::read(yvel, ops::Stencil::box(3, 1)),
@@ -135,9 +135,9 @@ struct Solver {
         ops::write(viscosity));
   }
 
-  double calc_dt() {
+  /// Reduces the rank's stable time step into `dt_min`.
+  void calc_dt(double& dt_min) {
     const double dxl = dx;
-    double dt_local = 1e30;
     ops::par_loop(
         {"calc_dt3", 10.0}, block, cells(),
         [dxl](ops::Acc<const double> c, ops::Acc<const double> u,
@@ -150,9 +150,13 @@ struct Solver {
         ops::read(soundspeed), ops::read(xvel, ops::Stencil::box(3, 1)),
         ops::read(yvel, ops::Stencil::box(3, 1)),
         ops::read(zvel, ops::Stencil::box(3, 1)),
-        ops::reduce_min(dt_local));
-    if (ctx.comm() != nullptr) dt_local = ctx.comm()->allreduce_min(dt_local);
-    return kCfl * dt_local;
+        ops::reduce_min(dt_min));
+  }
+
+  /// The global time step from this rank's calc_dt minimum.
+  double finish_dt(double dt_min) {
+    if (ctx.comm() != nullptr) dt_min = ctx.comm()->allreduce_min(dt_min);
+    return kCfl * dt_min;
   }
 
   void accelerate(double dt) {
@@ -252,8 +256,12 @@ struct Solver {
            ops::Acc<const double> e, ops::Acc<double> mf,
            ops::Acc<double> ef) {
           const double fl = f(0, 0, 0);
-          const double dd = fl > 0.0 ? d(-di, -dj, -dk) : d(0, 0, 0);
-          const double de = fl > 0.0 ? e(-di, -dj, -dk) : e(0, 0, 0);
+          // Both donor candidates are loaded before the select, so the
+          // row vectorizes (a conditional load would not).
+          const double dm = d(-di, -dj, -dk), d0 = d(0, 0, 0);
+          const double em = e(-di, -dj, -dk), e0 = e(0, 0, 0);
+          const double dd = fl > 0.0 ? dm : d0;
+          const double de = fl > 0.0 ? em : e0;
           mf(0, 0, 0) = fl * dd;
           ef(0, 0, 0) = fl * dd * de;
         },
@@ -285,9 +293,11 @@ struct Solver {
             ops::Acc<const double> w, ops::Acc<double> u1,
             ops::Acc<double> v1, ops::Acc<double> w1) {
           const double a = u(0, 0, 0);
+          // Both one-sided differences are computed before the select.
           auto up = [&](ops::Acc<const double>& q) {
-            return a > 0.0 ? q(0, 0, 0) - q(-1, 0, 0)
-                           : q(1, 0, 0) - q(0, 0, 0);
+            const double l = q(0, 0, 0) - q(-1, 0, 0);
+            const double r = q(1, 0, 0) - q(0, 0, 0);
+            return a > 0.0 ? l : r;
           };
           u1(0, 0, 0) = u(0, 0, 0) - c * a * up(u);
           v1(0, 0, 0) = v(0, 0, 0) - c * a * up(v);
@@ -304,12 +314,14 @@ struct Solver {
             ops::Acc<double> v, ops::Acc<double> w) {
           const double ay = v1(0, 0, 0), az = w1(0, 0, 0);
           auto upy = [&](ops::Acc<const double>& q) {
-            return ay > 0.0 ? q(0, 0, 0) - q(0, -1, 0)
-                            : q(0, 1, 0) - q(0, 0, 0);
+            const double l = q(0, 0, 0) - q(0, -1, 0);
+            const double r = q(0, 1, 0) - q(0, 0, 0);
+            return ay > 0.0 ? l : r;
           };
           auto upz = [&](ops::Acc<const double>& q) {
-            return az > 0.0 ? q(0, 0, 0) - q(0, 0, -1)
-                            : q(0, 0, 1) - q(0, 0, 0);
+            const double l = q(0, 0, 0) - q(0, 0, -1);
+            const double r = q(0, 0, 1) - q(0, 0, 0);
+            return az > 0.0 ? l : r;
           };
           u(0, 0, 0) = u1(0, 0, 0) - c * (ay * upy(u1) + az * upz(u1));
           v(0, 0, 0) = v1(0, 0, 0) - c * (ay * upy(v1) + az * upz(v1));
@@ -324,8 +336,8 @@ struct Solver {
   struct Summary {
     double mass = 0, ie = 0, ke = 0;
   };
-  Summary field_summary() {
-    Summary s;
+  /// Reduces this rank's share of the field summary into `s`.
+  void field_summary(Summary& s) {
     const double v = vol;
     ops::par_loop(
         {"field_summary3", 16.0}, block, cells(),
@@ -344,6 +356,10 @@ struct Solver {
         ops::read(yvel, ops::Stencil::box(3, 1)),
         ops::read(zvel, ops::Stencil::box(3, 1)), ops::reduce_sum(s.mass),
         ops::reduce_sum(s.ie), ops::reduce_sum(s.ke));
+  }
+
+  /// The global summary from this rank's field_summary share.
+  Summary finish_summary(Summary s) {
     if (ctx.comm() != nullptr) {
       double vals[3] = {s.mass, s.ie, s.ke};
       ctx.comm()->allreduce(vals, 3, par::ReduceOp::Sum);
@@ -354,23 +370,7 @@ struct Solver {
     return s;
   }
 
-  void step(double dt, bool tiled, idx_t tile_size) {
-    if (!tiled) {
-      ideal_gas();
-      calc_viscosity();
-      accelerate(dt);
-      wall_bcs();
-      flux_calc(dt);
-      advec_sweep<0>("advec_x3", flux_x);
-      advec_sweep<1>("advec_y3", flux_y);
-      advec_sweep<2>("advec_z3", flux_z);
-      advec_mom(dt);
-      wall_bcs();
-      return;
-    }
-    // Tiled: the whole step as one lazy chain through the skewed
-    // cache-blocking executor, as in CloverLeaf 2D (Figure 9).
-    ctx.set_lazy(true);
+  void step(double dt) {
     ideal_gas();
     calc_viscosity();
     accelerate(dt);
@@ -381,8 +381,6 @@ struct Solver {
     advec_sweep<2>("advec_z3", flux_z);
     advec_mom(dt);
     wall_bcs();
-    ctx.set_lazy(false);
-    ctx.chain().execute_tiled(tile_size);
   }
 
   /// Every evolving field, in a fixed order — the checkpoint unit.
@@ -421,11 +419,20 @@ Result run(const Options& opt) {
     lp.iterations = opt.iterations;
     lp.checkpoint_every = opt.checkpoint_every;
     lp.store = &store;
+    // Two chains per step when tiled, as in CloverLeaf 2D.
     lp.step = [&](long long) {
-      s.ideal_gas();
-      const double dt = s.calc_dt();
-      s.step(dt, opt.tiled, opt.tile_size);
-      sum = s.field_summary();
+      double dt_min = 1e30;
+      ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
+        s.ideal_gas();
+        s.calc_dt(dt_min);
+      });
+      const double dt = s.finish_dt(dt_min);
+      Solver::Summary part;
+      ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
+        s.step(dt);
+        s.field_summary(part);
+      });
+      sum = s.finish_summary(part);
     };
     lp.capture = [&](long long it) {
       store.begin(it);

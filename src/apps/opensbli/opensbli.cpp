@@ -306,13 +306,10 @@ struct Solver {
   /// boundary is a true dependence (the next residual reads the update).
   void step(bool tiled, idx_t tile_size) {
     auto stage = [&](DatArr& src, auto&& update) {
-      if (tiled) ctx.set_lazy(true);
-      compute_residual(src);
-      update();
-      if (tiled) {
-        ctx.set_lazy(false);
-        ctx.chain().execute_tiled(tile_size);
-      }
+      ops::run_chain(ctx, tiled, tile_size, [&] {
+        compute_residual(src);
+        update();
+      });
     };
     stage(q, [&] { axpby("stage1", q1, 0.0, q, 1.0, q); });
     stage(q1, [&] { axpby("stage2", q1, 0.75, q, 0.25, q1); });

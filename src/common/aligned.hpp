@@ -3,7 +3,8 @@
 //
 // Small arrays (under kLargeArrayBytes, two huge pages) come from
 // aligned_alloc with 64-byte alignment, so vector loads never straddle a
-// line and thread partitions never share a line at an array base.
+// line and thread partitions never share a line at an array base. They
+// are zeroed explicitly, so both paths hand out zero-filled memory.
 //
 // Large arrays are mapped with anonymous mmap on 2 MiB-aligned blocks and
 // advised onto transparent huge pages. A fresh 4 KiB page costs one fault
@@ -25,8 +26,11 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -62,8 +66,9 @@ void* map_large(std::size_t bytes);
 void unmap_large(void* p, std::size_t bytes) noexcept;
 }  // namespace detail
 
-/// Standard-conforming allocator returning 64-byte aligned blocks; large
-/// blocks are huge-page backed and cache coloured (see the file comment).
+/// Standard-conforming allocator returning zero-filled, 64-byte aligned
+/// blocks; large blocks are huge-page backed and cache coloured (see the
+/// file comment).
 template <class T>
 struct AlignedAllocator {
   using value_type = T;
@@ -82,6 +87,7 @@ struct AlignedAllocator {
     const std::size_t bytes = round_up(raw, kCacheLineBytes);
     void* p = std::aligned_alloc(kCacheLineBytes, bytes);
     if (p == nullptr) throw std::bad_alloc();
+    std::memset(p, 0, bytes);
     return static_cast<T*>(p);
   }
 
@@ -103,5 +109,32 @@ struct AlignedAllocator {
 /// field data (structured dats, unstructured dats, STREAM arrays).
 template <class T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
+
+/// AlignedAllocator whose value-less construct default-initializes, which
+/// for a trivial element leaves the zero the allocation already holds. A
+/// vector sized once from empty then reads zero without a pass writing
+/// it: on a large array that pass would be a whole extra sweep over
+/// memory at set-up.
+template <class T>
+struct DefaultInitAllocator : AlignedAllocator<T> {
+  DefaultInitAllocator() noexcept = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}  // NOLINT
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... A>
+  void construct(U* p, A&&... a) {
+    ::new (static_cast<void*>(p)) U(std::forward<A>(a)...);
+  }
+};
+
+/// Field storage that is zero when first sized (see DefaultInitAllocator).
+/// Growing it again after a shrink would expose stale elements, so it is
+/// sized once.
+template <class T>
+using field_vector = std::vector<T, DefaultInitAllocator<T>>;
 
 }  // namespace bwlab

@@ -57,6 +57,57 @@ void execute_range_team(par::ThreadPool* pool, const Range& r, int outer_dim,
       par::Schedule::Dynamic, 1);
 }
 
+/// `r` minus `own`, a box inside it, as disjoint boxes (none when equal;
+/// `r` itself when `own` is empty).
+std::vector<Range> box_difference(const Range& r, const Range& own) {
+  if (own.empty()) return {r};
+  std::vector<Range> pieces;
+  Range rest = r;
+  for (std::size_t d = 0; d < 3; ++d) {
+    if (rest.lo[d] < own.lo[d]) {
+      Range p = rest;
+      p.hi[d] = own.lo[d];
+      pieces.push_back(p);
+      rest.lo[d] = own.lo[d];
+    }
+    if (own.hi[d] < rest.hi[d]) {
+      Range p = rest;
+      p.lo[d] = own.hi[d];
+      pieces.push_back(p);
+      rest.hi[d] = own.hi[d];
+    }
+  }
+  return pieces;
+}
+
+/// Runs the tile sub-range `r` of a reduction loop whose owned range is
+/// `owned`. The owned rows feed the loop's partials, dealt to the team one
+/// row at a time; the rest is redundant halo extension, run for its
+/// writes only.
+void execute_reduction_team(par::ThreadPool* pool, const Range& r,
+                            const Range& owned, int outer_dim,
+                            const ChainLoop& l) {
+  Range own = r;
+  for (std::size_t d = 0; d < 3; ++d) {
+    own.lo[d] = std::max(r.lo[d], owned.lo[d]);
+    own.hi[d] = std::min(r.hi[d], owned.hi[d]);
+  }
+  for (const Range& piece : box_difference(r, own))
+    execute_range_team(pool, piece, outer_dim, l.body);
+  if (own.empty()) return;
+  const auto od = static_cast<std::size_t>(outer_dim);
+  if (pool == nullptr || pool->size() <= 1) {
+    l.reduction.rows(own);
+    return;
+  }
+  pool->parallel_for(own.lo[od], own.hi[od], [&](idx_t o) {
+    Range row = own;
+    row.lo[od] = o;
+    row.hi[od] = o + 1;
+    l.reduction.rows(row);
+  });
+}
+
 // --- bwmem exact data-movement accounting (chain executor) -----------------
 // Chain bytes are counted ONCE per chain over the executed local ranges —
 // ext[i] for the tiled executor, fixed by the skew analysis, independent
@@ -171,6 +222,8 @@ void ChainQueue::finish(const std::vector<Range>& ranges,
                         ChainMoveRecord cm) {
   const std::vector<ChainLoop> loops = std::move(loops_);
   loops_.clear();
+  for (const ChainLoop& l : loops)
+    if (l.reduction) l.reduction.merge();
   std::set<const void*> seen;
   std::vector<LoopDatArg> args;
   for (std::size_t i = 0; i < loops.size(); ++i) {
@@ -208,7 +261,7 @@ void ChainQueue::execute_untiled() {
     Timer t;
     {
       trace::TraceSpan span(trace::Cat::Kernel, l.name());
-      if (!local.empty()) l.body(local);
+      if (!local.empty()) (l.reduction ? l.reduction.rows : l.body)(local);
     }
     seconds.push_back(t.elapsed());
     ranges.push_back(local);
@@ -263,14 +316,18 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
 
   // Extended local ranges (redundant compute into halos; extension for
   // loop i must cover everything later loops re-read: ext_i = sigma_i).
+  // A reduction counts only its owned range (extension 0).
   std::vector<Range> ext(static_cast<std::size_t>(n));
+  std::vector<Range> owned(static_cast<std::size_t>(n));
   int outer_dim = 0;
   for (int i = 0; i < n; ++i) {
-    ext[static_cast<std::size_t>(i)] = extended_local_range(
-        loops_[static_cast<std::size_t>(i)], sigma[static_cast<std::size_t>(i)],
-        wrap);
-    outer_dim = std::max(outer_dim,
-                         loops_[static_cast<std::size_t>(i)].block->ndims() - 1);
+    const ChainLoop& l = loops_[static_cast<std::size_t>(i)];
+    ext[static_cast<std::size_t>(i)] =
+        extended_local_range(l, sigma[static_cast<std::size_t>(i)], wrap);
+    if (l.reduction)
+      owned[static_cast<std::size_t>(i)] =
+          extended_local_range(l, 0, {false, false, false});
+    outer_dim = std::max(outer_dim, l.block->ndims() - 1);
   }
 
   // Tile-boundary axis: spans every loop's extended outer range shifted
@@ -348,7 +405,11 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
         // Split this loop's tile sub-range over the thread team. Bodies
         // are strictly serial range executors (see par_loop), so the
         // partition is safe and bitwise identical to a serial sweep.
-        execute_range_team(pool, r, outer_dim, l.body);
+        if (l.reduction)
+          execute_reduction_team(pool, r, owned[static_cast<std::size_t>(i)],
+                                 outer_dim, l);
+        else
+          execute_range_team(pool, r, outer_dim, l.body);
       }
       seconds[static_cast<std::size_t>(i)] += t.elapsed();
       // Physical-boundary ghosts of freshly-written dats must track the
@@ -371,13 +432,14 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
 
 void enqueue_lazy(Context& ctx, const LoopEvent& event, Block& b,
                   const Range& range, std::function<void(const Range&)> body,
-                  std::vector<ChainDatUse> uses) {
+                  std::vector<ChainDatUse> uses, ChainReduction reduction) {
   ChainLoop loop;
   loop.event = event;
   loop.block = &b;
   loop.range = range;
   loop.body = std::move(body);
   loop.uses = std::move(uses);
+  loop.reduction = std::move(reduction);
   ctx.chain().enqueue(std::move(loop));
 }
 

@@ -27,6 +27,12 @@
 //    exactly the rows the tile wrote (Dat::refresh_physical_bcs): side
 //    ghosts are row-local, and an outer-face strip is refreshed whole
 //    whenever a written row lies within depth of the face.
+//  * a reduction counts owned points only. Each row of a reduction loop's
+//    owned range is computed once, by the tile that runs it, into a
+//    partial of its own; rows go to the team whole, never split. The
+//    partials are merged in ascending row order after the chain, which is
+//    the association eager execution uses. Points of the redundant halo
+//    extension run for their writes, and their partials are discarded.
 //
 // The result is bitwise identical to untiled execution (tested), while
 // the traffic of a chain of N loops over a tile that fits in cache is
@@ -72,6 +78,19 @@ struct ChainDatUse {
   }
 };
 
+/// How a chained loop with reductions keeps its partials; both callbacks
+/// are empty for a loop without. A row is an index of ops::detail::row_dim
+/// over the loop's owned range (a row in 2-D, a plane in 3-D).
+struct ChainReduction {
+  /// Runs the owned points of `r`, which holds whole rows, and stores one
+  /// partial per row. Calls on disjoint rows may run concurrently.
+  std::function<void(const Range&)> rows;
+  /// Folds the stored partials into the targets in ascending row order.
+  std::function<void()> merge;
+
+  explicit operator bool() const { return static_cast<bool>(rows); }
+};
+
 /// One captured loop.
 struct ChainLoop {
   /// The loop event par_loop built at enqueue time (LoopRecord, useful
@@ -82,6 +101,9 @@ struct ChainLoop {
   int read_radius = 0;  ///< max stencil radius over the reads
   std::vector<ChainDatUse> uses;
   std::function<void(const Range&)> body;  ///< executes exactly the given range
+  /// Reduction partials; the body alone runs the redundant (non-owned)
+  /// points of a reduction loop and discards their partials.
+  ChainReduction reduction;
 
   const std::string& name() const { return event.rec->name; }
 };
@@ -118,9 +140,10 @@ class ChainQueue {
   Range extended_local_range(const ChainLoop& loop, int ext,
                              const std::array<bool, 3>& wrap) const;
   void exchange_chain_inputs();
-  /// Empties the queue and delivers one loop event per chained loop:
-  /// loop i executed `ranges[i]` in `seconds[i]` of kernel time. Also
-  /// records the chain's bwmem summary `cm`.
+  /// Empties the queue, merges the reductions in chain order and delivers
+  /// one loop event per chained loop: loop i executed `ranges[i]` in
+  /// `seconds[i]` of kernel time. Also records the chain's bwmem summary
+  /// `cm`.
   void finish(const std::vector<Range>& ranges,
               const std::vector<seconds_t>& seconds, ChainMoveRecord cm);
   int min_halo_depth_read() const;
@@ -131,10 +154,26 @@ class ChainQueue {
   std::vector<ChainLoop> loops_;
 };
 
+/// Runs `loops`, a callable issuing par_loops, eagerly; or, when `tiled`,
+/// captures them as one lazy chain and runs it with
+/// execute_tiled(tile_height). Reduction targets of the loops hold their
+/// values once this returns.
+template <class F>
+void run_chain(Context& ctx, bool tiled, idx_t tile_height, F&& loops) {
+  if (!tiled) {
+    loops();
+    return;
+  }
+  ctx.set_lazy(true);
+  loops();
+  ctx.set_lazy(false);
+  ctx.chain().execute_tiled(tile_height);
+}
+
 /// Called by par_loop in lazy mode with the loop's event.
 void enqueue_lazy(Context& ctx, const LoopEvent& event, Block& b,
                   const Range& range, std::function<void(const Range&)> body,
-                  std::vector<ChainDatUse> uses);
+                  std::vector<ChainDatUse> uses, ChainReduction reduction);
 
 /// Tile-height policy of execute_tiled(0): the largest height whose
 /// working set (height x bytes_per_row) fits the cache budget, clamped to

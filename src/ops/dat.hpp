@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -111,8 +113,13 @@ class Dat {
     }
     sx_ = ahi_[0] - alo_[0];
     sy_ = ahi_[1] - alo_[1];
-    data_.assign(static_cast<std::size_t>(sx_ * sy_ * (ahi_[2] - alo_[2])),
-                 init);
+    // Fresh storage reads zero (field_vector), so only a non-zero init
+    // value costs a pass over the array.
+    static_assert(std::is_trivially_copyable_v<T>);
+    data_.resize(static_cast<std::size_t>(sx_ * sy_ * (ahi_[2] - alo_[2])));
+    const T zero{};
+    if (std::memcmp(&init, &zero, sizeof(T)) != 0)
+      std::fill(data_.begin(), data_.end(), init);
     memtier::on_alloc(name_, data_.size() * sizeof(T));
   }
 
@@ -445,7 +452,7 @@ class Dat {
   std::array<idx_t, 3> own_lo_{}, own_hi_{}, exec_hi_{}, alo_{}, ahi_{};
   std::array<std::array<Bc, 2>, 3> bc_{};
   idx_t sx_ = 0, sy_ = 0;
-  aligned_vector<T> data_;
+  field_vector<T> data_;
   std::vector<T> scratch_a_, scratch_b_;
   bool dirty_ = true;  // fresh dats have unfilled ghosts
 };

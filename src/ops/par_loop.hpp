@@ -4,8 +4,10 @@
 //   1. triggers halo exchanges for dirty dats read with a stencil,
 //   2. intersects the global range with this rank's execution ownership,
 //   3. executes the kernel over the local range (optionally across the
-//      rank's thread team, parallelized over the outermost dimension),
-//   4. merges reductions across threads (and across ranks on request),
+//      rank's thread team, parallelized over the outermost dimension) with
+//      one row sweep (detail::sweep) shared by every executor,
+//   4. merges reductions from per-row partials in ascending row order
+//      (cross-rank merging is the caller's allreduce),
 //   5. records one loop event — useful bytes, flops, time (Figure 8) —
 //      through common/instrument's record_loop, and
 //   6. marks written dats' halos dirty.
@@ -17,12 +19,23 @@
 
 #include <array>
 #include <cmath>
+#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "common/instrument.hpp"
 #include "ops/chain.hpp"
 #include "ops/dat.hpp"
+
+/// Asserts that the iterations of the loop that follows carry no memory
+/// dependence, so the compiler vectorizes it without runtime alias checks.
+#if defined(__clang__)
+#define BWLAB_NO_LOOP_DEP _Pragma("clang loop vectorize(assume_safety)")
+#elif defined(__GNUC__)
+#define BWLAB_NO_LOOP_DEP _Pragma("GCC ivdep")
+#else
+#define BWLAB_NO_LOOP_DEP
+#endif
 
 namespace bwlab::ops {
 
@@ -95,18 +108,39 @@ ArgRedMin<T> reduce_min(T& v) {
 
 namespace detail {
 
-// Per-thread bound state for each argument kind. `at(i,j,k)` yields what
-// the kernel receives; `merge()` folds thread-local reductions back.
+// Per-call bound state for each argument kind. `row(j,k)` hoists what is
+// invariant along a row; the row's `at(i)` yields what the kernel
+// receives and `flush()` ends the row. `merge()` folds a bound
+// reduction partial into its target.
+
+/// One row of a bound dat: the row's base pointer, computed once.
+template <class E>
+struct RowDat {
+  E* p;
+  idx_t sx, sy;
+  Acc<E> at(idx_t i) const { return Acc<E>{p + i, sx, sy}; }
+  void flush() const {}
+};
 
 template <class T, bool Mutable>
 struct BoundDat {
   using elem_t = std::conditional_t<Mutable, T, const T>;
   elem_t* base;  // pointer to global (0,0,0)
   idx_t sx, sy;
-  Acc<elem_t> at(idx_t i, idx_t j, idx_t k) const {
-    return Acc<elem_t>{base + (k * sy + j) * sx + i, sx, sy};
+  RowDat<elem_t> row(idx_t j, idx_t k) const {
+    return {base + (k * sy + j) * sx, sx, sy};
   }
   void merge() {}
+};
+
+/// One row of a reduction: the partial is a local of the row (a register
+/// once inlined), written back by flush().
+template <class T>
+struct RowRed {
+  T v;
+  T* dst;
+  T& at(idx_t) { return v; }
+  void flush() const { *dst = v; }
 };
 
 enum class RedKind { Sum, Max, Min };
@@ -115,7 +149,7 @@ template <class T, RedKind K>
 struct BoundRed {
   T* target;
   T local;
-  T& at(idx_t, idx_t, idx_t) { return local; }
+  RowRed<T> row(idx_t, idx_t) { return {local, &local}; }
   void merge() {
     // merge() runs sequentially after the team join, so no atomics needed.
     if constexpr (K == RedKind::Sum) *target += local;
@@ -250,21 +284,138 @@ LoopDatArg event_arg(const A&, const Range&) {
 }
 
 template <class A>
-constexpr bool is_reduction(const A&) {
-  return false;
+inline constexpr bool is_reduction_v = false;
+template <class T>
+inline constexpr bool is_reduction_v<ArgRedSum<T>> = true;
+template <class T>
+inline constexpr bool is_reduction_v<ArgRedMax<T>> = true;
+template <class T>
+inline constexpr bool is_reduction_v<ArgRedMin<T>> = true;
+
+// --- Point-write contract ---------------------------------------------------
+// A loop may write a dat only at the point it executes, and may not read
+// a dat it writes through a stencil of radius > 0: then no point reads
+// another point's result, the points of a row are independent, and the
+// row sweep's no-dependence pragma is sound.
+
+struct DatRef {
+  const void* id = nullptr;
+  const std::string* name = nullptr;
+};
+
+template <class T>
+DatRef stencil_read(const ArgRead<T>& a) {
+  if (a.sten.max_radius() == 0) return {};
+  return {a.dat, &a.dat->name()};
+}
+template <class A>
+DatRef stencil_read(const A&) {
+  return {};
 }
 template <class T>
-constexpr bool is_reduction(const ArgRedSum<T>&) {
-  return true;
+DatRef written(const ArgWrite<T>& a) {
+  return {a.dat, &a.dat->name()};
 }
 template <class T>
-constexpr bool is_reduction(const ArgRedMax<T>&) {
-  return true;
+DatRef written(const ArgRW<T>& a) {
+  return {a.dat, &a.dat->name()};
 }
-template <class T>
-constexpr bool is_reduction(const ArgRedMin<T>&) {
-  return true;
+template <class A>
+DatRef written(const A&) {
+  return {};
 }
+
+template <class... Args>
+void require_point_writes(const LoopMeta& meta, const Args&... args) {
+  const std::array<DatRef, sizeof...(Args)> reads{stencil_read(args)...};
+  const std::array<DatRef, sizeof...(Args)> writes{written(args)...};
+  for (const DatRef& r : reads)
+    for (const DatRef& w : writes)
+      BWLAB_REQUIRE(r.id == nullptr || r.id != w.id,
+                    "loop '" << meta.name << "' reads dat '" << *r.name
+                             << "' through a stencil and also writes it");
+}
+
+// --- Row sweep --------------------------------------------------------------
+
+/// The row sweep every executor runs: `kernel` over `rr` in (k, j, i)
+/// order, accumulating reductions into `bound`. The kernel is a by-value
+/// copy, so its captures are locals that no store through an accessor can
+/// alias; each row's base pointers are computed once; and the unit-stride
+/// i loop of a loop without reductions runs under BWLAB_NO_LOOP_DEP. That
+/// is sound by the point-write contract. Rows of a reduction stay scalar
+/// and in order, so partials associate exactly as written. The sweep is a
+/// call of its own: inlined into par_loop, its row loop competed for
+/// registers with the rest of that large body (the 5-point stencil of
+/// gb_host_kernels spilled a vector per iteration and ran 30 % slower),
+/// and one call per range costs nothing measurable.
+template <bool Independent, class Kernel, class Bound>
+[[gnu::noinline]] void sweep(Kernel kernel, Bound& bound, const Range& rr) {
+  const idx_t ilo = rr.lo[0], ihi = rr.hi[0];
+  for (idx_t k = rr.lo[2]; k < rr.hi[2]; ++k)
+    for (idx_t j = rr.lo[1]; j < rr.hi[1]; ++j) {
+      auto rows = std::apply(
+          [&](auto&... bs) { return std::make_tuple(bs.row(j, k)...); },
+          bound);
+      std::apply(
+          [&](auto&... rs) {
+            if constexpr (Independent) {
+              BWLAB_NO_LOOP_DEP
+              for (idx_t i = ilo; i < ihi; ++i) kernel(rs.at(i)...);
+            } else {
+              for (idx_t i = ilo; i < ihi; ++i) kernel(rs.at(i)...);
+            }
+            (rs.flush(), ...);
+          },
+          rows);
+    }
+}
+
+/// The dimension whose indices are the rows of a loop over `owned`: k when
+/// it spans more than one plane, else j. Teams deal whole rows, and a
+/// reduction keeps one partial per row.
+inline int row_dim(const Range& owned) {
+  return owned.extent(2) > 1 ? 2 : 1;
+}
+
+/// Reduction partials of one loop: one per row of its owned range (a row
+/// in 2-D, a plane in 3-D), merged in ascending order. The association of
+/// every reduced value is then fixed by the owned range alone: bitwise
+/// equal for every team size, tile height and executor.
+template <class Exec>
+class RowPartials {
+ public:
+  RowPartials(Exec exec, const Range& owned)
+      : exec_(std::move(exec)),
+        dim_(static_cast<std::size_t>(row_dim(owned))),
+        lo_(owned.lo[dim_]),
+        rows_(static_cast<std::size_t>(
+            std::max<idx_t>(owned.hi[dim_] - owned.lo[dim_], 0))) {}
+
+  /// Computes the partial of every row of `r`, a part of the owned range
+  /// holding whole rows. Calls on disjoint rows may run concurrently.
+  void run(const Range& r) {
+    for (idx_t o = r.lo[dim_]; o < r.hi[dim_]; ++o) {
+      Range row = r;
+      row.lo[dim_] = o;
+      row.hi[dim_] = o + 1;
+      rows_[static_cast<std::size_t>(o - lo_)] = exec_(row);
+    }
+  }
+  /// Folds every partial into its target, rows ascending. Every row was
+  /// computed by run() before, so no placeholder is ever merged.
+  void merge() {
+    for (auto& bound : rows_)
+      std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
+  }
+
+ private:
+  using Bound = decltype(std::declval<Exec&>()(Range{}));
+  Exec exec_;
+  std::size_t dim_;
+  idx_t lo_;
+  std::vector<Bound> rows_;
+};
 
 }  // namespace detail
 
@@ -312,7 +463,7 @@ LoopEvent loop_event(const LoopMeta& meta, Block& b, const Range& range,
   ((max_radius = std::max(max_radius, arg_radius(args))), ...);
   count_t bytes_pp = 0;
   ((bytes_pp += arg_bytes(args)), ...);
-  const bool has_red = (is_reduction(args) || ...);
+  const bool has_red = (is_reduction_v<Args> || ...);
   Instrumentation& ins = b.ctx().instr();
   LoopEvent ev;
   ev.instr = &ins;
@@ -379,6 +530,7 @@ template <class Kernel, class... Args>
 void par_loop(const LoopMeta& meta, Block& b, const Range& range,
               Kernel&& kernel, Args... args) {
   Context& ctx = b.ctx();
+  detail::require_point_writes(meta, args...);
 
   // 1. Halo exchanges for stenciled reads (skipped in lazy mode: the chain
   //    executor exchanges once per chain with deep halos).
@@ -388,94 +540,45 @@ void par_loop(const LoopMeta& meta, Block& b, const Range& range,
   //    empty, for profile shape.
   const Range local = local_range(b, range);
   LoopEvent ev = detail::loop_event(meta, b, range, local, args...);
-  const bool has_red = (detail::is_reduction(args) || ...);
+  constexpr bool kHasRed = (detail::is_reduction_v<Args> || ...);
 
   // 3+4. Execute. exec_range runs exactly the given range on the calling
   // thread (own bound-argument copies per call, no pool access) and
   // returns the bound tuple so reduction partials can be merged.
-  auto exec_range = [kernel, args...](const Range& rr) mutable {
+  auto exec_range = [kernel, args...](const Range& rr) {
     auto bound = std::make_tuple(detail::bind(args)...);
-    const bool is3d = rr.hi[2] - rr.lo[2] > 1 || rr.lo[2] != 0;
-    if (is3d) {
-      for (idx_t k = rr.lo[2]; k < rr.hi[2]; ++k)
-        for (idx_t j = rr.lo[1]; j < rr.hi[1]; ++j)
-          for (idx_t i = rr.lo[0]; i < rr.hi[0]; ++i)
-            std::apply(
-                [&](auto&... bs) { kernel(bs.at(i, j, k)...); }, bound);
-    } else {
-      for (idx_t j = rr.lo[1]; j < rr.hi[1]; ++j)
-        for (idx_t i = rr.lo[0]; i < rr.hi[0]; ++i)
-          std::apply([&](auto&... bs) { kernel(bs.at(i, j, 0)...); },
-                     bound);
-    }
+    detail::sweep<!kHasRed>(kernel, bound, rr);
     return bound;
   };
-
-  auto execute_over = [&ctx, exec_range, has_red](const Range& rr) mutable {
-    if (rr.empty()) return;
-    par::ThreadPool* pool = ctx.pool();
-    // The team spans reductions too: every member accumulates into its
-    // own bound copies, merged on this thread after the join.
-    const int team = pool != nullptr ? pool->size() : 1;
-    const int outer_dim = (rr.hi[2] - rr.lo[2] > 1) ? 2 : 1;
-    const auto od = static_cast<std::size_t>(outer_dim);
-    const idx_t olo = rr.lo[od];
-    const idx_t ohi = rr.hi[od];
-    auto sub_range = [&](idx_t out_lo, idx_t out_hi) {
-      Range sub = rr;
-      sub.lo[od] = out_lo;
-      sub.hi[od] = out_hi;
-      return sub;
-    };
-    if (has_red) {
-      // One reduction partial per outer index, merged in ascending order,
-      // so the result is bitwise identical for every team size (the
-      // association never depends on how rows were dealt to threads).
-      using BoundTuple = decltype(exec_range(rr));
-      // Every element is assigned by fill() before the merge, so the
-      // default-constructed placeholders are never read.
-      std::vector<BoundTuple> rows(static_cast<std::size_t>(ohi - olo));
-      auto fill = [&](idx_t o) {
-        rows[static_cast<std::size_t>(o - olo)] =
-            exec_range(sub_range(o, o + 1));
-      };
-      if (team <= 1) {
-        for (idx_t o = olo; o < ohi; ++o) fill(o);
-      } else {
-        pool->parallel_for(olo, ohi, fill);
-      }
-      for (auto& bound : rows)
-        std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
-      return;
-    }
-    if (team <= 1) {
-      exec_range(rr);
-      return;
-    }
-    pool->run([&](int tid) {
-      const auto [clo, chi] = pool->chunk(olo, ohi, tid);
-      if (clo < chi) exec_range(sub_range(clo, chi));
-    });
-  };
+  using Partials = detail::RowPartials<decltype(exec_range)>;
 
   if (ctx.lazy()) {
-    // Defer execution; reductions are not supported inside tiled chains.
-    BWLAB_REQUIRE(!has_red,
+    // Defer execution. The enqueued body is strictly serial: the tiled
+    // chain executor owns the threading (it dispatches disjoint pieces of
+    // each tile across the team), so the body must be safe to call
+    // concurrently and must never re-enter the pool. A reduction keeps
+    // one partial per owned row, computed where the chain runs the row
+    // and merged after the chain; the body runs the redundant points,
+    // whose partials it discards. The chain delivers the event once it
+    // ran.
+    BWLAB_REQUIRE(!kHasRed || b.ndims() > 1,
                   "loop '" << meta.name
-                           << "': reductions are not tileable, flush the "
-                              "chain first");
+                           << "': chained reductions need a 2-D or 3-D "
+                              "block");
     std::vector<ChainDatUse> uses;
     (detail::add_use(uses, args), ...);
-    // The enqueued body is strictly serial: the tiled chain executor owns
-    // the threading (it dispatches disjoint pieces of each tile across
-    // the team), so the body must be safe to call concurrently and must
-    // never re-enter the pool. The chain delivers the event once it ran.
+    ChainReduction red;
+    if constexpr (kHasRed) {
+      auto partials = std::make_shared<Partials>(exec_range, local);
+      red.rows = [partials](const Range& rr) { partials->run(rr); };
+      red.merge = [partials] { partials->merge(); };
+    }
     enqueue_lazy(
         ctx, ev, b, range,
-        [exec_range](const Range& rr) mutable {
+        [exec_range](const Range& rr) {
           if (!rr.empty()) exec_range(rr);
         },
-        std::move(uses));
+        std::move(uses), std::move(red));
     return;
   }
 
@@ -486,7 +589,36 @@ void par_loop(const LoopMeta& meta, Block& b, const Range& range,
       detail::event_arg(args, local)...};
   ev.args = dats;
   LoopScope scope(ev);
-  execute_over(local);
+  if (!local.empty()) {
+    par::ThreadPool* pool = ctx.pool();
+    const int team = pool != nullptr ? pool->size() : 1;
+    if constexpr (kHasRed) {
+      // The team deals whole rows; each keeps its own partial.
+      Partials partials(exec_range, local);
+      const auto pd = static_cast<std::size_t>(detail::row_dim(local));
+      if (team <= 1) {
+        partials.run(local);
+      } else {
+        pool->parallel_for(local.lo[pd], local.hi[pd], [&](idx_t o) {
+          Range row = local;
+          row.lo[pd] = o;
+          row.hi[pd] = o + 1;
+          partials.run(row);
+        });
+      }
+      partials.merge();
+    } else if (team <= 1) {
+      exec_range(local);
+    } else {
+      const auto od = static_cast<std::size_t>(detail::row_dim(local));
+      pool->run([&](int tid) {
+        Range sub = local;
+        std::tie(sub.lo[od], sub.hi[od]) =
+            pool->chunk(local.lo[od], local.hi[od], tid);
+        if (!sub.empty()) exec_range(sub);
+      });
+    }
+  }
 
   // 6. Dirty halos of written dats.
   (detail::post_mark(args), ...);
@@ -508,6 +640,7 @@ void par_loop_blocked(const LoopMeta& meta, Block& b, const Range& range,
   for (int d = 0; d < 3; ++d)
     BWLAB_REQUIRE(wg[static_cast<std::size_t>(d)] >= 1,
                   "workgroup extents must be >= 1");
+  detail::require_point_writes(meta, args...);
   (detail::pre_exchange(args), ...);
   const Range local = local_range(b, range);
   LoopEvent ev = detail::loop_event(meta, b, range, local, args...);
@@ -516,18 +649,16 @@ void par_loop_blocked(const LoopMeta& meta, Block& b, const Range& range,
   ev.args = dats;
   LoopScope scope(ev);
   if (!local.empty()) {
+    constexpr bool kHasRed = (detail::is_reduction_v<Args> || ...);
     auto bound = std::make_tuple(detail::bind(args)...);
     for (idx_t bk = local.lo[2]; bk < local.hi[2]; bk += wg[2])
       for (idx_t bj = local.lo[1]; bj < local.hi[1]; bj += wg[1])
         for (idx_t bi = local.lo[0]; bi < local.hi[0]; bi += wg[0]) {
-          const idx_t ek = std::min(local.hi[2], bk + wg[2]);
-          const idx_t ej = std::min(local.hi[1], bj + wg[1]);
-          const idx_t ei = std::min(local.hi[0], bi + wg[0]);
-          for (idx_t k = bk; k < ek; ++k)
-            for (idx_t j = bj; j < ej; ++j)
-              for (idx_t i = bi; i < ei; ++i)
-                std::apply(
-                    [&](auto&... bs) { kernel(bs.at(i, j, k)...); }, bound);
+          const Range brick{{bi, bj, bk},
+                            {std::min(local.hi[0], bi + wg[0]),
+                             std::min(local.hi[1], bj + wg[1]),
+                             std::min(local.hi[2], bk + wg[2])}};
+          detail::sweep<!kHasRed>(kernel, bound, brick);
         }
     std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
   }

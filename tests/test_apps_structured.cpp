@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <string>
 
 #include "apps/acoustic/acoustic.hpp"
 #include "apps/cloverleaf/cloverleaf2d.hpp"
@@ -20,6 +22,32 @@ namespace {
 
 double rel_diff(double a, double b) {
   return std::abs(a - b) / std::max({std::abs(a), std::abs(b), 1e-30});
+}
+
+std::map<std::string, count_t> calls_by_loop(const Instrumentation& in) {
+  std::map<std::string, count_t> calls;
+  for (const LoopRecord* rec : in.loops_in_order()) calls[rec->name] = rec->calls;
+  return calls;
+}
+
+/// Tiled CloverLeaf runs its dt and summary reductions inside chains. On
+/// one rank every chained loop still executes exactly its owned range, so
+/// a tiled run is bitwise equal to eager and counts the same loop calls
+/// and exact bytes; `seed_bytes` is the count both made before the
+/// reductions moved into chains.
+void expect_tiled_counts_equal_eager(Result (*run)(const Options&),
+                                     Options o, count_t seed_bytes) {
+  datmove::enable();
+  const Result eager = run(o);
+  o.tiled = true;
+  const Result tiled = run(o);
+  datmove::disable();
+  EXPECT_EQ(tiled.checksum, eager.checksum);
+  EXPECT_EQ(calls_by_loop(tiled.instr), calls_by_loop(eager.instr));
+  EXPECT_EQ(tiled.instr.counted_bytes_by_loop(),
+            eager.instr.counted_bytes_by_loop());
+  EXPECT_EQ(tiled.instr.datmove_total_bytes(), seed_bytes);
+  EXPECT_EQ(eager.instr.datmove_total_bytes(), seed_bytes);
 }
 
 // --- CloverLeaf 2D -----------------------------------------------------------
@@ -80,6 +108,14 @@ TEST(CloverLeaf2D, TiledIsBitwiseIdenticalSerially) {
   t.tile_size = 9;
   const Result tiled = clover2d::run(t);
   EXPECT_EQ(eager.checksum, tiled.checksum);
+}
+
+TEST(CloverLeaf2D, TiledCountsEqualEagerAndSeed) {
+  Options o;
+  o.n = 40;
+  o.iterations = 3;
+  o.tile_size = 7;
+  expect_tiled_counts_equal_eager(&clover2d::run, o, 2472264);
 }
 
 // At n = 768 every CloverLeaf dat (772² doubles at the eager halo depth,
@@ -163,6 +199,14 @@ TEST(CloverLeaf3D, TiledIsBitwiseIdenticalSerially) {
       EXPECT_EQ(clover3d::run(t).checksum, eager.checksum)
           << "tile height " << h << ", " << threads << " threads";
     }
+}
+
+TEST(CloverLeaf3D, TiledCountsEqualEagerAndSeed) {
+  Options o;
+  o.n = 20;  // tiled depth-16 halos need a local extent >= 17
+  o.iterations = 2;
+  o.tile_size = 5;
+  expect_tiled_counts_equal_eager(&clover3d::run, o, 12539696);
 }
 
 // --- Acoustic ----------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
+#include "common/aligned.hpp"
 #include "core/report.hpp"
 #include "ops/chain.hpp"
 #include "ops/par_loop.hpp"
@@ -604,6 +605,38 @@ TEST(ParLoop, ReductionBitwiseIdenticalAcrossTeamSizes) {
   EXPECT_EQ(run_sum(4), ref);
 }
 
+/// The association every executor shares: one partial per row, started
+/// from zero and accumulated along i, folded into the target rows
+/// ascending. Eager and chained execution are compared against this
+/// plain loop, not just against each other.
+TEST(ParLoop, ReductionAssociatesRowsAscending) {
+  Context ctx(3);
+  Block b(ctx, "g", 2, {23, 17, 1});
+  Dat<double> u(b, "u", 1);
+  const auto value = [](idx_t i, idx_t j) {
+    return std::exp(0.31 * double(i)) - 1e3 * std::cos(0.7 * double(j));
+  };
+  u.fill_indexed([&](idx_t i, idx_t j, idx_t) { return value(i, j); });
+  double want = 0.5;
+  for (idx_t j = 0; j < 17; ++j) {
+    double row = 0;
+    for (idx_t i = 0; i < 23; ++i) row += value(i, j);
+    want += row;
+  }
+  const auto sum = [&](bool lazy) {
+    double s = 0.5;
+    ctx.set_lazy(lazy);
+    par_loop({"s", 0.0}, b, Range::make2d(0, 23, 0, 17),
+             [](Acc<const double> a, double& acc) { acc += a(0, 0); },
+             read(u), reduce_sum(s));
+    ctx.set_lazy(false);
+    if (lazy) ctx.chain().execute_tiled(4);
+    return s;
+  };
+  EXPECT_EQ(sum(false), want);
+  EXPECT_EQ(sum(true), want);
+}
+
 // --- Tile-height auto-tuner --------------------------------------------------
 
 TEST(AutoTileHeight, ShrinksMonotonicallyWithCache) {
@@ -688,19 +721,225 @@ TEST(Tiling, CloverLeaf2DDeterministicAcrossPoolSizes) {
   EXPECT_EQ(checksum(4), ref);
 }
 
-TEST(Tiling, ReductionsRejectedInLazyMode) {
+TEST(Tiling, ChainedReductionsNeedTwoDims) {
+  // A 1-D block's rows are single points of the tiled dimension, so a
+  // reduction could not keep eager's association; it is rejected.
   Context ctx;
-  Block b(ctx, "g", 2, {8, 8, 1});
+  Block b(ctx, "g", 1, {8, 1, 1});
   Dat<double> u(b, "u", 2);
   u.fill(1.0);
   double s = 0;
   ctx.set_lazy(true);
   EXPECT_THROW(
-      par_loop({"r", 0.0}, b, Range::make2d(0, 8, 0, 8),
+      par_loop({"r", 0.0}, b, Range::make2d(0, 8, 0, 1),
                [](Acc<const double> a, double& x) { x += a(0, 0); }, read(u),
                reduce_sum(s)),
       Error);
   ctx.set_lazy(false);
+}
+
+// --- Point-write contract ----------------------------------------------------
+
+TEST(ParLoop, RejectsStencilReadOfWrittenDat) {
+  Context ctx;
+  Block b(ctx, "g", 2, {8, 8, 1});
+  Dat<double> u(b, "u", 1), v(b, "v", 1);
+  u.fill(1.0);
+  const Range r = Range::make2d(1, 7, 1, 7);
+  const auto smooth = [](Acc<const double> a, Acc<double> o) {
+    o(0, 0) = a(-1, 0) + a(1, 0);
+  };
+  EXPECT_THROW(par_loop({"w", 1.0}, b, r, smooth,
+                        read(u, Stencil::star(2, 1)), write(u)),
+               Error);
+  EXPECT_THROW(par_loop({"rw", 1.0}, b, r, smooth,
+                        read(u, Stencil::star(2, 1)), read_write(u)),
+               Error);
+  EXPECT_THROW(par_loop_blocked({"bw", 1.0}, b, r, {4, 2, 1}, smooth,
+                                read(u, Stencil::star(2, 1)), write(u)),
+               Error);
+  ctx.set_lazy(true);
+  EXPECT_THROW(par_loop({"lazy", 1.0}, b, r, smooth,
+                        read(u, Stencil::star(2, 1)), write(u)),
+               Error);
+  ctx.set_lazy(false);
+  EXPECT_TRUE(ctx.chain().empty());
+  // A point read of a written dat, and a stencil read of another one,
+  // are per-point and allowed.
+  par_loop({"pt", 1.0}, b, r,
+           [](Acc<const double> a, Acc<double> o) { o(0, 0) = 2.0 * a(0, 0); },
+           read(u), write(u));
+  par_loop({"ok", 1.0}, b, r, smooth, read(u, Stencil::star(2, 1)), write(v));
+  EXPECT_EQ(v.at(3, 3), 4.0);
+}
+
+// --- Set-up: fresh dats read zero --------------------------------------------
+
+/// Every allocated element (ghosts included) of `d` equals `want`.
+bool all_equal(const Dat<double>& d, double want) {
+  for (std::size_t i = 0; i < d.alloc_count(); ++i)
+    if (std::memcmp(&d.alloc_data()[i], &want, sizeof(double)) != 0)
+      return false;
+  return true;
+}
+
+TEST(Dat, FreshDatReadsZeroOnBothAllocatorPaths) {
+  Context ctx;
+  // Small path: a freed, dirty block of the same size is likely reused.
+  Block small(ctx, "s", 2, {30, 30, 1});
+  { aligned_vector<double> dirty(34 * 34, 7.0); }
+  Dat<double> s(small, "s", 2);
+  ASSERT_LT(s.alloc_count() * sizeof(double), kLargeArrayBytes);
+  EXPECT_TRUE(all_equal(s, 0.0));
+  // Large (mmap) path.
+  Block large(ctx, "l", 2, {760, 760, 1});
+  Dat<double> l(large, "l", 2, {1, 1, 0});
+  ASSERT_GE(l.alloc_count() * sizeof(double), kLargeArrayBytes);
+  EXPECT_TRUE(all_equal(l, 0.0));
+}
+
+TEST(Dat, NonZeroInitStillFillsEveryElement) {
+  Context ctx;
+  Block small(ctx, "s", 2, {30, 30, 1});
+  Dat<double> s(small, "s", 2, {0, 0, 0}, 1.5);
+  EXPECT_TRUE(all_equal(s, 1.5));
+  Dat<double> neg(small, "neg", 2, {0, 0, 0}, -0.0);  // not all-zero bits
+  EXPECT_TRUE(all_equal(neg, -0.0));
+  Block large(ctx, "l", 2, {760, 760, 1});
+  Dat<double> l(large, "l", 2, {0, 0, 0}, -2.25);
+  EXPECT_TRUE(all_equal(l, -2.25));
+}
+
+// --- Reductions inside tiled chains -------------------------------------------
+
+/// Reduced values of a chain, compared bit for bit.
+struct Reduced {
+  double sum = 0, mn = 1e300, mx = -1e300, count = 0, tail = 0;
+  bool operator==(const Reduced& o) const {
+    return std::memcmp(this, &o, sizeof(Reduced)) == 0;
+  }
+};
+
+/// A chain with a mid-chain reduction: `red` reads c (radius 1, written
+/// by l1) and writes d, which l3 reads with radius 1, so the reduction's
+/// executed range extends into the halo. l3 then rewrites c, a dat the
+/// reduction reads (the WAR skew), and a final reduction sums e.
+struct RedChain {
+  Context& ctx;
+  Block b;
+  Dat<double> a, c, d, e;
+  RedChain(Context& ctx_, idx_t nx, idx_t ny)
+      : ctx(ctx_), b(ctx_, "g", 2, {nx, ny, 1}), a(b, "a", 8), c(b, "c", 8),
+        d(b, "d", 8), e(b, "e", 8) {
+    for (Dat<double>* x : {&a, &c, &d, &e}) x->set_bc_all(Bc::Reflect);
+    a.fill_indexed([](idx_t i, idx_t j, idx_t) {
+      return std::sin(0.37 * double(i)) * std::cos(0.21 * double(j)) + 0.1;
+    });
+  }
+  /// Runs the chain eagerly (tile < 0), tiled at height `tile` (0: auto),
+  /// or, with `untiled`, captured and run loop by loop.
+  Reduced run(idx_t tile, bool untiled = false) {
+    Reduced r;
+    const idx_t nx = b.size(0), ny = b.size(1);
+    const Range all = Range::make2d(0, nx, 0, ny);
+    const bool lazy = tile >= 0 || untiled;
+    ctx.set_lazy(lazy);
+    par_loop({"l1", 2.0}, b, all,
+             [](Acc<const double> x, Acc<double> y) {
+               y(0, 0) = 0.5 * (x(-1, 0) + x(0, 1)) + 1e-3 * x(0, 0);
+             },
+             read(a, Stencil::star(2, 1)), write(c));
+    par_loop({"red", 4.0}, b, all,
+             [](Acc<const double> y, Acc<double> z, double& s, double& mn,
+                double& mx, double& n) {
+               const double v = y(0, -1) + y(1, 0) - y(0, 0);
+               z(0, 0) = v;
+               s += v;
+               mn = std::min(mn, v);
+               mx = std::max(mx, v);
+               n += 1.0;
+             },
+             read(c, Stencil::star(2, 1)), write(d), reduce_sum(r.sum),
+             reduce_min(r.mn), reduce_max(r.mx), reduce_sum(r.count));
+    par_loop({"l3", 2.0}, b, all,
+             [](Acc<const double> z, Acc<double> w, Acc<double> y) {
+               w(0, 0) = z(-1, 0) * z(0, 1);
+               y(0, 0) = -z(0, 0);
+             },
+             read(d, Stencil::star(2, 1)), write(e), write(c));
+    par_loop({"tail", 1.0}, b, all,
+             [](Acc<const double> w, double& s) { s += w(0, 0); }, read(e),
+             reduce_sum(r.tail));
+    ctx.set_lazy(false);
+    if (untiled)
+      ctx.chain().execute_untiled();
+    else if (lazy)
+      ctx.chain().execute_tiled(tile);
+    return r;
+  }
+  /// Sum of c after the chain: l3 must have rewritten it everywhere.
+  double c_sum() {
+    double s = 0;
+    par_loop({"cs", 0.0}, b, Range::make2d(0, b.size(0), 0, b.size(1)),
+             [](Acc<const double> y, double& acc) { acc += y(0, 0); },
+             read(c), reduce_sum(s));
+    return s;
+  }
+};
+
+class ChainedReductions
+    : public ::testing::TestWithParam<std::tuple<idx_t, int>> {};
+
+TEST_P(ChainedReductions, BitwiseEqualToEager) {
+  const auto [tile, pool] = GetParam();
+  Context eager_ctx;
+  RedChain eager(eager_ctx, 37, 29);
+  const Reduced ref = eager.run(-1);
+  EXPECT_EQ(ref.count, 37.0 * 29.0);
+
+  Context ctx(pool);
+  RedChain tiled(ctx, 37, 29);
+  const Reduced got = tiled.run(tile);  // tile 0: auto height
+  EXPECT_TRUE(got == ref) << "sum " << got.sum << " vs " << ref.sum
+                          << ", tail " << got.tail << " vs " << ref.tail;
+  EXPECT_EQ(tiled.c_sum(), eager.c_sum());
+  EXPECT_EQ(ctx.instr().loop("red").calls, 1u);
+  EXPECT_EQ(ctx.instr().loop("red").points, 37u * 29u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ChainedReductions,
+    ::testing::Combine(::testing::Values<idx_t>(1, 3, 7, 0, 100),
+                       ::testing::Values(1, 2, 4)));
+
+TEST(ChainedReductions, UntiledChainMatchesEager) {
+  Context eager_ctx;
+  RedChain eager(eager_ctx, 24, 20);
+  const Reduced ref = eager.run(-1);
+  Context ctx(2);
+  RedChain lazy(ctx, 24, 20);
+  EXPECT_TRUE(lazy.run(-1, /*untiled=*/true) == ref);
+  EXPECT_EQ(lazy.c_sum(), eager.c_sum());
+}
+
+/// On 4 SimMPI ranks with depth-8 halos, the reduction's executed range
+/// reaches into neighbours' rows; each rank must still count exactly its
+/// owned points, with per-rank values bitwise equal to 4-rank eager.
+TEST(ChainedReductions, DistributedCountsNoHaloPointTwice) {
+  std::vector<Reduced> eager(4), tiled(4);
+  for (const bool lazy : {false, true})
+    par::run_ranks(4, [&](par::Comm& comm) {
+      Context ctx(comm, 1);
+      RedChain chain(ctx, 40, 36);
+      (lazy ? tiled : eager)[static_cast<std::size_t>(comm.rank())] =
+          chain.run(lazy ? 5 : -1);
+    });
+  double count = 0;
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_TRUE(tiled[r] == eager[r]) << "rank " << r;
+    count += tiled[r].count;
+  }
+  EXPECT_EQ(count, 40.0 * 36.0);
 }
 
 }  // namespace
