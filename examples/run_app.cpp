@@ -14,22 +14,22 @@
 //                   (default max9480); --attr-tol=X sets the drift
 //                   tolerance (default 0.25).
 //   --datmove       bwmem: count exact per-loop/per-dat bytes moved,
-//                   print the data-movement, tier-traffic, and reuse
-//                   tables, and add a "datmove" section to --report.
-//                   --placement=auto|hbm|ddr|firsttouch picks the
-//                   dat->tier what-if policy; --byte-tol=X sets the
+//                   print the data-movement and reuse tables, and add a
+//                   "datmove" section to --report. --byte-tol=X sets the
 //                   counted-vs-modeled byte-drift tolerance (default 0.10).
+//   --exec=serial|vec|colored  execution mode of the op2 apps (mgcfd,
+//                   volna) and miniBUDE (vec = batched lanes)
 //
 // Memory modes (memtier):
-//   --mode=hbm|flat|cache  memory mode of the machine: resolves the
-//                   corresponding machine_by_id variant (a numeric value
-//                   keeps its legacy meaning, the app's execution mode)
+//   --mode=hbm|hbmonly|flat|cache  memory mode of the machine: resolves
+//                   the corresponding machine_by_id variant
 //   --snc=0|1       sub-NUMA clustering; --snc=0 resolves the "-quad"
 //                   variant (one NUMA domain per socket)
-//   --place=auto|hbm|ddr|firsttouch  installs the tier-aware allocator:
-//                   every Dat constructed during the run is placed on a
-//                   memory tier, the decisions feed the datmove tier
-//                   attribution and the "memtier" report section
+//   --place=auto|hbm|ddr|firsttouch  placement policy of the tier-aware
+//                   allocator (default auto). Any of --place, --mode or
+//                   --snc installs it: every Dat constructed during the
+//                   run is placed on a memory tier, and the "memtier"
+//                   table and report section show where each dat lived
 //
 // Examples:
 //   ./build/examples/run_app --app=clover2d --n=64 --iters=3 --ranks=2
@@ -149,30 +149,28 @@ Table metrics_percentile_table(const MetricsSnapshot& snap) {
   return t;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   if (cli.has("help")) {
     std::cout << "usage: " << cli.program() << " [APP | --app=NAME] [options]\n"
               << "  apps: " << kApps << "\n"
               << "  --n=N --iters=I --ranks=R --threads=T --tiled\n"
-              << "  --tile-size=S --tile=auto|H --mode=0|1|2 --scenario=K\n"
+              << "  --tile-size=S --tile=auto|H --exec=serial|vec|colored "
+                 "--scenario=K\n"
               << "  --seed=S\n"
               << "  --trace=FILE --metrics=FILE --report=FILE --summary\n"
               << "  --causal --trace-buffer=N\n"
               << "  --diff-against=REPORT.json (print the bwdiff delta "
                  "tables vs a saved run)\n"
-              << "  --datmove --placement=auto|hbm|ddr|firsttouch\n"
-              << "  --mode=hbm|flat|cache --snc=0|1 "
+              << "  --datmove\n"
+              << "  --mode=hbm|hbmonly|flat|cache --snc=0|1 "
                  "--place=auto|hbm|ddr|firsttouch\n"
               << "  --machine=ID --attr-tol=X\n"
               << "  --faults=SPEC --watchdog-ms=G --nan-guard=0|1|2\n"
               << "  --checkpoint-every=K (crash rollback checkpoints)\n"
               << "  --resil --retry-max=N --backoff-us=U --degraded "
                  "(Comm retry policy)\n"
-              << "  --live --live-interval-ms=M --live-status "
-                 "--live-listen=PORT|unix:PATH\n"
+              << "  --live --live-interval-ms=M --live-status\n"
               << "  --live-out=FILE --live-ring=N --live-stall-windows=W\n";
     return 0;
   }
@@ -187,15 +185,17 @@ int main(int argc, char** argv) {
   opt.tiled = cli.get_bool("tiled", false);
   opt.tile_size = cli.get_int("tile-size", 0);
   // The attribution machine also scopes the tile-height auto-tuner's
-  // cache budget, so resolve it before dispatch. --mode doubles as the
-  // memory-mode selector: a string value resolves the machine's
-  // memory-mode variant; a numeric value keeps its legacy meaning as the
-  // app execution mode. --snc=0 resolves the "-quad" (SNC-off) variant.
+  // cache budget, so resolve it before dispatch. --mode resolves the
+  // machine's memory-mode variant, --snc=0 its "-quad" (SNC-off) variant.
   std::string machine_id = cli.get("machine", "max9480");
   const std::string mode = cli.get("mode", "");
-  const bool mode_is_memory =
-      mode == "hbm" || mode == "hbmonly" || mode == "flat" || mode == "cache";
-  if (mode_is_memory) machine_id += "-" + mode;
+  BWLAB_REQUIRE(mode.empty() || mode == "hbm" || mode == "hbmonly" ||
+                    mode == "flat" || mode == "cache",
+                "unknown --mode '" << mode
+                                   << "' (hbm|hbmonly|flat|cache); the app "
+                                      "execution mode is --exec=serial|vec|"
+                                      "colored");
+  if (!mode.empty()) machine_id += "-" + mode;
   if (!cli.get_bool("snc", true)) machine_id += "-quad";
   const sim::MachineModel& machine = sim::machine_by_id(machine_id);
   const std::string tile = cli.get("tile", "");
@@ -211,8 +211,7 @@ int main(int argc, char** argv) {
       opt.tile_size = std::stoll(tile);
     }
   }
-  opt.exec_mode =
-      mode_is_memory ? 0 : static_cast<int>(cli.get_int("mode", 0));
+  opt.exec_mode = apps::exec_mode_from_name(cli.get("exec", "serial"));
   opt.scenario = static_cast<int>(cli.get_int("scenario", 0));
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345));
 
@@ -234,7 +233,7 @@ int main(int argc, char** argv) {
   // tier-aware allocator (installed before dispatch so every Dat
   // constructor records its placement) and the "memtier" report section.
   const std::string place = cli.get("place", "");
-  const bool memtier_on = !place.empty() || mode_is_memory || cli.has("snc");
+  const bool memtier_on = !place.empty() || !mode.empty() || cli.has("snc");
   const std::string place_policy = place.empty() ? "auto" : place;
   if (memtier_on) core::install_memtier_allocator(machine, place_policy);
 
@@ -243,9 +242,8 @@ int main(int argc, char** argv) {
   // census, and stopped on both the success and the failure path (the
   // series up to a watchdog abort is exactly what one wants to look at).
   const bool live_on = cli.has("live") || cli.has("live-interval-ms") ||
-                       cli.has("live-status") || cli.has("live-listen") ||
-                       cli.has("live-out") || cli.has("live-ring") ||
-                       cli.has("live-stall-windows");
+                       cli.has("live-status") || cli.has("live-out") ||
+                       cli.has("live-ring") || cli.has("live-stall-windows");
   live::Config live_cfg;
   std::string live_out;
   if (live_on) {
@@ -256,20 +254,8 @@ int main(int argc, char** argv) {
         static_cast<int>(cli.get_int("live-stall-windows", 4));
     live_cfg.status_line = cli.get_bool("live-status", false);
     live_cfg.roof_bytes_per_s = core::live_roof_bytes_per_s(machine);
-    const std::string listen = cli.get("live-listen", "");
-    if (!listen.empty()) {
-      if (listen.rfind("unix:", 0) == 0)
-        live_cfg.listen_unix = listen.substr(5);
-      else
-        live_cfg.listen_port = static_cast<int>(std::stoll(listen));
-    }
     live_out = cli.get("live-out", "TIMESERIES_" + app + ".json");
     live::start(live_cfg);
-    // Flushed immediately: a scraper needs the (possibly ephemeral) port
-    // while the run is still in flight, even with stdout redirected.
-    if (live::bound_port() >= 0)
-      std::cout << "live metrics endpoint on http://127.0.0.1:"
-                << live::bound_port() << "/metrics" << std::endl;
   }
   const auto finish_live = [&]() {
     live::TimeSeries ts;
@@ -332,16 +318,14 @@ int main(int argc, char** argv) {
   core::DatMoveReport dm;
   if (datmove_on) {
     core::DataMoveProfiler::disable();
-    dm = core::DataMoveProfiler::analyze(
-        result.instr, &machine, cli.get("placement", place_policy));
+    dm = core::DataMoveProfiler::analyze(result.instr);
   }
   // memtier: snapshot the allocator's tier map plus the mode pricing and
   // per-tier loop roofs into the report section, then release the
   // allocator (its gate must not outlive the run).
   core::MemTierSection mt;
   if (memtier_on) {
-    mt = core::build_memtier_section(result.instr, machine, place_policy,
-                                     datmove_on ? &dm : nullptr);
+    mt = core::build_memtier_section(result.instr, machine, place_policy);
     memtier::uninstall();
   }
   // Provenance stamp: commit, machine model, exact command line, seed —
@@ -423,8 +407,6 @@ int main(int argc, char** argv) {
     std::cout << "\n";
     core::datmove_table(dm).print(std::cout);
     std::cout << "\n";
-    core::datmove_tier_table(dm).print(std::cout);
-    std::cout << "\n";
     core::datmove_reuse_table(dm).print(std::cout);
   }
   if (memtier_on) {
@@ -457,4 +439,18 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A request the run cannot honour (an unknown --app, --machine, --mode
+  // or --exec, a --place pin to a tier the machine lacks) is reported the
+  // way a failed run is: the diagnosis on stderr, exit 1.
+  try {
+    return run_main(argc, argv);
+  } catch (const Error& e) {
+    std::cerr << "run failed: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -5,7 +5,7 @@
 // then models the production-scale run (30M cells, 200 steps) on the
 // paper's platforms.
 //
-// Run:  ./build/examples/tsunami [--n=64] [--steps=60] [--mode=vec]
+// Run:  ./build/examples/tsunami [--n=64] [--steps=60] [--exec=vec]
 #include <iostream>
 
 #include "apps/volna/volna.hpp"
@@ -22,12 +22,12 @@ int main(int argc, char** argv) {
   apps::Options o;
   o.n = cli.get_int("n", 64);
   const int total_steps = static_cast<int>(cli.get_int("steps", 60));
-  const std::string mode = cli.get("mode", "vec");
-  o.exec_mode = mode == "vec" ? 1 : mode == "colored" ? 2 : 0;
+  const std::string exec = cli.get("exec", "vec");
+  o.exec_mode = apps::exec_mode_from_name(exec);
   o.threads = static_cast<int>(cli.get_int("threads", 1));
 
   std::cout << "Volna tsunami demo: " << 2 * o.n * o.n
-            << " triangles, execution mode '" << mode << "'\n\n";
+            << " triangles, execution mode '" << exec << "'\n\n";
 
   Table gauges("Wave evolution (cumulative re-runs of the same scenario)");
   gauges.set_columns({{"steps", 0},

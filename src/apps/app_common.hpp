@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/instrument.hpp"
 #include "common/types.hpp"
@@ -42,6 +43,16 @@ struct Options {
   /// Post-loop NaN/Inf field guard: 0 off, 1 report, 2 abort.
   int nan_guard = 0;
 };
+
+/// Options::exec_mode from its command-line spelling
+/// (--exec=serial|vec|colored); throws bwlab::Error for anything else.
+inline int exec_mode_from_name(const std::string& name) {
+  if (name == "serial") return 0;
+  if (name == "vec") return 1;
+  BWLAB_REQUIRE(name == "colored",
+                "unknown --exec '" << name << "' (serial|vec|colored)");
+  return 2;
+}
 
 /// Applies process-global robustness knobs (currently the NaN/Inf field
 /// guard policy). Called at the top of every app's run().

@@ -100,17 +100,6 @@ int repetitions(int fallback) {
 
 namespace {
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
 void write_double(std::ostream& os, double v) {
   // JSON has no inf/nan; a metric that produced one should be visible,
   // not a parse error downstream.
@@ -129,23 +118,23 @@ void write_double(std::ostream& os, double v) {
 void write(std::ostream& os, const ResultFile& f) {
   os << "{\n  \"schema_version\": " << f.schema_version
      << ",\n  \"git_sha\": \"";
-  write_escaped(os, f.git_sha);
+  json::write_escaped(os, f.git_sha);
   os << "\",\n  \"suites\": [";
   bool first_suite = true;
   for (const Suite& s : f.suites) {
     os << (first_suite ? "\n" : ",\n") << "    {\"suite\": \"";
     first_suite = false;
-    write_escaped(os, s.suite);
+    json::write_escaped(os, s.suite);
     os << "\", \"machine\": \"";
-    write_escaped(os, s.machine);
+    json::write_escaped(os, s.machine);
     os << "\", \"metrics\": [";
     bool first_metric = true;
     for (const Metric& m : s.metrics) {
       os << (first_metric ? "\n" : ",\n") << "      {\"name\": \"";
       first_metric = false;
-      write_escaped(os, m.name);
+      json::write_escaped(os, m.name);
       os << "\", \"unit\": \"";
-      write_escaped(os, m.unit);
+      json::write_escaped(os, m.unit);
       os << "\", \"better\": \"" << to_string(m.better)
          << "\", \"samples\": [";
       for (std::size_t i = 0; i < m.samples.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <istream>
+#include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -164,6 +165,17 @@ const Value& empty_value(Value::Kind kind) {
 }
 
 }  // namespace
+
+void write_escaped(std::ostream& os, std::string_view s) {
+  for (const char c : s) {
+    if (c == '"' || c == '\\')
+      os << '\\' << c;
+    else if (static_cast<unsigned char>(c) < 0x20)
+      os << '_';
+    else
+      os << c;
+  }
+}
 
 Value parse(const std::string& text) { return Parser(text).run(); }
 

@@ -7,10 +7,12 @@
 // arrays, strings with \" and \\ escapes, numbers (plus the inf/nan
 // spellings ostream can produce), true/false/null — and throws
 // bwlab::Error on anything malformed. Not a general-purpose JSON library.
+// write_escaped is the matching string writer every section uses.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,6 +39,11 @@ struct Value {
   }
   count_t as_count() const { return static_cast<count_t>(num); }
 };
+
+/// Writes `s` as the body of a JSON string: '"' and '\\' are
+/// backslash-escaped and control characters become '_', so every name
+/// the repo's writers emit reads back through parse() unchanged.
+void write_escaped(std::ostream& os, std::string_view s);
 
 /// Parses one JSON document (trailing content is an error).
 Value parse(const std::string& text);

@@ -1,19 +1,11 @@
 #include "common/live.hpp"
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <set>
@@ -63,12 +55,6 @@ std::map<int, int> g_flat;                          // rank -> flat windows
 std::map<int, std::vector<double>> g_last_progress; // rank -> counters
 std::set<int> g_stalled;
 std::thread g_sampler;
-std::thread g_endpoint;
-std::atomic<bool> g_ep_stop{false};
-int g_tcp_fd = -1;
-int g_unix_fd = -1;
-int g_bound_port = -1;
-std::string g_unix_path;
 
 double elapsed_s() {
   return std::chrono::duration<double>(Clock::now() - g_epoch).count();
@@ -194,8 +180,8 @@ void take_sample_locked() {
   update_stalls(s.kv);
   s.kv["live.stalled_ranks"] = static_cast<double>(g_stalled.size());
   s.kv["live.dropped_samples"] = static_cast<double>(g_dropped);
-  // The roof-fraction / drop gauges in the registry: the mid-run view an
-  // external scraper (or the status line) reads, updated every sample.
+  // The roof-fraction / drop gauges in the registry: the mid-run view
+  // --metrics and the status line read, updated every sample.
   static Gauge& roof_g = MetricsRegistry::global().gauge("live.roof_fraction");
   static Gauge& bw_g =
       MetricsRegistry::global().gauge("live.bw_bytes_per_s");
@@ -232,124 +218,6 @@ void sampler_main() {
     const auto now = Clock::now();
     while (next < now) next += interval;
   }
-}
-
-// --- Prometheus-style plaintext endpoint -------------------------------------
-
-std::string sanitize_metric_name(const std::string& key) {
-  std::string out = "bwlab_";
-  for (const char c : key)
-    out += (std::isalnum(static_cast<unsigned char>(c)) != 0) ? c : '_';
-  return out;
-}
-
-/// Text exposition of the most recent sample (all values exported as
-/// gauges: cumulative counters are still meaningful to a scraper that
-/// rates them itself).
-std::string exposition() {
-  RawSample last;
-  {
-    std::lock_guard<std::mutex> lock(g_mu);
-    if (!g_ring.empty()) last = g_ring.back();
-  }
-  std::ostringstream os;
-  os << "# TYPE bwlab_live_up gauge\nbwlab_live_up 1\n";
-  for (const auto& [k, v] : last.kv) {
-    const std::string name = sanitize_metric_name(k);
-    os << "# TYPE " << name << " gauge\n" << name << " " << v << "\n";
-  }
-  return os.str();
-}
-
-void serve_client(int fd) {
-  char buf[1024];
-  // Read (and ignore) whatever request line the client sent; the
-  // endpoint serves one document regardless of the path.
-  (void)read(fd, buf, sizeof buf);
-  const std::string body = exposition();
-  std::ostringstream os;
-  os << "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n"
-     << "Content-Length: " << body.size() << "\r\nConnection: close\r\n\r\n"
-     << body;
-  const std::string reply = os.str();
-  std::size_t off = 0;
-  while (off < reply.size()) {
-    const ssize_t n = write(fd, reply.data() + off, reply.size() - off);
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
-  }
-  close(fd);
-}
-
-/// One accept loop over the configured listeners, polling so stop() can
-/// join it promptly.
-void endpoint_main() {
-  while (!g_ep_stop.load(std::memory_order_relaxed)) {
-    pollfd fds[2];
-    nfds_t n = 0;
-    if (g_tcp_fd >= 0) fds[n++] = {g_tcp_fd, POLLIN, 0};
-    if (g_unix_fd >= 0) fds[n++] = {g_unix_fd, POLLIN, 0};
-    if (n == 0) return;
-    const int rc = poll(fds, n, 200);
-    if (rc <= 0) continue;
-    for (nfds_t i = 0; i < n; ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      const int client = accept(fds[i].fd, nullptr, nullptr);
-      if (client >= 0) serve_client(client);
-    }
-  }
-}
-
-void open_listeners(const Config& cfg) {
-  if (cfg.listen_port >= 0) {
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
-    BWLAB_REQUIRE(fd >= 0, "bwlive: cannot create endpoint socket");
-    const int one = 1;
-    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(cfg.listen_port));
-    if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-        listen(fd, 8) != 0) {
-      close(fd);
-      BWLAB_REQUIRE(false, "bwlive: cannot listen on 127.0.0.1:"
-                               << cfg.listen_port);
-    }
-    socklen_t len = sizeof addr;
-    getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    g_tcp_fd = fd;
-    g_bound_port = ntohs(addr.sin_port);
-  }
-  if (!cfg.listen_unix.empty()) {
-    const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-    BWLAB_REQUIRE(fd >= 0, "bwlive: cannot create unix endpoint socket");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    BWLAB_REQUIRE(cfg.listen_unix.size() < sizeof addr.sun_path,
-                  "bwlive: unix socket path too long: " << cfg.listen_unix);
-    std::strncpy(addr.sun_path, cfg.listen_unix.c_str(),
-                 sizeof addr.sun_path - 1);
-    unlink(cfg.listen_unix.c_str());
-    if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-        listen(fd, 8) != 0) {
-      close(fd);
-      BWLAB_REQUIRE(false,
-                    "bwlive: cannot listen on unix socket " << cfg.listen_unix);
-    }
-    g_unix_fd = fd;
-    g_unix_path = cfg.listen_unix;
-  }
-}
-
-void close_listeners() {
-  if (g_tcp_fd >= 0) close(g_tcp_fd);
-  if (g_unix_fd >= 0) close(g_unix_fd);
-  if (!g_unix_path.empty()) unlink(g_unix_path.c_str());
-  g_tcp_fd = -1;
-  g_unix_fd = -1;
-  g_bound_port = -1;
-  g_unix_path.clear();
 }
 
 }  // namespace
@@ -401,17 +269,14 @@ void start(const Config& cfg) {
   g_max_rank.store(-1, std::memory_order_relaxed);
   g_loop_bytes.store(0, std::memory_order_relaxed);
   g_stop = false;
-  g_ep_stop.store(false, std::memory_order_relaxed);
   g_epoch = Clock::now();
-  open_listeners(cfg);
-  if (g_tcp_fd >= 0 || g_unix_fd >= 0) g_endpoint = std::thread(endpoint_main);
   g_sampler = std::thread(sampler_main);
   g_running = true;
   detail::g_on.enable();
 }
 
 void stop() {
-  std::thread sampler, endpoint;
+  std::thread sampler;
   {
     std::lock_guard<std::mutex> lock(g_mu);
     if (!g_running) return;
@@ -420,15 +285,11 @@ void stop() {
     take_sample_locked();
     detail::g_on.disable();
     g_stop = true;
-    g_ep_stop.store(true, std::memory_order_relaxed);
     sampler = std::move(g_sampler);
-    endpoint = std::move(g_endpoint);
   }
   g_cv.notify_all();
   if (sampler.joinable()) sampler.join();
-  if (endpoint.joinable()) endpoint.join();
   std::lock_guard<std::mutex> lock(g_mu);
-  close_listeners();
   if (g_cfg.status_line) std::fprintf(stderr, "\n");
   g_running = false;
 }
@@ -474,11 +335,6 @@ TimeSeries series() {
     ts.values.push_back(std::move(row));
   }
   return ts;
-}
-
-int bound_port() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return g_bound_port;
 }
 
 std::vector<int> stalled_ranks() {

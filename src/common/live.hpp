@@ -19,9 +19,8 @@
 //  - Sampling is opt-in per run (run_app --live-* flags): samples carry
 //    timestamps, and default runs must stay byte-comparable.
 //
-// Three surfaces: the TimeSeries (report section + TIMESERIES_<app>.json),
-// an in-terminal status line, and an opt-in Prometheus-style plaintext
-// endpoint (one accept loop, text exposition of the current sample).
+// Two surfaces: the TimeSeries (report section + TIMESERIES_<app>.json,
+// rendered by tools/bwtop) and an in-terminal status line.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +65,6 @@ struct Config {
   int stall_windows = 4;
   bool status_line = false;       ///< render a live \r status to stderr
   double roof_bytes_per_s = 0;    ///< MachineModel STREAM-triad roof
-  /// >= 0: serve a Prometheus-style plaintext exposition on
-  /// 127.0.0.1:<port> (0 = ephemeral; see bound_port()).
-  int listen_port = -1;
-  std::string listen_unix;        ///< unix-socket path ("" = off)
 };
 
 /// A sampler data source: fills key -> current value. Must be lock-free
@@ -86,11 +81,10 @@ int add_provider(Provider p);
 void remove_provider(int id);
 
 /// Starts a sampling session: resets the ring and step/byte counters,
-/// opens the gate, spawns the sampler (and, if configured, the endpoint
-/// accept loop). Throws if already running.
+/// opens the gate, spawns the sampler. Throws if already running.
 void start(const Config& cfg);
 
-/// Takes one final sample, closes the gate, joins the threads. The
+/// Takes one final sample, closes the gate, joins the sampler. The
 /// collected series stays available via series(). No-op when not running.
 void stop();
 
@@ -106,10 +100,6 @@ void sample_now();
 /// late sample carries the last seen value forward — cumulative counters
 /// stay monotone even when a provider unregisters mid-run).
 TimeSeries series();
-
-/// Port the endpoint actually bound (resolves listen_port = 0); -1 when
-/// no TCP endpoint is live.
-int bound_port();
 
 /// Ranks currently flagged as stalling (flat for >= stall_windows).
 std::vector<int> stalled_ranks();

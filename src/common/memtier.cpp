@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "common/error.hpp"
 
@@ -21,7 +21,7 @@ Config g_cfg;
 // skipped whole, mirroring a page-granular but dat-contiguous placement.
 std::vector<double> g_remaining;
 std::vector<Placement> g_placements;
-std::unordered_map<std::string, std::size_t> g_index;
+std::unordered_set<std::string> g_decided;  // dat names placed so far
 
 // The packing walk shared by auto and firsttouch: first tier (fastest
 // first) that is unbounded or still fits the dat; when nothing fits, the
@@ -51,10 +51,14 @@ void install(Config cfg) {
   const bool packing = cfg.policy == "auto" || cfg.policy == "firsttouch";
   if (!packing) {
     bool found = false;
-    for (const Tier& t : cfg.tiers) found = found || t.name == cfg.policy;
+    std::string names;
+    for (const Tier& t : cfg.tiers) {
+      found = found || t.name == cfg.policy;
+      names += (names.empty() ? "" : "|") + t.name;
+    }
     BWLAB_REQUIRE(found, "memtier: policy '" << cfg.policy
                          << "' names no tier of this machine"
-                         << " (expected auto|firsttouch or a tier name)");
+                         << " (expected auto|firsttouch|" << names << ")");
   }
   std::lock_guard<std::mutex> lock(g_mu);
   g_cfg = std::move(cfg);
@@ -68,7 +72,7 @@ void install(Config cfg) {
     g_remaining.push_back(cap);
   }
   g_placements.clear();
-  g_index.clear();
+  g_decided.clear();
   detail::g_on.enable();
 }
 
@@ -78,7 +82,7 @@ void uninstall() {
   g_cfg = Config{};
   g_remaining.clear();
   g_placements.clear();
-  g_index.clear();
+  g_decided.clear();
 }
 
 namespace detail {
@@ -86,12 +90,11 @@ namespace detail {
 void record(const std::string& name, std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(g_mu);
   if (g_cfg.tiers.empty()) return;  // raced with uninstall()
-  if (g_index.count(name)) return;  // first allocation decided already
+  if (!g_decided.insert(name).second) return;  // first allocation won
   const std::size_t t = decide(bytes);
   if (g_cfg.tiers[t].capacity_bytes > 0)
     g_remaining[t] =
         std::max(0.0, g_remaining[t] - static_cast<double>(bytes));
-  g_index.emplace(name, g_placements.size());
   g_placements.push_back({name, g_cfg.tiers[t].name, bytes});
 }
 
@@ -100,17 +103,6 @@ void record(const std::string& name, std::uint64_t bytes) {
 std::vector<Placement> placements() {
   std::lock_guard<std::mutex> lock(g_mu);
   return g_placements;
-}
-
-std::string tier_of(const std::string& name) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  auto it = g_index.find(name);
-  return it == g_index.end() ? std::string() : g_placements[it->second].tier;
-}
-
-Config config() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return g_cfg;
 }
 
 }  // namespace bwlab::memtier

@@ -1,11 +1,12 @@
 // memtier: the tier-aware dat allocator (the executable half of the
 // memory-mode model). ops::Dat and op2::Dat call on_alloc() from their
 // constructors; when a placement config is installed the allocator
-// assigns each dat to a memory tier (HBM/DDR) by policy, and those
-// decisions flow into the DataMoveProfiler's tier attribution and the
-// run report's "memtier" section. Like every always-on layer the hook is
-// compiled in and gated: the disabled fast path is one relaxed load plus
-// a branch (asserted < 5 ns by bench/gb_memtier_overhead).
+// assigns each dat to a memory tier (HBM/DDR) by policy. It is the only
+// dat -> tier decision in the repo: its decisions are what the run
+// report's "memtier" section (core/memtier.hpp) reports per dat and per
+// tier, and counted bytes never depend on them. Like every always-on
+// layer the hook is compiled in and gated: the disabled fast path is one
+// relaxed load plus a branch (asserted < 5 ns by bench/gb_memtier_overhead).
 //
 // This lives in common (not core/sim) so the ops/op2 runtimes can call
 // the hook without a dependency cycle; core adapts sim::MachineModel
@@ -79,9 +80,5 @@ inline void on_alloc(const std::string& name, std::uint64_t bytes) {
 
 /// Snapshot of the decisions so far, in allocation order.
 std::vector<Placement> placements();
-/// Tier assigned to `name`; "" when unknown or the allocator is off.
-std::string tier_of(const std::string& name);
-/// The installed config (valid while enabled()).
-Config config();
 
 }  // namespace bwlab::memtier

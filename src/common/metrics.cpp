@@ -5,22 +5,11 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace bwlab {
 
 namespace {
-
-/// Minimal JSON string escaping for metric names.
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
 
 template <class Map, class Fn>
 void write_section(std::ostream& os, const char* key, const Map& m, Fn emit,
@@ -30,7 +19,7 @@ void write_section(std::ostream& os, const char* key, const Map& m, Fn emit,
   for (const auto& [name, inst] : m) {
     os << (first ? "\n" : ",\n") << "    \"";
     first = false;
-    write_escaped(os, name);
+    json::write_escaped(os, name);
     os << "\": ";
     emit(inst);
   }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace bwlab::trace {
 
@@ -116,19 +117,6 @@ void push(Ph ph, Cat cat, std::string_view a, std::string_view b,
   push(e, a, b);
 }
 
-/// Escapes the few JSON-hostile characters a span name could contain.
-void write_escaped(std::ostream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
 void write_event_line(std::ostream& os, const ThreadBuffer& tb,
                       const Event& e, std::uint64_t epoch, bool& first) {
   if (!first) os << ",\n";
@@ -142,7 +130,7 @@ void write_event_line(std::ostream& os, const ThreadBuffer& tb,
       os << R"({"ph":"B","pid":)" << tb.rank << R"(,"tid":)" << tb.tid
          << R"(,"ts":)" << ts << R"(,"cat":")" << to_string(e.cat)
          << R"(","name":")";
-      write_escaped(os, e.name);
+      json::write_escaped(os, e.name);
       os << '"';
       if (e.has_args)
         os << R"(,"args":{"peer":)" << e.peer << R"(,"tag":)" << e.tag
@@ -156,7 +144,7 @@ void write_event_line(std::ostream& os, const ThreadBuffer& tb,
     case Ph::Counter:
       os << R"({"ph":"C","pid":)" << tb.rank << R"(,"tid":)" << tb.tid
          << R"(,"ts":)" << ts << R"(,"name":")";
-      write_escaped(os, e.name);
+      json::write_escaped(os, e.name);
       os << R"(","args":{"value":)" << e.value << "}}";
       break;
     case Ph::FlowStart:
@@ -359,7 +347,7 @@ void write_chrome_json(std::ostream& os) {
     os << ",\n"
        << R"({"ph":"M","pid":)" << b->rank << R"(,"tid":)" << b->tid
        << R"(,"name":"thread_name","args":{"name":")";
-    write_escaped(os, b->label.c_str());
+    json::write_escaped(os, b->label);
     os << " (dropped " << b->dropped << ")\"}}";
     // Events, with unmatched begins closed at the final timestamp so the
     // emitted stream always has balanced B/E pairs.

@@ -10,52 +10,11 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/memtier.hpp"
 
 namespace bwlab::core {
 
-namespace {
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
-/// Resolves the tier list the placement runs against: the machine's
-/// tiers, or a single unnamed infinite tier when no machine was given.
-std::vector<sim::MemoryTier> placement_tiers(const sim::MachineModel* m) {
-  if (m != nullptr && !m->tiers.empty()) return m->tiers;
-  return {{"", 0, 0}};
-}
-
-/// Index of the tier a "hbm"/"ddr" pin policy selects.
-std::size_t pinned_tier(const std::vector<sim::MemoryTier>& tiers,
-                        const std::string& policy) {
-  for (std::size_t i = 0; i < tiers.size(); ++i)
-    if (tiers[i].name == policy) return i;
-  // No tier of that name: "hbm" pins to the fastest (first), "ddr" to the
-  // slowest (last) — the closest available meaning.
-  return policy == "hbm" ? 0 : tiers.size() - 1;
-}
-
-}  // namespace
-
-DatMoveReport DataMoveProfiler::analyze(const Instrumentation& instr,
-                                        const sim::MachineModel* machine,
-                                        const std::string& placement) {
-  BWLAB_REQUIRE(placement == "auto" || placement == "hbm" ||
-                    placement == "ddr" || placement == "firsttouch",
-                "unknown placement policy '"
-                    << placement << "' (auto|hbm|ddr|firsttouch)");
+DatMoveReport DataMoveProfiler::analyze(const Instrumentation& instr) {
   DatMoveReport r;
-  r.placement_policy = placement;
-  if (machine != nullptr) r.machine_id = machine->id;
 
   for (const DatMoveRecord* d : instr.datmoves()) {
     r.records.push_back(*d);
@@ -79,70 +38,10 @@ DatMoveReport DataMoveProfiler::analyze(const Instrumentation& instr,
     r.loops.push_back(std::move(s));
   }
 
-  // Placement: pin policies send everything to one tier; "auto" places
-  // dats by traffic, hottest first, into the fastest tier with remaining
-  // capacity (greedy knapsack — the sizing question "which dats earn the
-  // HBM" answered the simple way). When the memtier allocator recorded a
-  // live decision for a dat (it was placed at construction time), that
-  // decision wins over the what-if policy: the report then attributes
-  // traffic to where the data actually lives.
-  const std::vector<sim::MemoryTier> tiers = placement_tiers(machine);
-  std::vector<double> remaining(tiers.size());
-  for (std::size_t t = 0; t < tiers.size(); ++t)
-    remaining[t] = tiers[t].capacity_bytes;
-  std::vector<const DatFootprint*> fps = instr.dat_footprints();
-  std::vector<std::size_t> order(fps.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return fps[a]->bytes_moved > fps[b]->bytes_moved;
-                   });
-  auto tier_index = [&](const std::string& name) {
-    for (std::size_t t = 0; t < tiers.size(); ++t)
-      if (tiers[t].name == name) return t;
-    return tiers.size();
-  };
-  std::vector<std::size_t> chosen(fps.size(), 0);
-  for (const std::size_t i : order) {
-    std::size_t t = tiers.size();
-    if (memtier::enabled()) t = tier_index(memtier::tier_of(fps[i]->dat));
-    if (t == tiers.size()) {
-      if (placement == "hbm" || placement == "ddr") {
-        t = pinned_tier(tiers, placement);
-      } else {
-        // "auto"/"firsttouch" what-if without an allocator decision.
-        // Capacity 0 means "unbounded" (tierless pseudo-tier).
-        t = 0;
-        while (t + 1 < tiers.size() && tiers[t].capacity_bytes > 0 &&
-               remaining[t] < static_cast<double>(fps[i]->alloc_bytes))
-          ++t;
-      }
-    }
-    chosen[i] = t;
-    remaining[t] -= static_cast<double>(fps[i]->alloc_bytes);
+  for (const DatFootprint* f : instr.dat_footprints()) {
+    r.dats.push_back({f->dat, f->alloc_bytes, f->bytes_moved});
+    r.working_set_bytes += f->alloc_bytes;
   }
-  r.tiers.resize(tiers.size());
-  for (std::size_t t = 0; t < tiers.size(); ++t) {
-    r.tiers[t].name = tiers[t].name;
-    r.tiers[t].capacity_bytes = tiers[t].capacity_bytes;
-    r.tiers[t].bw_bytes_per_s = tiers[t].bw_bytes_per_s;
-  }
-  for (std::size_t i = 0; i < fps.size(); ++i) {
-    DatMovePlacement p;
-    p.dat = fps[i]->dat;
-    p.alloc_bytes = fps[i]->alloc_bytes;
-    p.bytes_moved = fps[i]->bytes_moved;
-    p.tier = tiers[chosen[i]].name;
-    r.working_set_bytes += p.alloc_bytes;
-    TierTraffic& tt = r.tiers[chosen[i]];
-    tt.resident_bytes += p.alloc_bytes;
-    tt.traffic_bytes += p.bytes_moved;
-    r.dats.push_back(std::move(p));
-  }
-  for (TierTraffic& tt : r.tiers)
-    if (tt.bw_bytes_per_s > 0)
-      tt.seconds_at_bw =
-          static_cast<double>(tt.traffic_bytes) / tt.bw_bytes_per_s;
 
   // Reuse histogram -> capacity-occupancy curve. Points span the occupied
   // bucket range; served fraction counts reused bytes with distance <=
@@ -178,10 +77,7 @@ DatMoveReport DataMoveProfiler::analyze(const Instrumentation& instr,
 // --- Presentation -----------------------------------------------------------
 
 Table datmove_table(const DatMoveReport& r) {
-  Table t("Data movement per loop — counted vs modeled bytes" +
-          (r.machine_id.empty() ? std::string()
-                                : " (" + r.machine_id + ", placement " +
-                                      r.placement_policy + ")"));
+  Table t("Data movement per loop — counted vs modeled bytes");
   t.set_columns({{"loop", 0},
                  {"counted MB", 3},
                  {"modeled MB", 3},
@@ -192,26 +88,6 @@ Table datmove_table(const DatMoveReport& r) {
   t.add_separator();
   t.add_row({std::string("total"), static_cast<double>(r.total_bytes) / 1e6,
              std::monostate{}, std::monostate{}});
-  return t;
-}
-
-Table datmove_tier_table(const DatMoveReport& r) {
-  Table t("Memory-tier placement (policy " + r.placement_policy + ")");
-  t.set_columns({{"dat", 0},
-                 {"alloc MB", 3},
-                 {"moved MB", 3},
-                 {"tier", 0}});
-  for (const DatMovePlacement& p : r.dats)
-    t.add_row({p.dat, static_cast<double>(p.alloc_bytes) / 1e6,
-               static_cast<double>(p.bytes_moved) / 1e6, p.tier});
-  t.add_separator();
-  for (const TierTraffic& tt : r.tiers)
-    t.add_row({std::string("tier ") + (tt.name.empty() ? "-" : tt.name),
-               static_cast<double>(tt.resident_bytes) / 1e6,
-               static_cast<double>(tt.traffic_bytes) / 1e6,
-               std::string(tt.bw_bytes_per_s > 0
-                               ? std::to_string(tt.seconds_at_bw) + " s @BW"
-                               : "")});
   return t;
 }
 
@@ -249,11 +125,7 @@ void write_json(std::ostream& os, const DatMoveReport& r, int indent) {
   const std::string i0(static_cast<std::size_t>(indent), ' ');
   const std::string in = i0 + "  ";
   const std::string in2 = in + "  ";
-  os << "{\n" << in << "\"placement_policy\": \"";
-  write_json_escaped(os, r.placement_policy);
-  os << "\",\n" << in << "\"machine\": \"";
-  write_json_escaped(os, r.machine_id);
-  os << "\",\n" << in << "\"total_bytes\": " << r.total_bytes << ",\n"
+  os << "{\n" << in << "\"total_bytes\": " << r.total_bytes << ",\n"
      << in << "\"working_set_bytes\": " << r.working_set_bytes << ",\n"
      << in << "\"halo_bytes_sent\": " << r.halo_bytes_sent << ",\n"
      << in << "\"halo_bytes_received\": " << r.halo_bytes_received << ",\n"
@@ -262,9 +134,9 @@ void write_json(std::ostream& os, const DatMoveReport& r, int indent) {
   for (const DatMoveRecord& d : r.records) {
     os << (first ? "\n" : ",\n") << in2 << "{\"loop\": \"";
     first = false;
-    write_json_escaped(os, d.loop);
+    json::write_escaped(os, d.loop);
     os << "\", \"dat\": \"";
-    write_json_escaped(os, d.dat);
+    json::write_escaped(os, d.dat);
     os << "\", \"executions\": " << d.executions
        << ", \"bytes_read\": " << d.bytes_read
        << ", \"bytes_written\": " << d.bytes_written << "}";
@@ -274,21 +146,19 @@ void write_json(std::ostream& os, const DatMoveReport& r, int indent) {
   for (const DatMoveLoopSummary& s : r.loops) {
     os << (first ? "\n" : ",\n") << in2 << "{\"loop\": \"";
     first = false;
-    write_json_escaped(os, s.loop);
+    json::write_escaped(os, s.loop);
     os << "\", \"counted_bytes\": " << s.counted_bytes
        << ", \"modeled_bytes\": " << s.modeled_bytes
        << ", \"drift\": " << s.drift << "}";
   }
   os << (first ? "]" : "\n" + in + "]") << ",\n" << in << "\"dats\": [";
   first = true;
-  for (const DatMovePlacement& p : r.dats) {
+  for (const DatTraffic& d : r.dats) {
     os << (first ? "\n" : ",\n") << in2 << "{\"dat\": \"";
     first = false;
-    write_json_escaped(os, p.dat);
-    os << "\", \"alloc_bytes\": " << p.alloc_bytes
-       << ", \"bytes_moved\": " << p.bytes_moved << ", \"tier\": \"";
-    write_json_escaped(os, p.tier);
-    os << "\"}";
+    json::write_escaped(os, d.dat);
+    os << "\", \"alloc_bytes\": " << d.alloc_bytes
+       << ", \"bytes_moved\": " << d.bytes_moved << "}";
   }
   os << (first ? "]" : "\n" + in + "]") << ",\n" << in
      << "\"reuse\": {\"cold_bytes\": " << r.reuse.cold_bytes
@@ -309,19 +179,7 @@ void write_json(std::ostream& os, const DatMoveReport& r, int indent) {
        << ", \"served_fraction\": " << p.served_fraction << "}";
     first = false;
   }
-  os << "],\n" << in << "\"tiers\": [";
-  first = true;
-  for (const TierTraffic& tt : r.tiers) {
-    os << (first ? "\n" : ",\n") << in2 << "{\"name\": \"";
-    first = false;
-    write_json_escaped(os, tt.name);
-    os << "\", \"capacity_bytes\": " << tt.capacity_bytes
-       << ", \"bw_bytes_per_s\": " << tt.bw_bytes_per_s
-       << ", \"resident_bytes\": " << tt.resident_bytes
-       << ", \"traffic_bytes\": " << tt.traffic_bytes
-       << ", \"seconds_at_bw\": " << tt.seconds_at_bw << "}";
-  }
-  os << (first ? "]" : "\n" + in + "]") << ",\n" << in << "\"chains\": [";
+  os << "],\n" << in << "\"chains\": [";
   first = true;
   for (const ChainMoveRecord& c : r.chains) {
     os << (first ? "\n" : ",\n") << in2
@@ -352,8 +210,6 @@ DatMoveReport datmove_from_json(const json::Value& dm) {
                 "input has no datmove section");
 
   DatMoveReport r;
-  r.placement_policy = str_field(dm, "placement_policy");
-  r.machine_id = str_field(dm, "machine");
   r.total_bytes = count_field(dm, "total_bytes");
   r.working_set_bytes = count_field(dm, "working_set_bytes");
   r.halo_bytes_sent = count_field(dm, "halo_bytes_sent");
@@ -380,12 +236,8 @@ DatMoveReport datmove_from_json(const json::Value& dm) {
     }
   if (const json::Value* a = dm.find("dats"))
     for (const json::Value& e : a->arr) {
-      DatMovePlacement p;
-      p.dat = str_field(e, "dat");
-      p.alloc_bytes = count_field(e, "alloc_bytes");
-      p.bytes_moved = count_field(e, "bytes_moved");
-      p.tier = str_field(e, "tier");
-      r.dats.push_back(std::move(p));
+      r.dats.push_back({str_field(e, "dat"), count_field(e, "alloc_bytes"),
+                        count_field(e, "bytes_moved")});
     }
   if (const json::Value* o = dm.find("reuse")) {
     r.reuse.cold_bytes = count_field(*o, "cold_bytes");
@@ -402,17 +254,6 @@ DatMoveReport datmove_from_json(const json::Value& dm) {
       p.capacity_bytes = num_field(e, "capacity_bytes");
       p.served_fraction = num_field(e, "served_fraction");
       r.occupancy.push_back(p);
-    }
-  if (const json::Value* a = dm.find("tiers"))
-    for (const json::Value& e : a->arr) {
-      TierTraffic tt;
-      tt.name = str_field(e, "name");
-      tt.capacity_bytes = num_field(e, "capacity_bytes");
-      tt.bw_bytes_per_s = num_field(e, "bw_bytes_per_s");
-      tt.resident_bytes = count_field(e, "resident_bytes");
-      tt.traffic_bytes = count_field(e, "traffic_bytes");
-      tt.seconds_at_bw = num_field(e, "seconds_at_bw");
-      r.tiers.push_back(std::move(tt));
     }
   if (const json::Value* a = dm.find("chains"))
     for (const json::Value& e : a->arr) {

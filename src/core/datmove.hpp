@@ -2,13 +2,13 @@
 // runtime (common/instrument.hpp, gathered by ops::par_loop /
 // op2::par_loop / ops::ChainQueue when datmove is enabled) into a
 // DatMoveReport — per-loop counted-vs-modeled byte summaries, per-dat
-// traffic and memory-tier placement against sim/machine tier definitions,
-// the byte-weighted reuse-distance histogram with its capacity-occupancy
-// curve, per-chain working sets, and halo pack/unpack totals. This is the
-// measured ground truth the ROADMAP's HBM cache/flat tier modeling needs:
-// the occupancy curve says what fraction of traffic a fast tier of a
-// given size could serve, the tier table what the placed traffic costs at
-// each tier's achieved bandwidth.
+// traffic, the byte-weighted reuse-distance histogram with its
+// capacity-occupancy curve, per-chain working sets, and halo pack/unpack
+// totals. This is the measured ground truth the HBM cache/flat tier
+// model needs: the occupancy curve says what fraction of traffic a fast
+// tier of a given size could serve. Which tier each dat lives on is the
+// memtier allocator's decision (common/memtier.hpp), reported in the
+// "memtier" section (core/memtier.hpp); counted bytes never depend on it.
 #pragma once
 
 #include <iosfwd>
@@ -18,7 +18,6 @@
 #include "common/instrument.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
-#include "sim/machine.hpp"
 
 namespace bwlab::core {
 
@@ -31,12 +30,11 @@ struct DatMoveLoopSummary {
   double drift = 0;           ///< counted/modeled - 1 (0 = exact agreement)
 };
 
-/// One dat's traffic and its assigned memory tier.
-struct DatMovePlacement {
+/// One dat's allocation footprint and the bytes its loops moved.
+struct DatTraffic {
   std::string dat;
   count_t alloc_bytes = 0;
   count_t bytes_moved = 0;
-  std::string tier;  ///< tier name, "" when no machine was given
 };
 
 /// One point of the capacity-occupancy curve: the fraction of total
@@ -47,30 +45,17 @@ struct OccupancyPoint {
   double served_fraction = 0;
 };
 
-/// Traffic attributed to one machine memory tier by the placement.
-struct TierTraffic {
-  std::string name;
-  double capacity_bytes = 0;
-  double bw_bytes_per_s = 0;
-  count_t resident_bytes = 0;  ///< placed allocation footprint
-  count_t traffic_bytes = 0;   ///< placed moved bytes
-  double seconds_at_bw = 0;    ///< traffic at the tier's achieved BW
-};
-
 /// The "datmove" run-report section (see write_json for the layout).
 struct DatMoveReport {
-  std::string placement_policy;  ///< "auto" | "hbm" | "ddr"
-  std::string machine_id;        ///< empty when no machine was given
-  count_t total_bytes = 0;       ///< all counted loop bytes
+  count_t total_bytes = 0;        ///< all counted loop bytes
   count_t working_set_bytes = 0;  ///< sum of dat allocation footprints
   count_t halo_bytes_sent = 0;
   count_t halo_bytes_received = 0;
   std::vector<DatMoveRecord> records;        ///< per (loop, dat)
   std::vector<DatMoveLoopSummary> loops;     ///< first-execution order
-  std::vector<DatMovePlacement> dats;        ///< first-touch order
+  std::vector<DatTraffic> dats;              ///< first-touch order
   ReuseHistogram reuse;
   std::vector<OccupancyPoint> occupancy;
-  std::vector<TierTraffic> tiers;
   std::vector<ChainMoveRecord> chains;
 };
 
@@ -83,22 +68,12 @@ class DataMoveProfiler {
   static void disable() { datmove::disable(); }
   static bool enabled() { return datmove::enabled(); }
 
-  /// Builds the report from a finished run's instrumentation. `machine`
-  /// supplies tier definitions (pass nullptr for tierless reports);
-  /// `placement` is "auto" (greedy by traffic, fastest tier first, until
-  /// its capacity is exhausted), "hbm" or "ddr" (pin everything to the
-  /// named tier, falling back to the fastest/slowest tier respectively
-  /// when the machine has no tier of that name).
-  static DatMoveReport analyze(const Instrumentation& instr,
-                               const sim::MachineModel* machine = nullptr,
-                               const std::string& placement = "auto");
+  /// Builds the report from a finished run's instrumentation.
+  static DatMoveReport analyze(const Instrumentation& instr);
 };
 
 /// Per-loop counted-vs-modeled summary table for console output.
 Table datmove_table(const DatMoveReport& r);
-/// Per-dat placement + per-tier traffic table (empty-tier rows when the
-/// report was built without a machine).
-Table datmove_tier_table(const DatMoveReport& r);
 /// Reuse-distance / capacity-occupancy table.
 Table datmove_reuse_table(const DatMoveReport& r);
 

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace bwlab::core {
@@ -38,17 +39,6 @@ const char* to_string(Significance s) {
 }
 
 namespace {
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
 
 /// Per-loop counted bytes: bwmem exact counts when the report has a
 /// datmove section, the loop record's useful-bytes estimate otherwise.
@@ -375,7 +365,7 @@ void write_json(std::ostream& os, const DiffReport& d) {
   for (const LoopDelta& l : d.loops) {
     os << (first ? "\n" : ",\n") << "    {\"name\": \"";
     first = false;
-    write_json_escaped(os, l.name);
+    json::write_escaped(os, l.name);
     os << "\", \"status\": \"" << to_string(l.status)
        << "\", \"a_seconds\": " << l.a_seconds
        << ", \"b_seconds\": " << l.b_seconds
@@ -417,9 +407,9 @@ void write_json(std::ostream& os, const DiffReport& d) {
   for (const DatDelta& x : d.dats) {
     os << (first ? "\n" : ",\n") << "    {\"loop\": \"";
     first = false;
-    write_json_escaped(os, x.loop);
+    json::write_escaped(os, x.loop);
     os << "\", \"dat\": \"";
-    write_json_escaped(os, x.dat);
+    json::write_escaped(os, x.dat);
     os << "\", \"status\": \"" << to_string(x.status)
        << "\", \"a_bytes\": " << x.a_bytes << ", \"b_bytes\": " << x.b_bytes
        << ", \"delta_bytes\": " << x.delta_bytes << "}";

@@ -9,25 +9,9 @@
 
 namespace bwlab::core {
 
-namespace {
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
-}  // namespace
-
 MemTierSection build_memtier_section(const Instrumentation& instr,
                                      const sim::MachineModel& m,
-                                     const std::string& place,
-                                     const DatMoveReport* dm) {
+                                     const std::string& place) {
   MemTierSection s;
   s.present = true;
   s.machine_id = m.id;
@@ -35,12 +19,9 @@ MemTierSection build_memtier_section(const Instrumentation& instr,
   s.snc = m.snc;
   s.place = place;
 
-  // The dat -> tier map: live allocator decisions first, then the
-  // what-if placement the DataMoveProfiler computed, then "fastest tier"
-  // for anything still unmapped.
+  // The dat -> tier map: the live allocator's decisions, and the fastest
+  // tier for any dat it did not place.
   std::map<std::string, std::string> dat_tier;
-  if (dm != nullptr)
-    for (const DatMovePlacement& p : dm->dats) dat_tier[p.dat] = p.tier;
   if (memtier::enabled())
     for (const memtier::Placement& p : memtier::placements())
       dat_tier[p.dat] = p.tier;
@@ -139,12 +120,12 @@ void write_json(std::ostream& os, const MemTierSection& s, int indent) {
   const std::string in2 = in + "  ";
   os << "{\n" << in << "\"schema_version\": " << s.schema_version << ",\n"
      << in << "\"machine\": \"";
-  write_json_escaped(os, s.machine_id);
+  json::write_escaped(os, s.machine_id);
   os << "\",\n" << in << "\"mode\": \"";
-  write_json_escaped(os, s.mode);
+  json::write_escaped(os, s.mode);
   os << "\",\n" << in << "\"snc\": " << (s.snc ? "true" : "false") << ",\n"
      << in << "\"place\": \"";
-  write_json_escaped(os, s.place);
+  json::write_escaped(os, s.place);
   os << "\",\n" << in << "\"working_set_bytes\": " << s.working_set_bytes
      << ",\n" << in << "\"hbm_capacity_bytes\": " << s.hbm_capacity_bytes
      << ",\n" << in << "\"hbm_hit_fraction\": " << s.hbm_hit_fraction << ",\n"
@@ -155,7 +136,7 @@ void write_json(std::ostream& os, const MemTierSection& s, int indent) {
   for (const MemTierTier& t : s.tiers) {
     os << (first ? "\n" : ",\n") << in2 << "{\"name\": \"";
     first = false;
-    write_json_escaped(os, t.name);
+    json::write_escaped(os, t.name);
     os << "\", \"capacity_bytes\": " << t.capacity_bytes
        << ", \"bw_bytes_per_s\": " << t.bw_bytes_per_s
        << ", \"resident_bytes\": " << t.resident_bytes
@@ -166,9 +147,9 @@ void write_json(std::ostream& os, const MemTierSection& s, int indent) {
   for (const MemTierPlacement& p : s.placements) {
     os << (first ? "\n" : ",\n") << in2 << "{\"dat\": \"";
     first = false;
-    write_json_escaped(os, p.dat);
+    json::write_escaped(os, p.dat);
     os << "\", \"tier\": \"";
-    write_json_escaped(os, p.tier);
+    json::write_escaped(os, p.tier);
     os << "\", \"alloc_bytes\": " << p.alloc_bytes << "}";
   }
   os << (first ? "]" : "\n" + in + "]") << ",\n" << in << "\"loop_roofs\": [";
@@ -176,15 +157,15 @@ void write_json(std::ostream& os, const MemTierSection& s, int indent) {
   for (const LoopTierRoofs& l : s.loop_roofs) {
     os << (first ? "\n" : ",\n") << in2 << "{\"loop\": \"";
     first = false;
-    write_json_escaped(os, l.loop);
+    json::write_escaped(os, l.loop);
     os << "\", \"measured_s\": " << l.measured_s << ", \"binding_tier\": \"";
-    write_json_escaped(os, l.binding_tier);
+    json::write_escaped(os, l.binding_tier);
     os << "\", \"roof_seconds\": " << l.roof_seconds << ", \"tiers\": [";
     bool tfirst = true;
     for (const TierRoofEntry& e : l.tiers) {
       os << (tfirst ? "" : ", ") << "{\"tier\": \"";
       tfirst = false;
-      write_json_escaped(os, e.tier);
+      json::write_escaped(os, e.tier);
       os << "\", \"bytes\": " << e.bytes
          << ", \"roof_seconds\": " << e.roof_seconds << "}";
     }

@@ -14,7 +14,6 @@
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/attribution.hpp"
-#include "core/datmove.hpp"
 #include "sim/machine.hpp"
 
 namespace bwlab::core {
@@ -61,13 +60,12 @@ struct MemTierSection {
 };
 
 /// Builds the section from the run's instrumentation and machine model.
-/// Placement decisions come from the live memtier allocator when it is
-/// enabled, else from `dm`'s what-if placement when given, else every dat
-/// is attributed to the fastest tier.
+/// Placement decisions come from the live memtier allocator, the repo's
+/// only dat -> tier decision; a dat it did not place (or every dat, when
+/// it is not installed) is attributed to the fastest tier.
 MemTierSection build_memtier_section(const Instrumentation& instr,
                                      const sim::MachineModel& m,
-                                     const std::string& place,
-                                     const DatMoveReport* dm = nullptr);
+                                     const std::string& place);
 
 /// Adapts `m`'s tiers into a memtier::Config (node capacities, SNC-aware
 /// numa_domains) and installs the allocator with policy `place`.

@@ -56,17 +56,6 @@ SlowdownSummary summarize_slowdowns(
 
 namespace {
 
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
 }  // namespace
 
 Table top_loops_table(const Instrumentation& instr, std::size_t top_n) {
@@ -217,11 +206,11 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
   os << "{\n";
   if (r.provenance.present) {
     os << "  \"provenance\": {\"git_sha\": \"";
-    write_json_escaped(os, r.provenance.git_sha);
+    json::write_escaped(os, r.provenance.git_sha);
     os << "\", \"machine\": \"";
-    write_json_escaped(os, r.provenance.machine);
+    json::write_escaped(os, r.provenance.machine);
     os << "\", \"cmdline\": \"";
-    write_json_escaped(os, r.provenance.cmdline);
+    json::write_escaped(os, r.provenance.cmdline);
     os << "\", \"seed\": " << r.provenance.seed << "},\n";
   }
   os << "  \"loops\": [";
@@ -229,7 +218,7 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
   for (const ReportLoop& l : r.loops) {
     os << (first ? "\n" : ",\n") << "    {\"name\": \"";
     first = false;
-    write_json_escaped(os, l.name);
+    json::write_escaped(os, l.name);
     os << "\", \"calls\": " << l.calls << ", \"points\": " << l.points
        << ", \"bytes\": " << l.bytes << ", \"flops\": " << l.flops
        << ", \"host_seconds\": " << l.host_seconds
@@ -243,7 +232,7 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
   for (const ReportExchange& e : r.exchanges) {
     os << (first ? "\n" : ",\n") << "    {\"dat\": \"";
     first = false;
-    write_json_escaped(os, e.dat);
+    json::write_escaped(os, e.dat);
     os << "\", \"exchanges\": " << e.exchanges
        << ", \"messages\": " << e.messages << ", \"bytes\": " << e.bytes
        << ", \"bytes_received\": " << e.bytes_received
@@ -263,9 +252,9 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
   if (r.has_attribution) {
     const AttributionReport& attr = r.attribution;
     os << ",\n  \"attribution\": {\n    \"machine\": \"";
-    write_json_escaped(os, attr.machine_id);
+    json::write_escaped(os, attr.machine_id);
     os << "\", \"config\": \"";
-    write_json_escaped(os, attr.config_label);
+    json::write_escaped(os, attr.config_label);
     os << "\", \"tolerance\": " << attr.tolerance
        << ", \"byte_tolerance\": " << attr.byte_tolerance
        << ",\n    \"measured_total_seconds\": " << attr.measured_total
@@ -277,7 +266,7 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
     for (const LoopAttribution& a : attr.loops) {
       os << (afirst ? "\n" : ",\n") << "      {\"name\": \"";
       afirst = false;
-      write_json_escaped(os, a.name);
+      json::write_escaped(os, a.name);
       os << "\", \"measured_seconds\": " << a.measured_s
          << ", \"predicted_seconds\": " << a.predicted_s
          << ", \"mem_roof_seconds\": " << a.mem_roof_s
@@ -335,7 +324,7 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
       os << (tfirst ? "\n" : ",\n") << "      {\"rank\": " << d.rank
          << ", \"tid\": " << d.tid << ", \"label\": \"";
       tfirst = false;
-      write_json_escaped(os, d.label);
+      json::write_escaped(os, d.label);
       os << "\", \"dropped\": " << d.dropped << "}";
     }
     os << (tfirst ? "]" : "\n    ]") << "\n  }";

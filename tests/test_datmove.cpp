@@ -4,9 +4,10 @@
 // pack/unpack bytes agreeing with the runtime's own RankStats counters on
 // a distributed CloverLeaf run, the counted-vs-modeled byte-drift
 // diagnostic staying under tolerance on clover2d (and firing on a
-// deliberately miscalibrated model), memory-tier placement policies, and
-// the "datmove" JSON section round-tripping through write_json /
-// parse_datmove_json.
+// deliberately miscalibrated model), per-dat traffic and the occupancy
+// curve, and the "datmove" JSON section round-tripping through
+// write_json / parse_datmove_json. Tier placement is the memtier
+// allocator's (test_memtier.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -230,51 +231,45 @@ TEST(DatMove, CloverByteDriftUnderToleranceAndMiscalibrationFires) {
     }
 }
 
-// --- Tier placement ----------------------------------------------------------
+// --- Per-dat traffic ---------------------------------------------------------
 
-TEST(DatMove, PlacementPoliciesPinAndPack) {
+TEST(DatMove, PerDatTrafficSumsToCountedTotalWithOccupancy) {
   const DatMoveGuard guard;
   constexpr idx_t kN = 64;
   Context ctx;
   Block blk(ctx, "g", 2, {kN, kN, 1});
   Dat<double> a(blk, "a", 0), b(blk, "b", 0);
   a.fill(1.0);
-  par_loop({"copy", 0.0}, blk, Range::make2d(0, kN, 0, kN),
-           [](Acc<const double> x, Acc<double> o) { o(0, 0) = x(0, 0); },
-           read(a), write(b));
+  // Two passes: the second re-touches both dats, so the reuse histogram
+  // has non-cold bytes and the occupancy curve has points.
+  for (int pass = 0; pass < 2; ++pass)
+    par_loop({"copy", 0.0}, blk, Range::make2d(0, kN, 0, kN),
+             [](Acc<const double> x, Acc<double> o) { o(0, 0) = x(0, 0); },
+             read(a), write(b));
 
-  const sim::MachineModel& m = sim::machine_by_id("max9480");
-  const core::DatMoveReport hbm =
-      core::DataMoveProfiler::analyze(ctx.instr(), &m, "hbm");
-  ASSERT_EQ(hbm.dats.size(), 2u);
-  for (const core::DatMovePlacement& p : hbm.dats) EXPECT_EQ(p.tier, "hbm");
-  ASSERT_EQ(hbm.tiers.size(), 1u);
-  EXPECT_EQ(hbm.tiers[0].traffic_bytes, hbm.total_bytes);
-  EXPECT_GT(hbm.tiers[0].seconds_at_bw, 0.0);
-
-  // max9480 has no "ddr" tier: the pin falls back to the slowest tier.
-  const core::DatMoveReport ddr =
-      core::DataMoveProfiler::analyze(ctx.instr(), &m, "ddr");
-  for (const core::DatMovePlacement& p : ddr.dats)
-    EXPECT_EQ(p.tier, "hbm");
-
-  // Tierless analysis still produces totals and an occupancy curve.
-  const core::DatMoveReport bare =
-      core::DataMoveProfiler::analyze(ctx.instr());
-  EXPECT_EQ(bare.machine_id, "");
-  EXPECT_EQ(bare.total_bytes, hbm.total_bytes);
-  for (const core::DatMovePlacement& p : bare.dats) EXPECT_EQ(p.tier, "");
-
-  EXPECT_THROW(core::DataMoveProfiler::analyze(ctx.instr(), &m, "weird"),
-               Error);
+  const core::DatMoveReport r = core::DataMoveProfiler::analyze(ctx.instr());
+  EXPECT_EQ(r.total_bytes, static_cast<count_t>(2 * 2 * kN * kN * 8));
+  ASSERT_EQ(r.dats.size(), 2u);
+  count_t moved = 0, alloc = 0;
+  for (const core::DatTraffic& d : r.dats) {
+    moved += d.bytes_moved;
+    alloc += d.alloc_bytes;
+  }
+  EXPECT_EQ(moved, r.total_bytes);
+  EXPECT_EQ(alloc, r.working_set_bytes);
+  ASSERT_FALSE(r.occupancy.empty());
+  double prev = 0;
+  for (const core::OccupancyPoint& p : r.occupancy) {
+    EXPECT_GE(p.served_fraction, prev);
+    prev = p.served_fraction;
+  }
+  EXPECT_LE(prev, 1.0);
 }
 
 // --- JSON round-trip ---------------------------------------------------------
 
 void expect_reports_equal(const core::DatMoveReport& x,
                           const core::DatMoveReport& y) {
-  EXPECT_EQ(x.placement_policy, y.placement_policy);
-  EXPECT_EQ(x.machine_id, y.machine_id);
   EXPECT_EQ(x.total_bytes, y.total_bytes);
   EXPECT_EQ(x.working_set_bytes, y.working_set_bytes);
   EXPECT_EQ(x.halo_bytes_sent, y.halo_bytes_sent);
@@ -300,7 +295,6 @@ void expect_reports_equal(const core::DatMoveReport& x,
     EXPECT_EQ(x.dats[i].dat, y.dats[i].dat);
     EXPECT_EQ(x.dats[i].alloc_bytes, y.dats[i].alloc_bytes);
     EXPECT_EQ(x.dats[i].bytes_moved, y.dats[i].bytes_moved);
-    EXPECT_EQ(x.dats[i].tier, y.dats[i].tier);
   }
   EXPECT_EQ(x.reuse.cold_bytes, y.reuse.cold_bytes);
   for (int i = 0; i < Histogram::kBuckets; ++i)
@@ -312,12 +306,6 @@ void expect_reports_equal(const core::DatMoveReport& x,
                 1e-5 * (1.0 + x.occupancy[i].capacity_bytes));
     EXPECT_NEAR(x.occupancy[i].served_fraction, y.occupancy[i].served_fraction,
                 1e-5);
-  }
-  ASSERT_EQ(x.tiers.size(), y.tiers.size());
-  for (std::size_t i = 0; i < x.tiers.size(); ++i) {
-    EXPECT_EQ(x.tiers[i].name, y.tiers[i].name);
-    EXPECT_EQ(x.tiers[i].resident_bytes, y.tiers[i].resident_bytes);
-    EXPECT_EQ(x.tiers[i].traffic_bytes, y.tiers[i].traffic_bytes);
   }
   ASSERT_EQ(x.chains.size(), y.chains.size());
   for (std::size_t i = 0; i < x.chains.size(); ++i) {
@@ -335,9 +323,7 @@ TEST(DatMove, JsonRoundTripsBareAndInsideRunReport) {
   opt.n = 24;
   opt.iterations = 2;
   const apps::Result res = apps::clover2d::run(opt);
-  const sim::MachineModel& m = sim::machine_by_id("max9480");
-  const core::DatMoveReport rep =
-      core::DataMoveProfiler::analyze(res.instr, &m, "auto");
+  const core::DatMoveReport rep = core::DataMoveProfiler::analyze(res.instr);
   EXPECT_GT(rep.total_bytes, 0u);
   EXPECT_FALSE(rep.records.empty());
 

@@ -229,8 +229,7 @@ TEST_F(DiffTest, RunReportRoundTripIsBitwise) {
   ASSERT_NE(res.checksum, 0.0);
 
   const causal::Report causal_rep = causal::analyze_live();
-  const DatMoveReport dm =
-      DataMoveProfiler::analyze(res.instr, nullptr, "auto");
+  const DatMoveReport dm = DataMoveProfiler::analyze(res.instr);
   RunProvenance prov;
   prov.present = true;
   prov.git_sha = "deadbeef";

@@ -4,17 +4,11 @@
 // consistency with the run's exit aggregates (RankStats sums, 1-rank
 // exact datmove bytes), the stall classifier firing BEFORE the bwfault
 // watchdog trips, the schema-versioned timeseries JSON round-trip (alone
-// and inside the run report), the Prometheus-style endpoint, and the
-// ThreadPool census provider.
+// and inside the run report), and the ThreadPool census provider.
 #include <gtest/gtest.h>
-
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -327,44 +321,6 @@ TEST_F(LiveTest, RunReportRoundTripsTimeseriesSection) {
   // An empty series stays absent, keeping default reports byte-identical.
   const core::RunReport plain = core::make_run_report(instr);
   EXPECT_FALSE(plain.has_timeseries);
-}
-
-// --- The streaming endpoint --------------------------------------------------
-
-std::string scrape(int port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  const char req[] = "GET /metrics HTTP/1.0\r\n\r\n";
-  EXPECT_GT(write(fd, req, sizeof req - 1), 0);
-  std::string out;
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = read(fd, buf, sizeof buf)) > 0)
-    out.append(buf, static_cast<std::size_t>(n));
-  close(fd);
-  return out;
-}
-
-TEST_F(LiveTest, EndpointServesCurrentSampleWhileLive) {
-  live::Config cfg = quiet_config();
-  cfg.listen_port = 0;  // ephemeral
-  live::start(cfg);
-  live::on_step(0);
-  live::sample_now();
-  const int port = live::bound_port();
-  ASSERT_GT(port, 0);
-  const std::string reply = scrape(port);
-  EXPECT_NE(reply.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(reply.find("bwlab_live_up 1"), std::string::npos);
-  EXPECT_NE(reply.find("# TYPE bwlab_rank_0_steps gauge"), std::string::npos);
-  EXPECT_NE(reply.find("bwlab_rank_0_steps 1"), std::string::npos);
-  live::stop();
-  EXPECT_EQ(live::bound_port(), -1);
 }
 
 // --- Census providers --------------------------------------------------------

@@ -11,7 +11,7 @@
 //   * placement determinism: the same seed + config produces the same
 //     tier map, and pin policies land every dat on the pinned tier.
 // Plus the "memtier" report-section JSON round-trip and the live
-// allocator feeding the bwmem tier attribution.
+// allocator's decisions driving that section's tier table and roofs.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -340,7 +340,7 @@ TEST(MemTier, FirstAllocationWinsAndPinValidation) {
   ASSERT_EQ(memtier::placements().size(), 1u);
   EXPECT_EQ(memtier::placements()[0].bytes, 1024u);
   memtier::uninstall();
-  EXPECT_EQ(memtier::tier_of("a"), "");
+  EXPECT_TRUE(memtier::placements().empty());
   // A pin to a tier the machine lacks is rejected at install time.
   memtier::Config bad;
   bad.policy = "hbm";
@@ -393,26 +393,66 @@ TEST(MemTier, SectionJsonRoundTripIsBitwise) {
       << "memtier write -> parse -> rewrite must be bitwise stable";
 }
 
-TEST(MemTier, LiveAllocatorDecisionsFeedDatmoveTierAttribution) {
+TEST(MemTier, PinPlacesEveryDatAndTierTrafficSumsToCountedTotal) {
   const LayerGuard guard;
   const sim::MachineModel& m = sim::machine_by_id("max9480-flat");
-  // Pin every dat to DDR at construction time; the what-if policy says
-  // "auto" but the live decision must win in the datmove report.
+  constexpr idx_t kN = 64;
+  for (const std::string pin : {"hbm", "ddr"}) {
+    core::install_memtier_allocator(m, pin);
+    Context ctx;
+    Block blk(ctx, "g", 2, {kN, kN, 1});
+    Dat<double> a(blk, "a", 0), b(blk, "b", 0);
+    a.fill(1.0);
+    par_loop({"copy", 0.0}, blk, Range::make2d(0, kN, 0, kN),
+             [](Acc<const double> x, Acc<double> o) { o(0, 0) = x(0, 0); },
+             read(a), write(b));
+    const core::MemTierSection mt =
+        core::build_memtier_section(ctx.instr(), m, pin);
+    ASSERT_EQ(mt.placements.size(), 2u) << pin;
+    for (const core::MemTierPlacement& p : mt.placements)
+      EXPECT_EQ(p.tier, pin) << p.dat;
+    const count_t counted =
+        core::DataMoveProfiler::analyze(ctx.instr()).total_bytes;
+    EXPECT_GT(counted, 0u);
+    count_t traffic = 0;
+    for (const core::MemTierTier& t : mt.tiers) {
+      traffic += t.traffic_bytes;
+      EXPECT_EQ(t.traffic_bytes, t.name == pin ? counted : 0u) << t.name;
+    }
+    EXPECT_EQ(traffic, counted) << pin;
+    memtier::uninstall();
+  }
+  // A pin the machine cannot honour is rejected, never silently moved to
+  // another tier: HBM-only max9480 has no "ddr".
+  EXPECT_THROW(
+      core::install_memtier_allocator(sim::machine_by_id("max9480"), "ddr"),
+      Error);
+  EXPECT_THROW(core::install_memtier_allocator(m, "weird"), Error);
+}
+
+TEST(MemTier, LiveAllocatorDecisionsDriveTheSectionEndToEnd) {
+  const LayerGuard guard;
+  const sim::MachineModel& m = sim::machine_by_id("max9480-flat");
+  // Pin every dat to DDR at construction time: the section's placements,
+  // tier table and per-tier loop roofs all follow the live decisions.
   core::install_memtier_allocator(m, "ddr");
   apps::Options opt;
   opt.n = 16;
   opt.iterations = 1;
   const apps::Result res = apps::clover2d::run(opt);
-  const core::DatMoveReport dm =
-      core::DataMoveProfiler::analyze(res.instr, &m, "auto");
-  ASSERT_FALSE(dm.dats.empty());
-  for (const core::DatMovePlacement& p : dm.dats)
-    EXPECT_EQ(p.tier, "ddr") << p.dat;
-  // And the memtier section agrees end to end.
   const core::MemTierSection mt =
-      core::build_memtier_section(res.instr, m, "ddr", &dm);
+      core::build_memtier_section(res.instr, m, "ddr");
+  ASSERT_FALSE(mt.placements.empty());
   for (const core::MemTierPlacement& p : mt.placements)
     EXPECT_EQ(p.tier, "ddr") << p.dat;
+  ASSERT_EQ(mt.tiers.size(), 2u);
+  EXPECT_EQ(mt.tiers[0].name, "hbm");
+  EXPECT_EQ(mt.tiers[0].resident_bytes, 0u);
+  EXPECT_EQ(mt.tiers[0].traffic_bytes, 0u);
+  EXPECT_EQ(mt.tiers[1].resident_bytes, mt.working_set_bytes);
+  EXPECT_EQ(mt.tiers[1].traffic_bytes,
+            core::DataMoveProfiler::analyze(res.instr).total_bytes);
+  ASSERT_FALSE(mt.loop_roofs.empty());
   for (const core::LoopTierRoofs& l : mt.loop_roofs) {
     EXPECT_EQ(l.binding_tier, "ddr") << l.loop;
     ASSERT_EQ(l.tiers.size(), 1u) << l.loop;

@@ -12,9 +12,7 @@
 //
 // To watch a run in real time, point --follow at the file the run will
 // write and start the run with --live-out to the same path; bwtop keeps
-// rendering the latest state each refresh. The Prometheus endpoint
-// (--live-listen) serves the same numbers to curl/scrapers while the run
-// is still in flight.
+// rendering the latest state each refresh.
 #include <chrono>
 #include <cstddef>
 #include <iostream>

@@ -1,8 +1,8 @@
 // datmove_report: offline bwmem analysis of a saved run report.
 //
 // Reads the "datmove" section written by `run_app --datmove --report=F`
-// (or a bare datmove JSON object) and re-prints the per-loop, per-tier
-// and reuse tables without re-running the application. With --capacity
+// (or a bare datmove JSON object) and re-prints the per-loop and reuse
+// tables without re-running the application. With --capacity
 // it evaluates the reuse histogram at a hypothetical fast-tier size —
 // the "would this working set fit in HBM?" question — reporting the
 // estimated spill traffic and served fraction at that capacity.
@@ -55,14 +55,8 @@ int main(int argc, char** argv) {
 
   std::cout << path << ": " << rep.total_bytes << " counted bytes across "
             << rep.loops.size() << " loops / " << rep.dats.size()
-            << " dats, working set " << rep.working_set_bytes << " bytes";
-  if (!rep.machine_id.empty())
-    std::cout << " (placement " << rep.placement_policy << " on "
-              << rep.machine_id << ")";
-  std::cout << "\n\n";
+            << " dats, working set " << rep.working_set_bytes << " bytes\n\n";
   core::datmove_table(rep).print(std::cout);
-  std::cout << "\n";
-  core::datmove_tier_table(rep).print(std::cout);
   std::cout << "\n";
   core::datmove_reuse_table(rep).print(std::cout);
 
