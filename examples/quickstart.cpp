@@ -105,8 +105,9 @@ int main(int argc, char** argv) {
   if (!obs.metrics_path.empty())
     MetricsRegistry::global().write_json_file(obs.metrics_path);
   if (!obs.report_path.empty())
-    core::write_run_report_json_file(obs.report_path, serial.instr,
-                                     &MetricsRegistry::global());
+    core::write_run_report_json_file(
+        obs.report_path,
+        core::make_run_report(serial.instr, &MetricsRegistry::global()));
 
   // 2. Profile extraction: scale the measured kernel up to a 7680^2 run.
   core::AppProfile prof =

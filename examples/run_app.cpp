@@ -1,6 +1,6 @@
 // run_app: the observability harness. Runs any of the proxy applications
 // with chosen size / ranks / threads / execution mode and writes the
-// bwtrace artifacts:
+// bwtrace artifacts (a flag run_app does not know is rejected, exit 1):
 //
 //   --trace=FILE    Chrome trace-event JSON (open in Perfetto or
 //                   chrome://tracing): kernel, halo, tile, and comm spans
@@ -174,9 +174,9 @@ int run_main(int argc, char** argv) {
               << "  --live-out=FILE --live-ring=N --live-stall-windows=W\n";
     return 0;
   }
+  const std::string app_flag = cli.get("app", "clover2d");
   const std::string app = canonical_app(
-      cli.positional().empty() ? cli.get("app", "clover2d")
-                               : cli.positional().front());
+      cli.positional().empty() ? app_flag : cli.positional().front());
   apps::Options opt;
   opt.n = cli.get_int("n", 32);
   opt.iterations = static_cast<int>(cli.get_int("iters", 3));
@@ -216,34 +216,41 @@ int run_main(int argc, char** argv) {
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345));
 
   const core::Robustness rob = core::robustness_from_cli(cli);
+  const ObservabilityFlags obs = observability_flags(cli);
+  const auto trace_buffer =
+      static_cast<std::size_t>(cli.get_int("trace-buffer", 1LL << 20));
+  const bool datmove_on = cli.get_bool("datmove", false);
+  const std::string place = cli.get("place", "");
+  const bool memtier_on = !place.empty() || !mode.empty() || cli.has("snc");
+  const std::string place_policy = place.empty() ? "auto" : place;
+  // bwlive: any --live-* flag arms per-run sampling.
+  bool live_on = false;
+  for (const char* flag : {"live", "live-interval-ms", "live-status",
+                           "live-out", "live-ring", "live-stall-windows"})
+    live_on = cli.has(flag) || live_on;
+  const double attr_tol = cli.get_double("attr-tol", 0.25);
+  const double byte_tol = cli.get_double("byte-tol", 0.10);
+  const bool summary = cli.get_bool("summary", false);
+  const std::string diff_against = cli.get("diff-against", "");
+  cli.reject_unknown();
+
   rob.apply(opt);
   rob.install();
-
-  const ObservabilityFlags obs = observability_flags(cli);
   // --causal needs the event stream even when no trace file was asked for.
-  if (!obs.trace_path.empty() || obs.causal)
-    trace::enable(static_cast<std::size_t>(
-        cli.get_int("trace-buffer", 1LL << 20)));
+  if (!obs.trace_path.empty() || obs.causal) trace::enable(trace_buffer);
   // bwmem: exact data-movement accounting must be armed before dispatch
   // so every par_loop counts its descriptor x executed-range bytes.
-  const bool datmove_on = cli.get_bool("datmove", false);
   if (datmove_on) core::DataMoveProfiler::enable();
 
   // memtier: any of --place / --mode=<memory mode> / --snc arms the
   // tier-aware allocator (installed before dispatch so every Dat
   // constructor records its placement) and the "memtier" report section.
-  const std::string place = cli.get("place", "");
-  const bool memtier_on = !place.empty() || !mode.empty() || cli.has("snc");
-  const std::string place_policy = place.empty() ? "auto" : place;
   if (memtier_on) core::install_memtier_allocator(machine, place_policy);
 
-  // bwlive: opt-in per-run sampling — any --live-* flag arms it. Started
-  // before dispatch so every run_ranks world registers its per-rank
-  // census, and stopped on both the success and the failure path (the
-  // series up to a watchdog abort is exactly what one wants to look at).
-  const bool live_on = cli.has("live") || cli.has("live-interval-ms") ||
-                       cli.has("live-status") || cli.has("live-out") ||
-                       cli.has("live-ring") || cli.has("live-stall-windows");
+  // bwlive: started before dispatch so every run_ranks world registers
+  // its per-rank census, and stopped on both the success and the failure
+  // path (the series up to a watchdog abort is exactly what one wants to
+  // look at).
   live::Config live_cfg;
   std::string live_out;
   if (live_on) {
@@ -312,9 +319,7 @@ int run_main(int argc, char** argv) {
   // machine model's predictions at the run's own scale.
   const core::AttributionReport attr = core::attribute(
       result.instr, machine,
-      core::default_config(machine, app_class(app)),
-      cli.get_double("attr-tol", 0.25),
-      cli.get_double("byte-tol", 0.10));
+      core::default_config(machine, app_class(app)), attr_tol, byte_tol);
   core::DatMoveReport dm;
   if (datmove_on) {
     core::DataMoveProfiler::disable();
@@ -387,7 +392,7 @@ int run_main(int argc, char** argv) {
               << " recovered=" << st.recovered
               << " degraded=" << st.degraded_events << "\n";
   }
-  if (cli.get_bool("summary", false)) {
+  if (summary) {
     std::cout << "\n";
     core::top_loops_table(result.instr).print(std::cout);
     std::cout << "\n";
@@ -418,7 +423,6 @@ int run_main(int argc, char** argv) {
     }
   }
   // bwdiff: compare this run against a saved baseline report at exit.
-  const std::string diff_against = cli.get("diff-against", "");
   if (!diff_against.empty()) {
     const core::RunReport baseline = core::read_run_report(diff_against);
     const core::DiffReport diff = core::diff_runs(baseline, report);

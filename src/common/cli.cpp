@@ -26,46 +26,56 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
-bool Cli::has(const std::string& name) const {
-  return options_.count(name) != 0;
+const std::string* Cli::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = options_.find(name);
+  return it == options_.end() ? nullptr : &it->second;
 }
+
+bool Cli::has(const std::string& name) const { return find(name) != nullptr; }
 
 std::string Cli::get(const std::string& name,
                      const std::string& fallback) const {
-  const auto it = options_.find(name);
-  return it == options_.end() ? fallback : it->second;
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : *v;
 }
 
 long long Cli::get_int(const std::string& name, long long fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  BWLAB_REQUIRE(end != it->second.c_str() && *end == '\0',
-                "--" << name << " expects an integer, got '" << it->second
-                     << "'");
-  return v;
+  const long long x = std::strtoll(v->c_str(), &end, 10);
+  BWLAB_REQUIRE(end != v->c_str() && *end == '\0',
+                "--" << name << " expects an integer, got '" << *v << "'");
+  return x;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  BWLAB_REQUIRE(end != it->second.c_str() && *end == '\0',
-                "--" << name << " expects a number, got '" << it->second
-                     << "'");
-  return v;
+  const double x = std::strtod(v->c_str(), &end);
+  BWLAB_REQUIRE(end != v->c_str() && *end == '\0',
+                "--" << name << " expects a number, got '" << *v << "'");
+  return x;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  const std::string& v = it->second;
-  if (v.empty() || v == "true" || v == "1" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "off") return false;
-  BWLAB_REQUIRE(false, "--" << name << " expects a boolean, got '" << v << "'");
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
+  if (v->empty() || *v == "true" || *v == "1" || *v == "on") return true;
+  if (*v == "false" || *v == "0" || *v == "off") return false;
+  BWLAB_REQUIRE(false,
+                "--" << name << " expects a boolean, got '" << *v << "'");
   return fallback;  // unreachable
+}
+
+void Cli::reject_unknown() const {
+  std::string unknown;
+  for (const auto& [name, value] : options_)
+    if (read_.count(name) == 0)
+      unknown += (unknown.empty() ? "--" : ", --") + name;
+  if (!unknown.empty()) throw Error("unknown option " + unknown);
 }
 
 ObservabilityFlags observability_flags(const Cli& cli) {

@@ -1,8 +1,12 @@
 // Minimal command-line parser for the bench/ and examples/ executables.
 // Supports `--key=value`, `--key value`, and boolean `--flag` forms.
+// Every name asked for through has()/get*() is remembered, so a tool can
+// reject the flags it never reads (reject_unknown) instead of silently
+// ignoring a misspelt or retired option.
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,10 +39,19 @@ class Cli {
   /// Program name (argv[0]).
   const std::string& program() const { return program_; }
 
+  /// Throws bwlab::Error naming every `--flag` that was given but never
+  /// read through has()/get*(). Call it after reading every option the
+  /// program knows and before doing any work.
+  void reject_unknown() const;
+
  private:
+  /// The value of `--name`, or nullptr; records `name` as read.
+  const std::string* find(const std::string& name) const;
+
   std::string program_;
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 /// Output destinations of the bwtrace observability layer, shared by every

@@ -93,6 +93,15 @@ struct TilingRecord {
   double row_bytes = 0;     ///< working-set bytes per tile row (auto only)
   double cache_budget_bytes = 0;  ///< budget the tuner sized against
 };
+template <class Io>
+void fields(Io& io, TilingRecord& t) {
+  io("chains", t.chains);
+  io("tiles", t.tiles);
+  io("tile_height", t.tile_height);
+  io("auto_tuned", t.auto_tuned);
+  io("row_bytes", t.row_bytes);
+  io("cache_budget_bytes", t.cache_budget_bytes);
+}
 
 /// Accumulated halo-exchange statistics of one Dat.
 struct ExchangeRecord {
@@ -104,6 +113,16 @@ struct ExchangeRecord {
   int halo_depth = 0;
   std::size_t elem_bytes = 0;  ///< sizeof the dat element
 };
+template <class Io>
+void fields(Io& io, ExchangeRecord& e) {
+  io("dat", e.dat_name);
+  io("exchanges", e.exchanges);
+  io("messages", e.messages);
+  io("bytes", e.bytes);
+  io("bytes_received", e.bytes_received);
+  io("halo_depth", e.halo_depth);
+  io("elem_bytes", e.elem_bytes);
+}
 
 // --- bwmem collection records (analysis in core/datmove) --------------------
 
@@ -120,6 +139,14 @@ struct DatMoveRecord {
   count_t bytes_written = 0;
   count_t bytes() const { return bytes_read + bytes_written; }
 };
+template <class Io>
+void fields(Io& io, DatMoveRecord& d) {
+  io("loop", d.loop);
+  io("dat", d.dat);
+  io("executions", d.executions);
+  io("bytes_read", d.bytes_read);
+  io("bytes_written", d.bytes_written);
+}
 
 /// Per-dat aggregate feeding memory-tier placement: the allocation
 /// footprint competes for tier capacity, the moved bytes are the traffic
@@ -159,6 +186,38 @@ struct ReuseHistogram {
   }
 };
 
+/// One non-empty reuse bucket as the JSON lists it; upper_bound is
+/// derived from the index and ignored on read.
+struct ReuseBucket {
+  int bucket = 0;
+  double upper_bound = 0;
+  count_t moved_bytes = 0;
+};
+template <class Io>
+void fields(Io& io, ReuseBucket& b) {
+  io("bucket", b.bucket);
+  io("upper_bound", b.upper_bound);
+  io("moved_bytes", b.moved_bytes);
+}
+template <class Io>
+void fields(Io& io, ReuseHistogram& h) {
+  io("cold_bytes", h.cold_bytes);
+  io.custom(
+      "buckets",
+      [&h] {
+        std::vector<ReuseBucket> out;
+        for (int i = 0; i < Histogram::kBuckets; ++i)
+          if (const count_t b = h.moved_bytes[static_cast<std::size_t>(i)])
+            out.push_back({i, Histogram::bucket_upper_bound(i), b});
+        return out;
+      },
+      [&h](const std::vector<ReuseBucket>& in) {
+        for (const ReuseBucket& b : in)
+          if (b.bucket >= 0 && b.bucket < Histogram::kBuckets)
+            h.moved_bytes[static_cast<std::size_t>(b.bucket)] = b.moved_bytes;
+      });
+}
+
 /// One executed chain (ops::ChainQueue): its unique-dat working set and
 /// the exact bytes counted for it.
 struct ChainMoveRecord {
@@ -168,6 +227,14 @@ struct ChainMoveRecord {
   int loops = 0;
   bool tiled = false;
 };
+template <class Io>
+void fields(Io& io, ChainMoveRecord& c) {
+  io("working_set_bytes", c.working_set_bytes);
+  io("counted_bytes", c.counted_bytes);
+  io("tile_height", c.tile_height);
+  io("loops", c.loops);
+  io("tiled", c.tiled);
+}
 
 /// Registry owned by the per-rank Context.
 class Instrumentation {

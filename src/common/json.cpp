@@ -94,8 +94,9 @@ class Parser {
     BWLAB_REQUIRE(pos_ > start, "bad JSON number at offset " << start);
     Value v;
     v.kind = Value::Kind::Num;
+    v.str = s_.substr(start, pos_ - start);
     try {
-      v.num = std::stod(s_.substr(start, pos_ - start));
+      v.num = std::stod(v.str);
     } catch (const std::exception&) {
       BWLAB_REQUIRE(false, "bad JSON number at offset " << start);
     }
@@ -150,18 +151,67 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-const Value& empty_value(Value::Kind kind) {
-  static const Value obj = [] {
-    Value v;
-    v.kind = Value::Kind::Obj;
-    return v;
-  }();
-  static const Value arr = [] {
-    Value v;
-    v.kind = Value::Kind::Arr;
-    return v;
-  }();
-  return kind == Value::Kind::Obj ? obj : arr;
+bool is_scalar(const Value& v) {
+  return v.kind != Value::Kind::Arr && v.kind != Value::Kind::Obj;
+}
+
+bool all_scalar(const Value& v) {
+  for (const Value& e : v.arr)
+    if (!is_scalar(e)) return false;
+  for (const auto& [k, e] : v.obj)
+    if (!is_scalar(e)) return false;
+  return true;
+}
+
+bool one_line(const Value& v) {
+  if (v.kind == Value::Kind::Arr) return all_scalar(v);
+  for (const auto& [k, e] : v.obj)
+    if (!is_scalar(e) && !all_scalar(e)) return false;
+  return true;
+}
+
+/// Prints `v` whose first line is already indented `depth` levels.
+void print(std::ostream& os, const Value& v, std::size_t depth) {
+  switch (v.kind) {
+    case Value::Kind::Null:
+      os << "null";
+      return;
+    case Value::Kind::Bool:
+      os << (v.b ? "true" : "false");
+      return;
+    case Value::Kind::Num:
+      os << v.str;
+      return;
+    case Value::Kind::Str:
+      os << '"';
+      write_escaped(os, v.str);
+      os << '"';
+      return;
+    case Value::Kind::Arr:
+    case Value::Kind::Obj:
+      break;
+  }
+  const bool arr = v.kind == Value::Kind::Arr;
+  const std::size_t n = arr ? v.arr.size() : v.obj.size();
+  const bool inline_members = one_line(v);
+  const std::string pad(2 * depth + 2, ' ');
+  os << (arr ? '[' : '{');
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) os << ',';
+    if (!inline_members)
+      os << '\n' << pad;
+    else if (i > 0)
+      os << ' ';
+    if (!arr) {
+      os << '"';
+      write_escaped(os, v.obj[i].first);
+      os << "\": ";
+    }
+    print(os, arr ? v.arr[i] : v.obj[i].second, depth + 1);
+  }
+  if (!inline_members && n > 0)
+    os << '\n' << std::string(2 * depth, ' ');
+  os << (arr ? ']' : '}');
 }
 
 }  // namespace
@@ -185,38 +235,6 @@ Value parse(std::istream& is) {
   return parse(ss.str());
 }
 
-count_t count_field(const Value& o, const std::string& key) {
-  const Value* v = o.find(key);
-  return v != nullptr ? v->as_count() : 0;
-}
-
-double num_field(const Value& o, const std::string& key) {
-  const Value* v = o.find(key);
-  return v != nullptr ? v->num : 0;
-}
-
-std::string str_field(const Value& o, const std::string& key) {
-  const Value* v = o.find(key);
-  return v != nullptr ? v->str : std::string();
-}
-
-bool bool_field(const Value& o, const std::string& key) {
-  const Value* v = o.find(key);
-  return v != nullptr && v->b;
-}
-
-const Value& obj_field(const Value& o, const std::string& key) {
-  const Value* v = o.find(key);
-  return v != nullptr && v->kind == Value::Kind::Obj
-             ? *v
-             : empty_value(Value::Kind::Obj);
-}
-
-const Value& arr_field(const Value& o, const std::string& key) {
-  const Value* v = o.find(key);
-  return v != nullptr && v->kind == Value::Kind::Arr
-             ? *v
-             : empty_value(Value::Kind::Arr);
-}
+void write(std::ostream& os, const Value& v) { print(os, v, 0); }
 
 }  // namespace bwlab::json

@@ -1,7 +1,9 @@
 #include "common/metrics.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
@@ -9,46 +11,29 @@
 
 namespace bwlab {
 
-namespace {
-
-template <class Map, class Fn>
-void write_section(std::ostream& os, const char* key, const Map& m, Fn emit,
-                   bool last = false) {
-  os << "  \"" << key << "\": {";
-  bool first = true;
-  for (const auto& [name, inst] : m) {
-    os << (first ? "\n" : ",\n") << "    \"";
-    first = false;
-    json::write_escaped(os, name);
-    os << "\": ";
-    emit(inst);
-  }
-  os << (first ? "}" : "\n  }") << (last ? "\n" : ",\n");
+std::string histogram_bucket_key(int i) {
+  std::ostringstream key;
+  key << "le_" << Histogram::bucket_upper_bound(i);
+  return key.str();
 }
 
-}  // namespace
-
-void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {
-  os << "{\n";
-  write_section(os, "counters", snap.counters,
-                [&os](count_t c) { os << c; });
-  write_section(os, "gauges", snap.gauges, [&os](double g) { os << g; });
-  write_section(
-      os, "histograms", snap.histograms,
-      [&os](const HistogramSnapshot& h) {
-        os << "{\"count\": " << h.count << ", \"sum\": " << h.sum
-           << ", \"p50\": " << h.p50 << ", \"p95\": " << h.p95
-           << ", \"p99\": " << h.p99 << ", \"buckets\": {";
-        bool first = true;
-        for (const auto& [i, n] : h.buckets) {
-          os << (first ? "" : ", ") << "\"le_"
-             << Histogram::bucket_upper_bound(i) << "\": " << n;
-          first = false;
-        }
-        os << "}}";
-      },
-      /*last=*/true);
-  os << "}\n";
+// Bounds are exact powers of two, so log2 of the printed value rounds to
+// the stored exponent even at 6 printed digits.
+int histogram_bucket_from_key(const std::string& key) {
+  BWLAB_REQUIRE(key.rfind("le_", 0) == 0,
+                "bad histogram bucket key '" << key << "'");
+  double ub = 0;
+  try {
+    ub = std::stod(key.substr(3));
+  } catch (const std::exception&) {
+    BWLAB_REQUIRE(false, "bad histogram bucket bound in '" << key << "'");
+  }
+  BWLAB_REQUIRE(ub > 0, "bad histogram bucket bound in '" << key << "'");
+  const int i =
+      Histogram::kZeroBucket + static_cast<int>(std::llround(std::log2(ub)));
+  BWLAB_REQUIRE(i >= 0 && i < Histogram::kBuckets,
+                "histogram bucket '" << key << "' out of range");
+  return i;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
@@ -92,7 +77,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {
-  write_metrics_json(os, snapshot());
+  json::write(os, snapshot());
+  os << '\n';
 }
 
 void MetricsRegistry::write_json_file(const std::string& path) const {

@@ -139,11 +139,14 @@ class Histogram {
 
 // --- Value snapshots (round-trippable "metrics" report section) --------------
 //
-// core::parse_run_report reads the "metrics" section of a run report back
-// into these structs, and write_metrics_json re-emits them bitwise
-// identically to what MetricsRegistry::write_json produced — the registry
-// itself serializes via the same path (snapshot() + write_metrics_json),
-// so there is exactly one copy of the format.
+// MetricsRegistry::write_json and the run report's "metrics" section both
+// print a MetricsSnapshot through these fields lists (common/json.hpp),
+// and core::parse_run_report reads the section back into the same structs.
+
+/// "le_<upper bound>", the JSON key of histogram bucket `i`.
+std::string histogram_bucket_key(int i);
+/// Inverse of histogram_bucket_key; throws bwlab::Error on a bad key.
+int histogram_bucket_from_key(const std::string& key);
 
 /// One histogram's exported state: count, sum, tail-latency percentile
 /// estimates (within-bucket linear interpolation) and the sparse log2
@@ -156,7 +159,30 @@ struct HistogramSnapshot {
   double p99 = 0;
   std::vector<std::pair<int, count_t>> buckets;
 };
+template <class Io>
+void fields(Io& io, HistogramSnapshot& h) {
+  using Keyed = std::vector<std::pair<std::string, count_t>>;
+  io("count", h.count);
+  io("sum", h.sum);
+  io("p50", h.p50);
+  io("p95", h.p95);
+  io("p99", h.p99);
+  io.custom(
+      "buckets",
+      [&h] {
+        Keyed out;
+        for (const auto& [i, n] : h.buckets)
+          out.emplace_back(histogram_bucket_key(i), n);
+        return out;
+      },
+      [&h](const Keyed& in) {
+        h.buckets.clear();
+        for (const auto& [key, n] : in)
+          h.buckets.emplace_back(histogram_bucket_from_key(key), n);
+      });
+}
 
+/// Names in lexicographic (map) order.
 struct MetricsSnapshot {
   std::map<std::string, count_t> counters;
   std::map<std::string, double> gauges;
@@ -166,12 +192,12 @@ struct MetricsSnapshot {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
 };
-
-/// Serializes a snapshot exactly the way MetricsRegistry::write_json
-/// does: {"counters":{...},"gauges":{...},"histograms":{...}} with names
-/// in lexicographic (map) order, histograms carrying count/sum/p50/p95/
-/// p99 and sparse buckets keyed "le_<upper bound>".
-void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap);
+template <class Io>
+void fields(Io& io, MetricsSnapshot& s) {
+  io("counters", s.counters);
+  io("gauges", s.gauges);
+  io("histograms", s.histograms);
+}
 
 class MetricsRegistry {
  public:
@@ -185,7 +211,7 @@ class MetricsRegistry {
   /// (the form the run report embeds and parse_run_report returns).
   MetricsSnapshot snapshot() const;
 
-  /// write_metrics_json(os, snapshot()).
+  /// Prints snapshot() as JSON.
   void write_json(std::ostream& os) const;
   /// write_json to `path`; throws bwlab::Error if unwritable.
   void write_json_file(const std::string& path) const;

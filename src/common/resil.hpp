@@ -52,6 +52,18 @@ struct Policy {
   std::uint64_t seed = 0;        ///< jitter stream seed (reuse --seed)
 };
 
+/// The run report's "policy" object (`enabled` is implied by the
+/// section's presence).
+template <class Io>
+void fields(Io& io, Policy& p) {
+  io("retry_max", p.retry_max);
+  io("timeout_us", p.timeout_us);
+  io("backoff_us", p.backoff_us);
+  io("backoff_cap_us", p.backoff_cap_us);
+  io("degraded", p.degraded);
+  io("seed", p.seed);
+}
+
 /// Installs `policy` process-wide (and resets stats). A policy with
 /// enabled=false is equivalent to clear().
 void install(const Policy& policy);

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <ostream>
 #include <set>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -66,103 +65,19 @@ std::string rank_key(int rank, const std::string& what) {
   return "rank." + std::to_string(rank) + "." + what;
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
-void write_timeseries_json(std::ostream& os, const TimeSeries& ts,
-                           int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  os << "{\n"
-     << pad << "  \"schema_version\": " << kTimeseriesSchemaVersion
-     << ", \"interval_ms\": " << ts.interval_ms
-     << ", \"roof_bytes_per_s\": " << ts.roof_bytes_per_s
-     << ", \"dropped_samples\": " << ts.dropped_samples << ",\n"
-     << pad << "  \"keys\": [";
-  bool first = true;
-  for (const std::string& k : ts.keys) {
-    os << (first ? "" : ", ");
-    first = false;
-    write_json_string(os, k);
-  }
-  os << "],\n" << pad << "  \"samples\": [";
-  first = true;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    os << (first ? "\n" : ",\n") << pad << "    {\"t\": " << ts.times[i]
-       << ", \"v\": [";
-    first = false;
-    bool vfirst = true;
-    for (const double v : ts.values[i]) {
-      os << (vfirst ? "" : ", ") << v;
-      vfirst = false;
-    }
-    os << "]}";
-  }
-  os << (first ? "]" : "\n" + pad + "  ]") << "\n" << pad << "}";
-}
-
-TimeSeries timeseries_from_json(const json::Value& v) {
-  const int schema = static_cast<int>(json::num_field(v, "schema_version"));
-  BWLAB_REQUIRE(schema == kTimeseriesSchemaVersion,
-                "unsupported timeseries schema_version "
-                    << schema << " (this build reads "
-                    << kTimeseriesSchemaVersion << ")");
-  TimeSeries ts;
-  ts.interval_ms = static_cast<long long>(json::num_field(v, "interval_ms"));
-  ts.roof_bytes_per_s = json::num_field(v, "roof_bytes_per_s");
-  ts.dropped_samples = json::count_field(v, "dropped_samples");
-  for (const json::Value& k : json::arr_field(v, "keys").arr)
-    ts.keys.push_back(k.str);
-  for (const json::Value& s : json::arr_field(v, "samples").arr) {
-    ts.times.push_back(json::num_field(s, "t"));
-    std::vector<double> row;
-    for (const json::Value& x : json::arr_field(s, "v").arr)
-      row.push_back(x.num);
-    BWLAB_REQUIRE(row.size() == ts.keys.size(),
-                  "timeseries sample has " << row.size() << " values for "
-                                           << ts.keys.size() << " keys");
-    ts.values.push_back(std::move(row));
-  }
-  return ts;
-}
-
 void write_timeseries_file(const std::string& path, const TimeSeries& ts,
                            const std::string& app,
                            const std::string& git_sha) {
   std::ofstream os(path);
   BWLAB_REQUIRE(os.good(), "cannot open timeseries output file '" << path
                                                                   << "'");
-  os << "{\n  \"schema_version\": " << kTimeseriesSchemaVersion
-     << ",\n  \"app\": ";
-  write_json_string(os, app);
-  os << ",\n  \"git_sha\": ";
-  write_json_string(os, git_sha);
-  os << ",\n  \"timeseries\": ";
-  write_timeseries_json(os, ts, 2);
-  os << "\n}\n";
+  json::write(os, TimeSeriesFile{app, git_sha, ts});
+  os << '\n';
   BWLAB_REQUIRE(os.good(), "failed writing timeseries to '" << path << "'");
 }
 
 TimeSeriesFile parse_timeseries_file(std::istream& is) {
-  const json::Value root = json::parse(is);
-  BWLAB_REQUIRE(root.kind == json::Value::Kind::Obj,
-                "timeseries file must be a JSON object");
-  const json::Value* ts = root.find("timeseries");
-  BWLAB_REQUIRE(ts != nullptr, "timeseries file has no \"timeseries\" member");
-  TimeSeriesFile f;
-  f.app = json::str_field(root, "app");
-  f.git_sha = json::str_field(root, "git_sha");
-  f.series = timeseries_from_json(*ts);
-  return f;
+  return json::read<TimeSeriesFile>(json::parse(is));
 }
 
 TimeSeriesFile read_timeseries_file(const std::string& path) {

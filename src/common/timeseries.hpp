@@ -21,9 +21,8 @@
 #include <string>
 #include <vector>
 
-namespace bwlab::json {
-struct Value;
-}
+#include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace bwlab::live {
 
@@ -64,21 +63,60 @@ struct TimeSeries {
   std::vector<int> ranks() const;
 };
 
+/// One element of the JSON "samples" array: {"t": time, "v": row}.
+struct TimeSample {
+  double t = 0;
+  std::vector<double> v;
+};
+template <class Io>
+void fields(Io& io, TimeSample& s) {
+  io("t", s.t);
+  io("v", s.v);
+}
+
+/// The timeseries JSON object. A reader rejects any schema_version but
+/// kTimeseriesSchemaVersion and any sample row whose length differs from
+/// the key count. Stored values print with default stream formatting, so
+/// parse -> reprint is bitwise (the run-report round-trip convention).
+template <class Io>
+void fields(Io& io, TimeSeries& ts) {
+  io.custom(
+      "schema_version", [] { return kTimeseriesSchemaVersion; },
+      [](int schema) {
+        BWLAB_REQUIRE(schema == kTimeseriesSchemaVersion,
+                      "unsupported timeseries schema_version "
+                          << schema << " (this build reads "
+                          << kTimeseriesSchemaVersion << ")");
+      });
+  io("interval_ms", ts.interval_ms);
+  io("roof_bytes_per_s", ts.roof_bytes_per_s);
+  io("dropped_samples", ts.dropped_samples);
+  io("keys", ts.keys);
+  io.custom(
+      "samples",
+      [&ts] {
+        std::vector<TimeSample> out;
+        for (std::size_t i = 0; i < ts.size(); ++i)
+          out.push_back({ts.times[i], ts.values[i]});
+        return out;
+      },
+      [&ts](const std::vector<TimeSample>& in) {
+        ts.times.clear();
+        ts.values.clear();
+        for (const TimeSample& s : in) {
+          BWLAB_REQUIRE(s.v.size() == ts.keys.size(),
+                        "timeseries sample has " << s.v.size()
+                                                 << " values for "
+                                                 << ts.keys.size() << " keys");
+          ts.times.push_back(s.t);
+          ts.values.push_back(s.v);
+        }
+      });
+}
+
 /// Key of one per-rank quantity, e.g. rank_key(3, "steps") ->
 /// "rank.3.steps". The sampler and the readers must agree on these.
 std::string rank_key(int rank, const std::string& what);
-
-/// Writes the timeseries JSON object (schema_version, interval_ms,
-/// roof_bytes_per_s, dropped_samples, keys, samples). `indent` is the
-/// object's base indentation (2 inside the run report). The writer prints
-/// stored values with default stream formatting, so parse -> reprint is
-/// bitwise (the run-report round-trip convention).
-void write_timeseries_json(std::ostream& os, const TimeSeries& ts,
-                           int indent);
-
-/// Parses an object written by write_timeseries_json; throws bwlab::Error
-/// on malformed input or an unsupported schema_version.
-TimeSeries timeseries_from_json(const json::Value& v);
 
 /// A standalone TIMESERIES_<app>.json: app/git_sha provenance wrapping
 /// the same timeseries object.
@@ -87,6 +125,14 @@ struct TimeSeriesFile {
   std::string git_sha;
   TimeSeries series;
 };
+template <class Io>
+void fields(Io& io, TimeSeriesFile& f) {
+  io.custom(
+      "schema_version", [] { return kTimeseriesSchemaVersion; }, [](int) {});
+  io("app", f.app);
+  io("git_sha", f.git_sha);
+  io("timeseries", f.series, json::required);
+}
 
 void write_timeseries_file(const std::string& path, const TimeSeries& ts,
                            const std::string& app, const std::string& git_sha);

@@ -124,6 +124,13 @@ struct ThreadDrops {
   std::string label;
   std::uint64_t dropped = 0;
 };
+template <class Io>
+void fields(Io& io, ThreadDrops& d) {
+  io("rank", d.rank);
+  io("tid", d.tid);
+  io("label", d.label);
+  io("dropped", d.dropped);
+}
 std::vector<ThreadDrops> dropped_by_thread();
 
 // --- Causal message links (bwcausal) -----------------------------------------

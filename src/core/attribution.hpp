@@ -49,6 +49,23 @@ struct LoopAttribution {
   double byte_drift = 0;
   bool byte_drifted = false;  ///< |byte_drift| > byte_tolerance
 };
+template <class Io>
+void fields(Io& io, LoopAttribution& a) {
+  io("name", a.name);
+  io("measured_seconds", a.measured_s);
+  io("predicted_seconds", a.predicted_s);
+  io("mem_roof_seconds", a.mem_roof_s);
+  io("comp_roof_seconds", a.comp_roof_s);
+  io("memory_bound", a.memory_bound);
+  io("roof_fraction", a.roof_fraction);
+  io("drift", a.drift);
+  io("drifted", a.drifted);
+  io("counted", a.counted);
+  io("counted_bytes", a.counted_bytes);
+  io("modeled_bytes", a.modeled_bytes);
+  io("byte_drift", a.byte_drift);
+  io("byte_drifted", a.byte_drifted);
+}
 
 struct AttributionReport {
   std::string machine_id;     ///< model the predictions come from
@@ -61,6 +78,18 @@ struct AttributionReport {
   int byte_drifted_count = 0;  ///< loops whose byte accounting drifted
   std::vector<LoopAttribution> loops;  ///< first-execution order
 };
+template <class Io>
+void fields(Io& io, AttributionReport& r) {
+  io("machine", r.machine_id);
+  io("config", r.config_label);
+  io("tolerance", r.tolerance);
+  io("byte_tolerance", r.byte_tolerance);
+  io("measured_total_seconds", r.measured_total);
+  io("predicted_total_seconds", r.predicted_total);
+  io("drifted_count", r.drifted_count);
+  io("byte_drifted_count", r.byte_drifted_count);
+  io("loops", r.loops);
+}
 
 /// Attributes every recorded loop against `m`'s roofline at the RUN's
 /// OWN scale (no paper-size scaling: the model is evaluated on exactly
@@ -87,6 +116,12 @@ struct TierRoofEntry {
   count_t bytes = 0;
   seconds_t roof_seconds = 0;
 };
+template <class Io>
+void fields(Io& io, TierRoofEntry& e) {
+  io("tier", e.tier);
+  io("bytes", e.bytes);
+  io("roof_seconds", e.roof_seconds);
+}
 
 /// One loop's counted bytes split across memory tiers by the dat→tier
 /// placement map. The per-loop tier roof is the max over slices — the
@@ -98,6 +133,14 @@ struct LoopTierRoofs {
   seconds_t roof_seconds = 0;   ///< max over `tiers` roof_seconds
   std::vector<TierRoofEntry> tiers;
 };
+template <class Io>
+void fields(Io& io, LoopTierRoofs& l) {
+  io("loop", l.loop);
+  io("measured_s", l.measured_s);
+  io("binding_tier", l.binding_tier);
+  io("roof_seconds", l.roof_seconds);
+  io("tiers", l.tiers);
+}
 
 /// Splits every loop's counted (bwmem) traffic across `m`'s tiers using
 /// `dat_tier` (dat name → tier name; unmapped dats land on the fastest

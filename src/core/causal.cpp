@@ -620,7 +620,6 @@ Table critical_path_table(const Report& r) {
 
 CausalSection summarize(const Report& r) {
   CausalSection s;
-  s.present = true;
   s.wall_s = r.wall_s;
   s.nranks = r.nranks;
   s.matched_messages = static_cast<long long>(r.messages.size());
@@ -628,69 +627,11 @@ CausalSection summarize(const Report& r) {
   s.unmatched_recvs = r.unmatched_recvs;
   s.wait_states = r.rank_waits;
   s.matrix = r.matrix;
-  s.path_length_s = r.path.length_s;
-  s.path_buckets = r.path.bucket_s;
-  s.path_ranks = r.path.ranks;
-  s.path_segments = static_cast<long long>(r.path.segments.size());
+  s.critical_path.length_s = r.path.length_s;
+  s.critical_path.buckets = r.path.bucket_s;
+  s.critical_path.ranks = r.path.ranks;
+  s.critical_path.segments = static_cast<long long>(r.path.segments.size());
   return s;
-}
-
-void write_json(std::ostream& os, const CausalSection& r, int indent) {
-  const std::string i0(static_cast<std::size_t>(indent), ' ');
-  const std::string i1 = i0 + "  ";
-  const std::string i2 = i1 + "  ";
-  os << "{\n";
-  os << i1 << "\"wall_seconds\": " << r.wall_s << ",\n";
-  os << i1 << "\"nranks\": " << r.nranks << ",\n";
-  os << i1 << "\"matched_messages\": " << r.matched_messages << ",\n";
-  os << i1 << "\"unmatched_sends\": " << r.unmatched_sends << ",\n";
-  os << i1 << "\"unmatched_recvs\": " << r.unmatched_recvs << ",\n";
-  os << i1 << "\"wait_states\": [";
-  bool first = true;
-  for (const RankWaits& w : r.wait_states) {
-    os << (first ? "\n" : ",\n") << i2 << "{\"rank\": " << w.rank
-       << ", \"late_sender_seconds\": " << w.late_sender_s
-       << ", \"late_sender_count\": " << w.late_sender_n
-       << ", \"progress_starved_seconds\": " << w.progress_starved_s
-       << ", \"progress_starved_count\": " << w.progress_starved_n
-       << ", \"late_receiver_seconds\": " << w.late_receiver_s
-       << ", \"late_receiver_count\": " << w.late_receiver_n
-       << ", \"collective_seconds\": " << w.collective_s << "}";
-    first = false;
-  }
-  os << (first ? "]" : "\n" + i1 + "]") << ",\n";
-  os << i1 << "\"matrix\": [";
-  first = true;
-  for (const PairStats& p : r.matrix) {
-    os << (first ? "\n" : ",\n") << i2 << "{\"src\": " << p.src
-       << ", \"dest\": " << p.dest << ", \"messages\": " << p.messages
-       << ", \"bytes\": " << p.bytes << ", \"wait_seconds\": " << p.wait_s
-       << "}";
-    first = false;
-  }
-  os << (first ? "]" : "\n" + i1 + "]") << ",\n";
-  os << i1 << "\"critical_path\": {\n";
-  os << i2 << "\"length_seconds\": " << r.path_length_s << ",\n";
-  os << i2 << "\"buckets\": {";
-  first = true;
-  for (const auto& [bucket, s] : r.path_buckets) {
-    os << (first ? "" : ", ") << "\"" << bucket << "\": " << s;
-    first = false;
-  }
-  os << "},\n";
-  os << i2 << "\"ranks\": [";
-  first = true;
-  for (const int rank : r.path_ranks) {
-    os << (first ? "" : ", ") << rank;
-    first = false;
-  }
-  os << "],\n";
-  os << i2 << "\"segments\": " << r.path_segments << "\n";
-  os << i1 << "}\n" << i0 << "}";
-}
-
-void write_json(std::ostream& os, const Report& r, int indent) {
-  write_json(os, summarize(r), indent);
 }
 
 }  // namespace bwlab::core::causal

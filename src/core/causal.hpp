@@ -71,6 +71,14 @@ struct PairStats {
   unsigned long long bytes = 0;
   double wait_s = 0;
 };
+template <class Io>
+void fields(Io& io, PairStats& p) {
+  io("src", p.src);
+  io("dest", p.dest);
+  io("messages", p.messages);
+  io("bytes", p.bytes);
+  io("wait_seconds", p.wait_s);
+}
 
 /// Per-rank wait-state totals (p2p classes plus collective blocking).
 struct RankWaits {
@@ -83,6 +91,17 @@ struct RankWaits {
   long long late_receiver_n = 0;
   long long progress_starved_n = 0;
 };
+template <class Io>
+void fields(Io& io, RankWaits& w) {
+  io("rank", w.rank);
+  io("late_sender_seconds", w.late_sender_s);
+  io("late_sender_count", w.late_sender_n);
+  io("progress_starved_seconds", w.progress_starved_s);
+  io("progress_starved_count", w.progress_starved_n);
+  io("late_receiver_seconds", w.late_receiver_s);
+  io("late_receiver_count", w.late_receiver_n);
+  io("collective_seconds", w.collective_s);
+}
 
 /// One hop of the extracted critical path (start→end order).
 struct PathSegment {
@@ -159,13 +178,28 @@ Table wait_state_table(const Report& r);
 Table comm_matrix_table(const Report& r);
 Table critical_path_table(const Report& r);
 
+/// The critical path as the report keeps it (segments as a count).
+struct PathSummary {
+  double length_s = 0;
+  std::map<std::string, double> buckets;  ///< sums to length_s
+  std::vector<int> ranks;
+  long long segments = 0;
+};
+template <class Io>
+void fields(Io& io, PathSummary& p) {
+  io("length_seconds", p.length_s);
+  io("buckets", p.buckets);
+  io("ranks", p.ranks);
+  io("segments", p.segments);
+}
+
 /// Exactly what the "causal" run-report JSON section holds — the
 /// round-trippable subset of Report (matched messages are summarized as a
 /// count, path segments as a count; everything else is value-complete).
 /// core::parse_run_report reads this back, and writing a parsed section
-/// reproduces the original bytes. bwdiff aligns two of these.
+/// reproduces the original bytes. bwdiff aligns two of these;
+/// tools/trace_analyze --json prints one.
 struct CausalSection {
-  bool present = false;  ///< section existed in the source report
   double wall_s = 0;
   int nranks = 0;
   long long matched_messages = 0;
@@ -173,21 +207,21 @@ struct CausalSection {
   long long unmatched_recvs = 0;
   std::vector<RankWaits> wait_states;  ///< rank ascending
   std::vector<PairStats> matrix;       ///< (src, dest) ascending
-  double path_length_s = 0;
-  std::map<std::string, double> path_buckets;  ///< sums to path_length_s
-  std::vector<int> path_ranks;
-  long long path_segments = 0;
+  PathSummary critical_path;
 };
+template <class Io>
+void fields(Io& io, CausalSection& s) {
+  io("wall_seconds", s.wall_s);
+  io("nranks", s.nranks);
+  io("matched_messages", s.matched_messages);
+  io("unmatched_sends", s.unmatched_sends);
+  io("unmatched_recvs", s.unmatched_recvs);
+  io("wait_states", s.wait_states);
+  io("matrix", s.matrix);
+  io("critical_path", s.critical_path);
+}
 
 /// The serializable summary of a full analysis Report.
 CausalSection summarize(const Report& r);
-
-/// The "causal" JSON object (no surrounding key), embedded in the run
-/// report and emitted by tools/trace_analyze --json. `indent` is the
-/// base indentation in spaces.
-void write_json(std::ostream& os, const CausalSection& s, int indent = 2);
-
-/// write_json(os, summarize(r), indent).
-void write_json(std::ostream& os, const Report& r, int indent = 2);
 
 }  // namespace bwlab::core::causal

@@ -29,6 +29,13 @@ struct DatMoveLoopSummary {
   count_t modeled_bytes = 0;  ///< LoopRecord::bytes estimate
   double drift = 0;           ///< counted/modeled - 1 (0 = exact agreement)
 };
+template <class Io>
+void fields(Io& io, DatMoveLoopSummary& s) {
+  io("loop", s.loop);
+  io("counted_bytes", s.counted_bytes);
+  io("modeled_bytes", s.modeled_bytes);
+  io("drift", s.drift);
+}
 
 /// One dat's allocation footprint and the bytes its loops moved.
 struct DatTraffic {
@@ -36,6 +43,12 @@ struct DatTraffic {
   count_t alloc_bytes = 0;
   count_t bytes_moved = 0;
 };
+template <class Io>
+void fields(Io& io, DatTraffic& d) {
+  io("dat", d.dat);
+  io("alloc_bytes", d.alloc_bytes);
+  io("bytes_moved", d.bytes_moved);
+}
 
 /// One point of the capacity-occupancy curve: the fraction of total
 /// counted traffic a fast tier of `capacity_bytes` could serve (reuse
@@ -44,8 +57,13 @@ struct OccupancyPoint {
   double capacity_bytes = 0;
   double served_fraction = 0;
 };
+template <class Io>
+void fields(Io& io, OccupancyPoint& p) {
+  io("capacity_bytes", p.capacity_bytes);
+  io("served_fraction", p.served_fraction);
+}
 
-/// The "datmove" run-report section (see write_json for the layout).
+/// The "datmove" run-report section.
 struct DatMoveReport {
   count_t total_bytes = 0;        ///< all counted loop bytes
   count_t working_set_bytes = 0;  ///< sum of dat allocation footprints
@@ -58,6 +76,19 @@ struct DatMoveReport {
   std::vector<OccupancyPoint> occupancy;
   std::vector<ChainMoveRecord> chains;
 };
+template <class Io>
+void fields(Io& io, DatMoveReport& r) {
+  io("total_bytes", r.total_bytes);
+  io("working_set_bytes", r.working_set_bytes);
+  io("halo_bytes_sent", r.halo_bytes_sent);
+  io("halo_bytes_received", r.halo_bytes_received);
+  io("records", r.records, json::required);
+  io("loops", r.loops);
+  io("dats", r.dats);
+  io("reuse", r.reuse);
+  io("occupancy", r.occupancy);
+  io("chains", r.chains);
+}
 
 /// Facade over the collection switch plus the post-run analysis. The
 /// runtime side costs one relaxed load + branch per loop while disabled
@@ -77,21 +108,11 @@ Table datmove_table(const DatMoveReport& r);
 /// Reuse-distance / capacity-occupancy table.
 Table datmove_reuse_table(const DatMoveReport& r);
 
-/// The "datmove" JSON object (no surrounding key), embedded in the run
-/// report by core/report.cpp. `indent` is the base indentation in spaces.
-void write_json(std::ostream& os, const DatMoveReport& r, int indent = 2);
-
-/// Parses a "datmove" JSON object previously written by write_json —
-/// either the bare object or a full run report containing a "datmove"
-/// member — back into a DatMoveReport (round-trip tested). Throws
-/// bwlab::Error on malformed input or when a run report has no "datmove"
-/// section.
+/// Parses a "datmove" JSON object — either the bare object or a full run
+/// report containing a "datmove" member — back into a DatMoveReport
+/// (round-trip tested). Throws bwlab::Error on malformed input or when
+/// the object has no "records" member (a run report without a "datmove"
+/// section).
 DatMoveReport parse_datmove_json(std::istream& is);
-
-/// Maps an already-parsed "datmove" JSON object (common/json.hpp value)
-/// back onto a DatMoveReport. core::parse_run_report reuses this for the
-/// report's "datmove" section. Throws bwlab::Error when the value is not
-/// an object or lacks a "records" member.
-DatMoveReport datmove_from_json(const json::Value& dm);
 
 }  // namespace bwlab::core

@@ -45,7 +45,7 @@ namespace {
 std::map<std::string, count_t> loop_bytes(const RunReport& r, bool counted) {
   std::map<std::string, count_t> out;
   if (counted) {
-    for (const DatMoveLoopSummary& s : r.datmove.loops)
+    for (const DatMoveLoopSummary& s : r.datmove->loops)
       out[s.loop] = s.counted_bytes;
   } else {
     for (const ReportLoop& l : r.loops) out[l.name] = l.bytes;
@@ -106,14 +106,14 @@ DiffReport diff_runs(const std::vector<RunReport>& a_runs,
   const RunReport& b = b_runs.front();
 
   DiffReport d;
-  d.has_buckets = a.causal.present && b.causal.present;
+  d.has_buckets = a.causal && b.causal;
   if (d.has_buckets)
-    BWLAB_REQUIRE(a.causal.nranks == b.causal.nranks,
+    BWLAB_REQUIRE(a.causal->nranks == b.causal->nranks,
                   "cannot diff causal sections with different rank counts ("
-                      << a.causal.nranks << " vs " << b.causal.nranks
+                      << a.causal->nranks << " vs " << b.causal->nranks
                       << "); re-run with matching --ranks or diff loop "
                          "timings from reports without --causal");
-  d.has_dats = a.has_datmove && b.has_datmove;
+  d.has_dats = a.datmove && b.datmove;
 
   // --- Loops: union keyed by name, A's first-execution order, then B's
   // loops that A never ran. delta rows (gone = -a, new = +b) sum exactly
@@ -170,8 +170,8 @@ DiffReport diff_runs(const std::vector<RunReport>& a_runs,
   // bucket deltas decompose it), total loop seconds otherwise.
   if (d.has_buckets) {
     d.wall_from_causal = true;
-    d.a_wall_seconds = a.causal.wall_s;
-    d.b_wall_seconds = b.causal.wall_s;
+    d.a_wall_seconds = a.causal->wall_s;
+    d.b_wall_seconds = b.causal->wall_s;
   } else {
     d.a_wall_seconds = a.total_loop_seconds;
     d.b_wall_seconds = b.total_loop_seconds;
@@ -182,19 +182,21 @@ DiffReport diff_runs(const std::vector<RunReport>& a_runs,
   // sum to its path length (== traced wall) by construction, so the
   // deltas decompose the wall delta.
   if (d.has_buckets) {
+    const std::map<std::string, double>& ab = a.causal->critical_path.buckets;
+    const std::map<std::string, double>& bb = b.causal->critical_path.buckets;
     std::set<std::string> names;
-    for (const auto& [k, v] : a.causal.path_buckets) names.insert(k);
-    for (const auto& [k, v] : b.causal.path_buckets) names.insert(k);
+    for (const auto& [k, v] : ab) names.insert(k);
+    for (const auto& [k, v] : bb) names.insert(k);
     for (const std::string& name : names) {
       BucketDelta row;
       row.bucket = name;
-      const auto ia = a.causal.path_buckets.find(name);
-      const auto ib = b.causal.path_buckets.find(name);
-      row.status = ia == a.causal.path_buckets.end()   ? DiffStatus::New
-                   : ib == b.causal.path_buckets.end() ? DiffStatus::Gone
-                                                       : DiffStatus::Common;
-      row.a_seconds = ia != a.causal.path_buckets.end() ? ia->second : 0;
-      row.b_seconds = ib != b.causal.path_buckets.end() ? ib->second : 0;
+      const auto ia = ab.find(name);
+      const auto ib = bb.find(name);
+      row.status = ia == ab.end()   ? DiffStatus::New
+                   : ib == bb.end() ? DiffStatus::Gone
+                                    : DiffStatus::Common;
+      row.a_seconds = ia != ab.end() ? ia->second : 0;
+      row.b_seconds = ib != bb.end() ? ib->second : 0;
       row.delta_seconds = row.b_seconds - row.a_seconds;
       row.share = d.wall_delta_seconds != 0
                       ? row.delta_seconds / d.wall_delta_seconds
@@ -204,8 +206,10 @@ DiffReport diff_runs(const std::vector<RunReport>& a_runs,
 
     // --- Comm matrix: union keyed by (src, dest).
     std::map<std::pair<int, int>, const causal::PairStats*> am, bm;
-    for (const causal::PairStats& p : a.causal.matrix) am[{p.src, p.dest}] = &p;
-    for (const causal::PairStats& p : b.causal.matrix) bm[{p.src, p.dest}] = &p;
+    for (const causal::PairStats& p : a.causal->matrix)
+      am[{p.src, p.dest}] = &p;
+    for (const causal::PairStats& p : b.causal->matrix)
+      bm[{p.src, p.dest}] = &p;
     std::set<std::pair<int, int>> keys;
     for (const auto& [k, v] : am) keys.insert(k);
     for (const auto& [k, v] : bm) keys.insert(k);
@@ -236,9 +240,9 @@ DiffReport diff_runs(const std::vector<RunReport>& a_runs,
   // --- Per-(loop, dat) counted bytes (bwmem): union of record keys.
   if (d.has_dats) {
     std::map<std::pair<std::string, std::string>, count_t> am, bm;
-    for (const DatMoveRecord& r : a.datmove.records)
+    for (const DatMoveRecord& r : a.datmove->records)
       am[{r.loop, r.dat}] += r.bytes_read + r.bytes_written;
-    for (const DatMoveRecord& r : b.datmove.records)
+    for (const DatMoveRecord& r : b.datmove->records)
       bm[{r.loop, r.dat}] += r.bytes_read + r.bytes_written;
     std::set<std::pair<std::string, std::string>> keys;
     for (const auto& [k, v] : am) keys.insert(k);
@@ -351,72 +355,6 @@ Table diff_dats_table(const DiffReport& d, std::size_t top_n) {
   return t;
 }
 
-void write_json(std::ostream& os, const DiffReport& d) {
-  os << "{\n  \"wall_source\": \""
-     << (d.wall_from_causal ? "causal" : "loops") << "\",\n"
-     << "  \"a_wall_seconds\": " << d.a_wall_seconds
-     << ",\n  \"b_wall_seconds\": " << d.b_wall_seconds
-     << ",\n  \"wall_delta_seconds\": " << d.wall_delta_seconds
-     << ",\n  \"a_loop_seconds\": " << d.a_loop_seconds
-     << ",\n  \"b_loop_seconds\": " << d.b_loop_seconds
-     << ",\n  \"loop_delta_seconds\": " << d.loop_delta_seconds
-     << ",\n  \"loops\": [";
-  bool first = true;
-  for (const LoopDelta& l : d.loops) {
-    os << (first ? "\n" : ",\n") << "    {\"name\": \"";
-    first = false;
-    json::write_escaped(os, l.name);
-    os << "\", \"status\": \"" << to_string(l.status)
-       << "\", \"a_seconds\": " << l.a_seconds
-       << ", \"b_seconds\": " << l.b_seconds
-       << ", \"delta_seconds\": " << l.delta_seconds
-       << ", \"rel_change\": " << l.rel_change
-       << ", \"counted\": " << (l.counted ? "true" : "false")
-       << ", \"a_bytes\": " << l.a_bytes << ", \"b_bytes\": " << l.b_bytes
-       << ", \"byte_ratio\": " << l.byte_ratio << ", \"significance\": \""
-       << to_string(l.significance) << "\", \"a_median\": " << l.a_median
-       << ", \"a_mad\": " << l.a_mad << ", \"b_median\": " << l.b_median
-       << ", \"b_mad\": " << l.b_mad << "}";
-  }
-  os << (first ? "]" : "\n  ]") << ",\n  \"buckets\": [";
-  first = true;
-  for (const BucketDelta& b : d.buckets) {
-    os << (first ? "\n" : ",\n") << "    {\"bucket\": \"" << b.bucket
-       << "\", \"status\": \"" << to_string(b.status)
-       << "\", \"a_seconds\": " << b.a_seconds
-       << ", \"b_seconds\": " << b.b_seconds
-       << ", \"delta_seconds\": " << b.delta_seconds
-       << ", \"share\": " << b.share << "}";
-    first = false;
-  }
-  os << (first ? "]" : "\n  ]") << ",\n  \"comm\": [";
-  first = true;
-  for (const PairDelta& p : d.pairs) {
-    os << (first ? "\n" : ",\n") << "    {\"src\": " << p.src
-       << ", \"dest\": " << p.dest << ", \"status\": \""
-       << to_string(p.status) << "\", \"a_messages\": " << p.a_messages
-       << ", \"b_messages\": " << p.b_messages
-       << ", \"a_bytes\": " << p.a_bytes << ", \"b_bytes\": " << p.b_bytes
-       << ", \"a_wait_seconds\": " << p.a_wait_seconds
-       << ", \"b_wait_seconds\": " << p.b_wait_seconds
-       << ", \"delta_wait_seconds\": " << p.delta_wait_seconds << "}";
-    first = false;
-  }
-  os << (first ? "]" : "\n  ]") << ",\n  \"dats\": [";
-  first = true;
-  for (const DatDelta& x : d.dats) {
-    os << (first ? "\n" : ",\n") << "    {\"loop\": \"";
-    first = false;
-    json::write_escaped(os, x.loop);
-    os << "\", \"dat\": \"";
-    json::write_escaped(os, x.dat);
-    os << "\", \"status\": \"" << to_string(x.status)
-       << "\", \"a_bytes\": " << x.a_bytes << ", \"b_bytes\": " << x.b_bytes
-       << ", \"delta_bytes\": " << x.delta_bytes << "}";
-  }
-  os << (first ? "]" : "\n  ]") << "\n}\n";
-}
-
 void write_csv(std::ostream& os, const DiffReport& d) {
   os << "section,key,status,a,b,delta\n";
   os << "wall," << (d.wall_from_causal ? "causal" : "loops") << ",common,"
@@ -442,17 +380,6 @@ void write_csv(std::ostream& os, const DiffReport& d) {
 
 namespace {
 
-void write_escaped_chrome(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
 /// Emits one run's tracks with pid = 2·rank + side (A = 0, B = 1), the
 /// same event-line format trace::write_chrome_json uses, with unmatched
 /// begins closed at the track's last timestamp.
@@ -469,7 +396,7 @@ void write_side(std::ostream& os, const std::vector<trace::TrackView>& tracks,
     os << ",\n"
        << R"({"ph":"M","pid":)" << pid << R"(,"tid":)" << t.tid
        << R"(,"name":"thread_name","args":{"name":")";
-    write_escaped_chrome(os, t.label);
+    json::write_escaped(os, t.label);
     os << R"("}})";
     auto emit_ts = [&os](std::uint64_t ts_ns) {
       char buf[48];
@@ -496,7 +423,7 @@ void write_side(std::ostream& os, const std::vector<trace::TrackView>& tracks,
              << R"(,"ts":)";
           emit_ts(e.ts_ns);
           os << R"(,"cat":")" << to_string(e.cat) << R"(","name":")";
-          write_escaped_chrome(os, e.name);
+          json::write_escaped(os, e.name);
           os << '"';
           if (e.has_args)
             os << R"(,"args":{"peer":)" << e.peer << R"(,"tag":)" << e.tag
@@ -514,7 +441,7 @@ void write_side(std::ostream& os, const std::vector<trace::TrackView>& tracks,
              << R"(,"ts":)";
           emit_ts(e.ts_ns);
           os << R"(,"name":")";
-          write_escaped_chrome(os, e.name);
+          json::write_escaped(os, e.name);
           os << R"(","args":{"value":)" << e.value << "}}";
           break;
         case 's':

@@ -71,6 +71,24 @@ struct LoopDelta {
   double b_median = 0;
   double b_mad = 0;
 };
+template <class Io>
+void fields(Io& io, LoopDelta& l) {
+  io("name", l.name);
+  io("status", l.status);
+  io("a_seconds", l.a_seconds);
+  io("b_seconds", l.b_seconds);
+  io("delta_seconds", l.delta_seconds);
+  io("rel_change", l.rel_change);
+  io("counted", l.counted);
+  io("a_bytes", l.a_bytes);
+  io("b_bytes", l.b_bytes);
+  io("byte_ratio", l.byte_ratio);
+  io("significance", l.significance);
+  io("a_median", l.a_median);
+  io("a_mad", l.a_mad);
+  io("b_median", l.b_median);
+  io("b_mad", l.b_mad);
+}
 
 /// One critical-path bucket (kernel / halo_pack / comm_wait / imbalance /
 /// recovery / other) aligned across the runs. Deltas sum to the causal
@@ -83,6 +101,15 @@ struct BucketDelta {
   double delta_seconds = 0;
   double share = 0;  ///< delta_seconds / wall_delta (0 when wall delta ~0)
 };
+template <class Io>
+void fields(Io& io, BucketDelta& b) {
+  io("bucket", b.bucket);
+  io("status", b.status);
+  io("a_seconds", b.a_seconds);
+  io("b_seconds", b.b_seconds);
+  io("delta_seconds", b.delta_seconds);
+  io("share", b.share);
+}
 
 /// One directed rank pair of the comm matrix aligned across the runs.
 struct PairDelta {
@@ -97,6 +124,19 @@ struct PairDelta {
   double b_wait_seconds = 0;
   double delta_wait_seconds = 0;
 };
+template <class Io>
+void fields(Io& io, PairDelta& p) {
+  io("src", p.src);
+  io("dest", p.dest);
+  io("status", p.status);
+  io("a_messages", p.a_messages);
+  io("b_messages", p.b_messages);
+  io("a_bytes", p.a_bytes);
+  io("b_bytes", p.b_bytes);
+  io("a_wait_seconds", p.a_wait_seconds);
+  io("b_wait_seconds", p.b_wait_seconds);
+  io("delta_wait_seconds", p.delta_wait_seconds);
+}
 
 /// One (loop, dat) counted-bytes cell of the bwmem datmove section.
 struct DatDelta {
@@ -107,6 +147,15 @@ struct DatDelta {
   count_t b_bytes = 0;
   long long delta_bytes = 0;
 };
+template <class Io>
+void fields(Io& io, DatDelta& x) {
+  io("loop", x.loop);
+  io("dat", x.dat);
+  io("status", x.status);
+  io("a_bytes", x.a_bytes);
+  io("b_bytes", x.b_bytes);
+  io("delta_bytes", x.delta_bytes);
+}
 
 struct DiffOptions {
   double threshold = 0.10;  ///< relative-change gate for significance
@@ -132,6 +181,22 @@ struct DiffReport {
   bool has_buckets = false;          ///< both runs carried causal sections
   bool has_dats = false;             ///< both runs carried datmove sections
 };
+/// The machine-readable diff (stable key order, no timestamps — identical
+/// inputs produce identical bytes). Written only: there is no diff reader.
+template <class Io>
+void fields(Io& io, DiffReport& d) {
+  io("wall_source", d.wall_from_causal ? "causal" : "loops");
+  io("a_wall_seconds", d.a_wall_seconds);
+  io("b_wall_seconds", d.b_wall_seconds);
+  io("wall_delta_seconds", d.wall_delta_seconds);
+  io("a_loop_seconds", d.a_loop_seconds);
+  io("b_loop_seconds", d.b_loop_seconds);
+  io("loop_delta_seconds", d.loop_delta_seconds);
+  io("loops", d.loops);
+  io("buckets", d.buckets);
+  io("comm", d.pairs);
+  io("dats", d.dats);
+}
 
 /// Aligns run B against run A. Throws bwlab::Error when both reports
 /// carry causal sections with different rank counts (a per-rank diff of
@@ -155,9 +220,6 @@ Table diff_buckets_table(const DiffReport& d);
 Table diff_comm_table(const DiffReport& d, std::size_t top_n = 10);
 Table diff_dats_table(const DiffReport& d, std::size_t top_n = 10);
 
-/// Machine-readable diff (stable key order, no timestamps — identical
-/// inputs produce identical bytes).
-void write_json(std::ostream& os, const DiffReport& d);
 /// Flat CSV: section,key,status,a,b,delta rows for loops/buckets/comm/dats.
 void write_csv(std::ostream& os, const DiffReport& d);
 

@@ -6,12 +6,10 @@
 // write -> parse -> write is bitwise.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "common/instrument.hpp"
-#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/attribution.hpp"
 #include "sim/machine.hpp"
@@ -28,6 +26,14 @@ struct MemTierTier {
   count_t resident_bytes = 0;  ///< sum of alloc bytes of dats placed here
   count_t traffic_bytes = 0;   ///< counted bytes moved by those dats
 };
+template <class Io>
+void fields(Io& io, MemTierTier& t) {
+  io("name", t.name);
+  io("capacity_bytes", t.capacity_bytes);
+  io("bw_bytes_per_s", t.bw_bytes_per_s);
+  io("resident_bytes", t.resident_bytes);
+  io("traffic_bytes", t.traffic_bytes);
+}
 
 /// One dat's placement decision.
 struct MemTierPlacement {
@@ -35,10 +41,15 @@ struct MemTierPlacement {
   std::string tier;
   count_t alloc_bytes = 0;
 };
+template <class Io>
+void fields(Io& io, MemTierPlacement& p) {
+  io("dat", p.dat);
+  io("tier", p.tier);
+  io("alloc_bytes", p.alloc_bytes);
+}
 
-/// The "memtier" section (RunReport::memtier, gated by has_memtier).
+/// The "memtier" section (RunReport::memtier).
 struct MemTierSection {
-  bool present = false;
   int schema_version = kMemTierSchemaVersion;
   std::string machine_id;  ///< machine (or variant) the run modeled
   std::string mode;        ///< "hbmonly" | "flat" | "cache"
@@ -58,6 +69,22 @@ struct MemTierSection {
   std::vector<MemTierPlacement> placements;   ///< allocation order
   std::vector<LoopTierRoofs> loop_roofs;      ///< first-execution order
 };
+template <class Io>
+void fields(Io& io, MemTierSection& s) {
+  io("schema_version", s.schema_version);
+  io("machine", s.machine_id);
+  io("mode", s.mode);
+  io("snc", s.snc);
+  io("place", s.place);
+  io("working_set_bytes", s.working_set_bytes);
+  io("hbm_capacity_bytes", s.hbm_capacity_bytes);
+  io("hbm_hit_fraction", s.hbm_hit_fraction);
+  io("est_spill_bytes", s.est_spill_bytes);
+  io("tiered_bw_bytes_per_s", s.tiered_bw_bytes_per_s);
+  io("tiers", s.tiers);
+  io("placements", s.placements);
+  io("loop_roofs", s.loop_roofs);
+}
 
 /// Builds the section from the run's instrumentation and machine model.
 /// Placement decisions come from the live memtier allocator, the repo's
@@ -75,10 +102,5 @@ void install_memtier_allocator(const sim::MachineModel& m,
 /// Console tables: tier placement summary and the per-tier loop roofs.
 Table memtier_table(const MemTierSection& s);
 Table memtier_roof_table(const MemTierSection& s);
-
-/// JSON writer (the "memtier" object of the run report).
-void write_json(std::ostream& os, const MemTierSection& s, int indent);
-/// Inverse of write_json; throws bwlab::Error on malformed input.
-MemTierSection memtier_from_json(const json::Value& v);
 
 }  // namespace bwlab::core

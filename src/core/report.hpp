@@ -6,11 +6,14 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/instrument.hpp"
+#include "common/json.hpp"
 #include "common/metrics.hpp"
+#include "common/resil.hpp"
 #include "common/stats.hpp"
 #include "common/timeseries.hpp"
 #include "common/table.hpp"
@@ -58,18 +61,26 @@ Table effective_bw_table(const Instrumentation& instr);
 // bitwise — every section serializes stored values, never re-derived ones),
 // and make_run_report snapshots the live process state (instrumentation,
 // metrics registry, resilience counters, tracer drop counts) into the same
-// struct so the live and offline paths share one writer.
+// struct so the live and offline paths share one writer. Every section is
+// a fields list (common/json.hpp); an optional section is written only
+// when present.
 
 /// Who/what/how of the run, stamped into the report when the caller
 /// provides it (run_app does). Deliberately timestamp-free so reports are
 /// byte-comparable across identical runs.
 struct RunProvenance {
-  bool present = false;   ///< section existed / should be written
   std::string git_sha;    ///< benchjson::git_sha(): $BWBENCH_GIT_SHA or build
   std::string machine;    ///< machine model or host identifier
   std::string cmdline;    ///< full CLI line that produced the run
   std::uint64_t seed = 0;
 };
+template <class Io>
+void fields(Io& io, RunProvenance& p) {
+  io("git_sha", p.git_sha);
+  io("machine", p.machine);
+  io("cmdline", p.cmdline);
+  io("seed", p.seed);
+}
 
 /// One "loops" entry. effective_bw_gbs is stored, not re-derived from
 /// bytes/host_seconds, so reprinting a parsed report is exact.
@@ -85,39 +96,24 @@ struct ReportLoop {
   int max_radius = 0;
   int ndims = 2;
 };
+template <class Io>
+void fields(Io& io, ReportLoop& l) {
+  io("name", l.name);
+  io("calls", l.calls);
+  io("points", l.points);
+  io("bytes", l.bytes);
+  io("flops", l.flops);
+  io("host_seconds", l.host_seconds);
+  io("effective_bw_gbs", l.effective_bw_gbs);
+  io("pattern", l.pattern);
+  io("max_radius", l.max_radius);
+  io("ndims", l.ndims);
+}
 
-/// One "exchanges" entry (halo traffic of one Dat).
-struct ReportExchange {
-  std::string dat;
-  count_t exchanges = 0;
-  count_t messages = 0;
-  count_t bytes = 0;
-  count_t bytes_received = 0;
-  int halo_depth = 0;
-  count_t elem_bytes = 0;
-};
-
-/// The "tiling" section (written only when the run executed tiled chains).
-struct TilingSection {
-  bool present = false;
-  count_t chains = 0;
-  count_t tiles = 0;
-  idx_t tile_height = 0;
-  bool auto_tuned = false;
-  double row_bytes = 0;
-  double cache_budget_bytes = 0;
-};
-
-/// The "resil" section (written only when the resilience policy was
+/// The "resil" section (present only when the resilience policy was
 /// active): policy knobs plus recovery counters.
 struct ResilSection {
-  bool present = false;
-  int retry_max = 0;
-  long long timeout_us = 0;
-  long long backoff_us = 0;
-  long long backoff_cap_us = 0;
-  bool degraded = false;
-  std::uint64_t seed = 0;
+  resil::Policy policy;
   long long retries = 0;
   long long recovered = 0;
   long long degraded_events = 0;
@@ -126,46 +122,71 @@ struct ResilSection {
   long long buddy_restores = 0;
   count_t buddy_bytes = 0;
 };
+template <class Io>
+void fields(Io& io, ResilSection& r) {
+  io("policy", r.policy);
+  io("retries", r.retries);
+  io("recovered", r.recovered);
+  io("degraded_events", r.degraded_events);
+  io("backoff_waits", r.backoff_waits);
+  io("rollbacks", r.rollbacks);
+  io("buddy_restores", r.buddy_restores);
+  io("buddy_bytes", r.buddy_bytes);
+}
 
-/// The "trace" health section (written only when the tracer had events):
+/// The "trace" health section (present only when the tracer had events):
 /// dropped-event totals per thread, so truncated timelines are visible.
 struct TraceSection {
-  bool present = false;
   std::uint64_t dropped_events = 0;
   std::vector<trace::ThreadDrops> threads;
 };
+template <class Io>
+void fields(Io& io, TraceSection& t) {
+  io("dropped_events", t.dropped_events);
+  io("threads", t.threads);
+}
 
 struct RunReport {
-  RunProvenance provenance;
+  std::optional<RunProvenance> provenance;
   std::vector<ReportLoop> loops;
-  std::vector<ReportExchange> exchanges;
+  std::vector<ExchangeRecord> exchanges;  ///< halo traffic per Dat
   seconds_t total_loop_seconds = 0;
-  TilingSection tiling;
-  bool has_attribution = false;
-  AttributionReport attribution;
-  bool has_metrics = false;
-  MetricsSnapshot metrics;
-  causal::CausalSection causal;  ///< .present gates the section
-  bool has_datmove = false;
-  DatMoveReport datmove;
-  /// The bwmem x memory-mode "memtier" section (written when run_app
-  /// modeled placement): tier map, mode pricing, per-tier loop roofs.
-  bool has_memtier = false;
-  MemTierSection memtier;
-  ResilSection resil;
-  TraceSection trace_health;
-  /// The bwlive "timeseries" section (written only when a run sampled):
-  /// the schema-versioned telemetry series, stored verbatim so reprinting
-  /// a parsed report is exact.
-  bool has_timeseries = false;
-  live::TimeSeries timeseries;
+  std::optional<TilingRecord> tiling;  ///< present when chains ran tiled
+  std::optional<AttributionReport> attribution;
+  std::optional<MetricsSnapshot> metrics;
+  std::optional<causal::CausalSection> causal;
+  std::optional<DatMoveReport> datmove;
+  /// The bwmem x memory-mode section (present when run_app modeled
+  /// placement): tier map, mode pricing, per-tier loop roofs.
+  std::optional<MemTierSection> memtier;
+  std::optional<ResilSection> resil;
+  std::optional<TraceSection> trace_health;
+  /// The bwlive telemetry series (present only when a run sampled),
+  /// stored verbatim so reprinting a parsed report is exact.
+  std::optional<live::TimeSeries> timeseries;
 };
+template <class Io>
+void fields(Io& io, RunReport& r) {
+  io("provenance", r.provenance);
+  io("loops", r.loops, json::required);
+  io("exchanges", r.exchanges);
+  io("total_loop_seconds", r.total_loop_seconds);
+  io("tiling", r.tiling);
+  io("attribution", r.attribution);
+  io("metrics", r.metrics);
+  io("causal", r.causal);
+  io("datmove", r.datmove);
+  io("memtier", r.memtier);
+  io("resil", r.resil);
+  io("trace", r.trace_health);
+  io("timeseries", r.timeseries);
+}
 
 /// Snapshots the live run state into a RunReport: instrumentation records,
-/// the optional metrics registry / attribution / causal / datmove sections,
-/// plus the process-wide resil counters (when resil::active()) and tracer
-/// drop counts (when any events were recorded) — exactly what the legacy
-/// write_run_report_json(instr, ...) serialized.
+/// the optional metrics registry / attribution / causal / datmove /
+/// provenance / timeseries / memtier sections, plus the process-wide
+/// resil counters (when resil::active()) and tracer drop counts (when any
+/// events were recorded).
 RunReport make_run_report(const Instrumentation& instr,
                           const MetricsRegistry* metrics = nullptr,
                           const AttributionReport* attr = nullptr,
@@ -175,37 +196,19 @@ RunReport make_run_report(const Instrumentation& instr,
                           const live::TimeSeries* timeseries = nullptr,
                           const MemTierSection* memtier = nullptr);
 
-/// Serializes `r` as the run-report JSON. Absent sections (present/has_*
-/// false) are omitted entirely, so a report without them is byte-identical
-/// to the pre-RunReport format.
+/// Serializes `r` as the run-report JSON (absent sections are omitted).
 void write_run_report_json(std::ostream& os, const RunReport& r);
 
 /// write_run_report_json to `path`; throws bwlab::Error if unwritable.
 void write_run_report_json_file(const std::string& path, const RunReport& r);
 
 /// Parses a run report previously written by write_run_report_json back
-/// into a RunReport — ALL sections (provenance, loops, exchanges, tiling,
-/// attribution, metrics, causal, datmove, resil, trace). Writing the
-/// result reproduces the input bitwise. Throws bwlab::Error on malformed
-/// input.
+/// into a RunReport — ALL sections. Writing the result reproduces the
+/// input bitwise. Throws bwlab::Error on malformed input or a report
+/// without "loops".
 RunReport parse_run_report(std::istream& is);
 
 /// parse_run_report from `path`; throws bwlab::Error if unreadable.
 RunReport read_run_report(const std::string& path);
-
-/// Legacy convenience: write_run_report_json(os, make_run_report(...)).
-void write_run_report_json(std::ostream& os, const Instrumentation& instr,
-                           const MetricsRegistry* metrics = nullptr,
-                           const AttributionReport* attr = nullptr,
-                           const causal::Report* causal_rep = nullptr,
-                           const DatMoveReport* datmove = nullptr);
-
-/// write_run_report_json to `path`; throws bwlab::Error if unwritable.
-void write_run_report_json_file(const std::string& path,
-                                const Instrumentation& instr,
-                                const MetricsRegistry* metrics = nullptr,
-                                const AttributionReport* attr = nullptr,
-                                const causal::Report* causal_rep = nullptr,
-                                const DatMoveReport* datmove = nullptr);
 
 }  // namespace bwlab::core

@@ -321,7 +321,8 @@ TEST_F(AttributionTest, ReportJsonCarriesAttribution) {
   const core::AttributionReport rep =
       core::attribute(clover_run().instr, sim::max9480(), cfg);
   std::ostringstream os;
-  core::write_run_report_json(os, clover_run().instr, nullptr, &rep);
+  core::write_run_report_json(
+      os, core::make_run_report(clover_run().instr, nullptr, &rep));
   const std::string json = os.str();
   EXPECT_NE(json.find("\"attribution\""), std::string::npos);
   EXPECT_NE(json.find("\"measured_seconds\""), std::string::npos);

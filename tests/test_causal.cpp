@@ -296,7 +296,7 @@ TEST_F(CausalTest, DroppedEventsExposedPerThreadAndInReport) {
 
   Instrumentation instr;
   std::ostringstream os;
-  core::write_run_report_json(os, instr);
+  core::write_run_report_json(os, core::make_run_report(instr));
   const std::string json = os.str();
   EXPECT_NE(json.find("\"trace\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\""), std::string::npos);
@@ -348,7 +348,8 @@ TEST_F(CausalTest, CloverDelayedHaloSendAcceptance) {
 
   // And the causal section lands in the run report JSON.
   std::ostringstream rep;
-  core::write_run_report_json(rep, res.instr, nullptr, nullptr, &r);
+  core::write_run_report_json(
+      rep, core::make_run_report(res.instr, nullptr, nullptr, &r));
   EXPECT_NE(rep.str().find("\"causal\""), std::string::npos);
   EXPECT_NE(rep.str().find("\"critical_path\""), std::string::npos);
 }

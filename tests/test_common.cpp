@@ -271,6 +271,29 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_THROW(cli.get_int("n", 0), Error);
 }
 
+TEST(Cli, RejectsFlagsNeverRead) {
+  const char* argv[] = {"prog", "--n=4", "--placement=auto", "--verbose",
+                        "--live-listen=0"};
+  const Cli cli(5, argv);
+  EXPECT_EQ(cli.get_int("n", 0), 4);
+  EXPECT_FALSE(cli.has("tiled"));  // asked-for but absent is fine
+  try {
+    cli.reject_unknown();
+    FAIL() << "unread flags must be rejected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--placement"), std::string::npos) << what;
+    EXPECT_NE(what.find("--verbose"), std::string::npos) << what;
+    EXPECT_NE(what.find("--live-listen"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--n"), std::string::npos) << what;
+  }
+  // Reading a flag by any accessor counts, whatever its value.
+  EXPECT_EQ(cli.get("placement", ""), "auto");
+  EXPECT_TRUE(cli.get_bool("verbose", false));
+  EXPECT_TRUE(cli.has("live-listen"));
+  EXPECT_NO_THROW(cli.reject_unknown());
+}
+
 TEST(Units, Formatting) {
   EXPECT_EQ(format_bandwidth(1446e9), "1446.0 GB/s");
   EXPECT_EQ(format_flops(6.0e12), "6.00 TFLOP/s");

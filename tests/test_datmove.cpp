@@ -18,6 +18,7 @@
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
 #include "common/instrument.hpp"
+#include "common/json.hpp"
 #include "core/attribution.hpp"
 #include "core/config.hpp"
 #include "core/datmove.hpp"
@@ -329,15 +330,15 @@ TEST(DatMove, JsonRoundTripsBareAndInsideRunReport) {
 
   // Bare object.
   std::ostringstream os;
-  core::write_json(os, rep, 0);
+  json::write(os, rep);
   std::istringstream is(os.str());
   const core::DatMoveReport back = core::parse_datmove_json(is);
   expect_reports_equal(rep, back);
 
   // Embedded in the full run report (the tools/datmove_report path).
   std::ostringstream ros;
-  core::write_run_report_json(ros, res.instr, nullptr, nullptr, nullptr,
-                              &rep);
+  core::write_run_report_json(
+      ros, core::make_run_report(res.instr, nullptr, nullptr, nullptr, &rep));
   EXPECT_NE(ros.str().find("\"datmove\""), std::string::npos);
   std::istringstream ris(ros.str());
   const core::DatMoveReport back2 = core::parse_datmove_json(ris);
@@ -345,7 +346,7 @@ TEST(DatMove, JsonRoundTripsBareAndInsideRunReport) {
 
   // A report with no datmove section is a diagnosed error.
   std::ostringstream plain;
-  core::write_run_report_json(plain, res.instr);
+  core::write_run_report_json(plain, core::make_run_report(res.instr));
   std::istringstream pis(plain.str());
   EXPECT_THROW(core::parse_datmove_json(pis), Error);
 }
@@ -365,7 +366,7 @@ TEST(DatMove, MultiChainJsonStaysParseable) {
     rep.chains.push_back(c);
   }
   std::ostringstream os;
-  core::write_json(os, rep, 0);
+  json::write(os, rep);
   std::istringstream is(os.str());
   const core::DatMoveReport back = core::parse_datmove_json(is);
   ASSERT_EQ(back.chains.size(), 3u);

@@ -4,13 +4,16 @@
 // contributions summing exactly to the measured totals, zero-duration
 // buckets, a clean error on mismatched rank counts, MAD significance
 // verdicts on synthetic repetition samples, bitwise
-// write -> parse -> rewrite stability of every report section, and the
-// acceptance scenario: a CloverLeaf run pair where one side carries an
-// injected bwfault send delay must attribute the majority of the wall
-// delta to comm_wait.
+// write -> parse -> rewrite stability of a report carrying every section,
+// truncated reports failing cleanly, a report written by the pre-codec
+// writer reading back to the same value tree, and the acceptance
+// scenario: a CloverLeaf run pair where one side carries an injected
+// bwfault send delay must attribute the majority of the wall delta to
+// comm_wait.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,19 +21,27 @@
 #include "apps/cloverleaf/cloverleaf2d.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/json.hpp"
+#include "common/live.hpp"
+#include "common/memtier.hpp"
 #include "common/metrics.hpp"
 #include "common/resil.hpp"
 #include "common/trace.hpp"
+#include "core/attribution.hpp"
 #include "core/causal.hpp"
+#include "core/config.hpp"
 #include "core/datmove.hpp"
 #include "core/diff.hpp"
+#include "core/memtier.hpp"
 #include "core/report.hpp"
+#include "sim/machine.hpp"
 
 namespace bwlab::core {
 namespace {
 
-/// Tracing, faults, resil and the datmove profiler are process-global;
-/// restore the clean state around every test.
+/// Tracing, faults, resil, the datmove profiler, the memtier allocator and
+/// the bwlive sampler are process-global; restore the clean state around
+/// every test.
 class DiffTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -44,6 +55,9 @@ class DiffTest : public ::testing::Test {
     trace::reset();
     fault::clear();
     resil::clear();
+    DataMoveProfiler::disable();
+    memtier::uninstall();
+    live::stop();
   }
 };
 
@@ -103,12 +117,13 @@ TEST_F(DiffTest, RenamedLoopShowsAsGonePlusNew) {
 TEST_F(DiffTest, ZeroDurationBucketsDiffCleanly) {
   RunReport a = two_loop_report(1.0, 1.0);
   RunReport b = two_loop_report(1.0, 1.0);
-  a.causal.present = b.causal.present = true;
-  a.causal.nranks = b.causal.nranks = 2;
-  a.causal.wall_s = 2.0;
-  b.causal.wall_s = 2.5;
-  a.causal.path_buckets = {{"kernel", 2.0}, {"comm_wait", 0.0}};
-  b.causal.path_buckets = {{"kernel", 2.0}, {"comm_wait", 0.5}};
+  a.causal.emplace();
+  b.causal.emplace();
+  a.causal->nranks = b.causal->nranks = 2;
+  a.causal->wall_s = 2.0;
+  b.causal->wall_s = 2.5;
+  a.causal->critical_path.buckets = {{"kernel", 2.0}, {"comm_wait", 0.0}};
+  b.causal->critical_path.buckets = {{"kernel", 2.0}, {"comm_wait", 0.5}};
 
   const DiffReport d = diff_runs(a, b);
   EXPECT_TRUE(d.wall_from_causal);
@@ -129,10 +144,11 @@ TEST_F(DiffTest, ZeroDurationBucketsDiffCleanly) {
 TEST_F(DiffTest, BucketOnlyOnOneSideIsGoneOrNew) {
   RunReport a = two_loop_report(1.0, 1.0);
   RunReport b = two_loop_report(1.0, 1.0);
-  a.causal.present = b.causal.present = true;
-  a.causal.nranks = b.causal.nranks = 1;
-  a.causal.path_buckets = {{"kernel", 1.0}, {"recovery", 0.2}};
-  b.causal.path_buckets = {{"kernel", 1.0}, {"imbalance", 0.1}};
+  a.causal.emplace();
+  b.causal.emplace();
+  a.causal->nranks = b.causal->nranks = 1;
+  a.causal->critical_path.buckets = {{"kernel", 1.0}, {"recovery", 0.2}};
+  b.causal->critical_path.buckets = {{"kernel", 1.0}, {"imbalance", 0.1}};
 
   const DiffReport d = diff_runs(a, b);
   ASSERT_EQ(d.buckets.size(), 3u);
@@ -150,9 +166,10 @@ TEST_F(DiffTest, BucketOnlyOnOneSideIsGoneOrNew) {
 TEST_F(DiffTest, DifferentRankCountsIsCleanError) {
   RunReport a = two_loop_report(1.0, 1.0);
   RunReport b = two_loop_report(1.0, 1.0);
-  a.causal.present = b.causal.present = true;
-  a.causal.nranks = 2;
-  b.causal.nranks = 4;
+  a.causal.emplace();
+  b.causal.emplace();
+  a.causal->nranks = 2;
+  b.causal->nranks = 4;
   EXPECT_THROW(diff_runs(a, b), Error);
 }
 
@@ -210,58 +227,116 @@ TEST_F(DiffTest, SmallMedianMoveIsInsignificantEvenWhenTight) {
 
 // --- Round trip ---------------------------------------------------------------
 
-TEST_F(DiffTest, RunReportRoundTripIsBitwise) {
-  // A real clover2d run with every optional section live: trace +
-  // causal, datmove, metrics, resil, and a provenance stamp.
+/// A real 2-rank clover2d run, tiled, with every optional section live:
+/// trace + causal, datmove, metrics, resil, attribution, the memtier
+/// allocator, a bwlive series, and a provenance stamp.
+RunReport all_sections_report() {
   resil::Policy pol;
   pol.enabled = true;
   pol.seed = 7;
   resil::install(pol);
+  const sim::MachineModel& machine = sim::machine_by_id("max9480-flat");
+  install_memtier_allocator(machine, "auto");
   DataMoveProfiler::enable();
   trace::enable();
+  live::Config live_cfg;
+  live_cfg.interval_ms = 1LL << 40;  // only the final sample at stop()
+  live::start(live_cfg);
   apps::Options opt;
-  opt.n = 24;
+  opt.n = 48;
   opt.iterations = 2;
   opt.ranks = 2;
+  opt.tiled = true;
   const apps::Result res = apps::clover2d::run(opt);
+  live::stop();
   trace::disable();
   DataMoveProfiler::disable();
-  ASSERT_NE(res.checksum, 0.0);
+  EXPECT_NE(res.checksum, 0.0);
 
   const causal::Report causal_rep = causal::analyze_live();
   const DatMoveReport dm = DataMoveProfiler::analyze(res.instr);
+  const AttributionReport attr = attribute(
+      res.instr, machine, default_config(machine, AppClass::Structured));
+  const MemTierSection mt = build_memtier_section(res.instr, machine, "auto");
+  memtier::uninstall();
+  const live::TimeSeries ts = live::series();
   RunProvenance prov;
-  prov.present = true;
   prov.git_sha = "deadbeef";
   prov.machine = "max9480";
   prov.cmdline = "run_app --app=clover2d \"quoted\"";
   prov.seed = 12345;
-  const RunReport report =
-      make_run_report(res.instr, &MetricsRegistry::global(), nullptr,
-                      &causal_rep, &dm, &prov);
+  return make_run_report(res.instr, &MetricsRegistry::global(), &attr,
+                         &causal_rep, &dm, &prov, &ts, &mt);
+}
+
+TEST_F(DiffTest, RunReportRoundTripIsBitwise) {
+  const RunReport report = all_sections_report();
 
   std::ostringstream first;
   write_run_report_json(first, report);
   for (const char* section :
-       {"\"provenance\"", "\"loops\"", "\"exchanges\"", "\"metrics\"",
-        "\"causal\"", "\"datmove\"", "\"resil\"", "\"trace\""})
+       {"\"provenance\"", "\"loops\"", "\"exchanges\"", "\"tiling\"",
+        "\"attribution\"", "\"metrics\"", "\"causal\"", "\"datmove\"",
+        "\"memtier\"", "\"resil\"", "\"trace\"", "\"timeseries\""})
     EXPECT_NE(first.str().find(section), std::string::npos)
         << section << " missing from the report";
 
   std::istringstream in(first.str());
   const RunReport parsed = parse_run_report(in);
-  EXPECT_TRUE(parsed.provenance.present);
-  EXPECT_EQ(parsed.provenance.git_sha, "deadbeef");
-  EXPECT_EQ(parsed.provenance.cmdline, "run_app --app=clover2d \"quoted\"");
+  EXPECT_TRUE(parsed.provenance.has_value());
+  EXPECT_EQ(parsed.provenance->git_sha, "deadbeef");
+  EXPECT_EQ(parsed.provenance->cmdline, "run_app --app=clover2d \"quoted\"");
   EXPECT_EQ(parsed.loops.size(), report.loops.size());
-  EXPECT_TRUE(parsed.causal.present);
-  EXPECT_TRUE(parsed.has_datmove);
-  EXPECT_TRUE(parsed.resil.present);
+  EXPECT_TRUE(parsed.causal.has_value());
+  EXPECT_TRUE(parsed.datmove.has_value());
+  EXPECT_TRUE(parsed.resil.has_value());
+  EXPECT_TRUE(parsed.tiling.has_value());
+  EXPECT_TRUE(parsed.attribution.has_value());
+  EXPECT_TRUE(parsed.memtier.has_value());
+  EXPECT_TRUE(parsed.timeseries.has_value());
 
   std::ostringstream second;
   write_run_report_json(second, parsed);
   EXPECT_EQ(first.str(), second.str())
       << "write -> parse -> rewrite must be bitwise stable";
+}
+
+TEST_F(DiffTest, TruncatedReportIsADiagnosedError) {
+  std::ostringstream os;
+  write_run_report_json(os, all_sections_report());
+  const std::string text = os.str();
+  const std::size_t end = text.rfind('}');
+  ASSERT_NE(end, std::string::npos);
+  int cuts = 0;
+  for (std::size_t len = 0; len < end; len += 97, ++cuts) {
+    std::istringstream in(text.substr(0, len));
+    EXPECT_THROW(parse_run_report(in), Error) << "cut at byte " << len;
+  }
+  EXPECT_GT(cuts, 100);
+}
+
+// tests/data/run_report_b7ace8d.json was written by run_app at commit
+// b7ace8d, the last commit before the table-driven codec, with
+//   BWBENCH_GIT_SHA=b7ace8d ./build/examples/run_app --app=clover2d --n=48
+//     --iters=2 --ranks=2 --tiled --causal --datmove --mode=flat
+//     --place=auto --resil --live-interval-ms=50 --live-out=ts.json
+//     --report=run_report_b7ace8d.json
+// (every section on). Reading it and writing it back must change nothing
+// but whitespace: same keys, same order, same value text.
+TEST_F(DiffTest, ParentFormatReportReprintsToTheSameTree) {
+  const std::string path =
+      std::string(BWLAB_TEST_DATA_DIR) + "/run_report_b7ace8d.json";
+  std::ifstream is(path);
+  ASSERT_TRUE(is.good()) << path;
+  std::ostringstream text;
+  text << is.rdbuf();
+  std::istringstream in(text.str());
+  std::ostringstream reprint;
+  write_run_report_json(reprint, parse_run_report(in));
+  const json::Value before = json::parse(text.str());
+  ASSERT_EQ(before.obj.size(), 13u);  // twelve sections + total_loop_seconds
+  EXPECT_TRUE(before == json::parse(reprint.str()));
+  EXPECT_NE(text.str(), reprint.str());  // the layout did change
 }
 
 TEST_F(DiffTest, RoundTripWithoutOptionalSectionsIsBitwise) {
@@ -282,6 +357,14 @@ TEST_F(DiffTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(parse_run_report(not_json), Error);
   std::istringstream no_loops("{\"exchanges\": []}");
   EXPECT_THROW(parse_run_report(no_loops), Error);
+}
+
+TEST_F(DiffTest, OutOfRangeCountIsADiagnosedError) {
+  for (const char* calls : {"-1", "1e300", "nan"}) {
+    std::istringstream in(std::string("{\"loops\": [{\"calls\": ") + calls +
+                          "}]}");
+    EXPECT_THROW(parse_run_report(in), Error) << calls;
+  }
 }
 
 // --- Acceptance: perturbed CloverLeaf pair -----------------------------------
@@ -336,8 +419,8 @@ TEST_F(DiffTest, DelayedRankAttributesWallDeltaToCommWait) {
   // already fixed, no timestamps in compared fields) yields identical
   // JSON bytes.
   std::ostringstream once, twice;
-  write_json(once, d);
-  write_json(twice, diff_runs(a, b));
+  json::write(once, d);
+  json::write(twice, diff_runs(a, b));
   EXPECT_EQ(once.str(), twice.str());
 }
 

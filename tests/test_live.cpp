@@ -270,9 +270,9 @@ live::TimeSeries sample_series() {
 TEST_F(LiveTest, TimeseriesJsonRoundTripIsBitwise) {
   const live::TimeSeries ts = sample_series();
   std::ostringstream first;
-  live::write_timeseries_json(first, ts, 0);
+  json::write(first, ts);
   const live::TimeSeries back =
-      live::timeseries_from_json(json::parse(first.str()));
+      json::read<live::TimeSeries>(json::parse(first.str()));
   EXPECT_EQ(back.interval_ms, ts.interval_ms);
   EXPECT_EQ(back.roof_bytes_per_s, ts.roof_bytes_per_s);
   EXPECT_EQ(back.dropped_samples, ts.dropped_samples);
@@ -280,7 +280,7 @@ TEST_F(LiveTest, TimeseriesJsonRoundTripIsBitwise) {
   EXPECT_EQ(back.times, ts.times);
   EXPECT_EQ(back.values, ts.values);
   std::ostringstream second;
-  live::write_timeseries_json(second, back, 0);
+  json::write(second, back);
   EXPECT_EQ(first.str(), second.str());
 }
 
@@ -306,21 +306,21 @@ TEST_F(LiveTest, RunReportRoundTripsTimeseriesSection) {
   const live::TimeSeries ts = sample_series();
   const core::RunReport rep = core::make_run_report(
       instr, nullptr, nullptr, nullptr, nullptr, nullptr, &ts);
-  ASSERT_TRUE(rep.has_timeseries);
+  ASSERT_TRUE(rep.timeseries.has_value());
   std::ostringstream first;
   core::write_run_report_json(first, rep);
   std::istringstream is(first.str());
   const core::RunReport back = core::parse_run_report(is);
-  ASSERT_TRUE(back.has_timeseries);
-  EXPECT_EQ(back.timeseries.keys, ts.keys);
-  EXPECT_EQ(back.timeseries.values, ts.values);
+  ASSERT_TRUE(back.timeseries.has_value());
+  EXPECT_EQ(back.timeseries->keys, ts.keys);
+  EXPECT_EQ(back.timeseries->values, ts.values);
   std::ostringstream second;
   core::write_run_report_json(second, back);
   EXPECT_EQ(first.str(), second.str());
 
   // An empty series stays absent, keeping default reports byte-identical.
   const core::RunReport plain = core::make_run_report(instr);
-  EXPECT_FALSE(plain.has_timeseries);
+  EXPECT_FALSE(plain.timeseries.has_value());
 }
 
 // --- Census providers --------------------------------------------------------

@@ -361,7 +361,6 @@ TEST(MemTier, SectionJsonRoundTripIsBitwise) {
   const apps::Result res = apps::clover2d::run(opt);
   const core::MemTierSection mt =
       core::build_memtier_section(res.instr, m, "auto");
-  EXPECT_TRUE(mt.present);
   EXPECT_EQ(mt.machine_id, "max9480-flat");
   EXPECT_EQ(mt.mode, "flat");
   EXPECT_TRUE(mt.snc);
@@ -378,15 +377,15 @@ TEST(MemTier, SectionJsonRoundTripIsBitwise) {
   const core::RunReport report =
       core::make_run_report(res.instr, nullptr, nullptr, nullptr, nullptr,
                             nullptr, nullptr, &mt);
-  ASSERT_TRUE(report.has_memtier);
+  ASSERT_TRUE(report.memtier.has_value());
   std::ostringstream first;
   core::write_run_report_json(first, report);
   EXPECT_NE(first.str().find("\"memtier\""), std::string::npos);
   std::istringstream in(first.str());
   const core::RunReport parsed = core::parse_run_report(in);
-  ASSERT_TRUE(parsed.has_memtier);
-  EXPECT_EQ(parsed.memtier.mode, "flat");
-  EXPECT_EQ(parsed.memtier.placements.size(), mt.placements.size());
+  ASSERT_TRUE(parsed.memtier.has_value());
+  EXPECT_EQ(parsed.memtier->mode, "flat");
+  EXPECT_EQ(parsed.memtier->placements.size(), mt.placements.size());
   std::ostringstream second;
   core::write_run_report_json(second, parsed);
   EXPECT_EQ(first.str(), second.str())

@@ -696,7 +696,7 @@ TEST(AutoTileHeight, RoundTripsIntoReportJson) {
   ctx.set_lazy(false);
   ctx.chain().execute_tiled(0);
   std::ostringstream os;
-  core::write_run_report_json(os, ctx.instr());
+  core::write_run_report_json(os, core::make_run_report(ctx.instr()));
   const std::string json = os.str();
   EXPECT_NE(json.find("\"tiling\""), std::string::npos);
   EXPECT_NE(json.find("\"auto_tuned\": true"), std::string::npos);

@@ -271,7 +271,8 @@ TEST(Report, RunReportJsonContainsLoopsAndExchanges) {
   e.messages = 8;
   e.bytes = 4096;
   std::ostringstream os;
-  core::write_run_report_json(os, instr, &MetricsRegistry::global());
+  core::write_run_report_json(
+      os, core::make_run_report(instr, &MetricsRegistry::global()));
   const std::string json = os.str();
   EXPECT_NE(json.find("\"name\": \"alpha\""), std::string::npos);
   EXPECT_NE(json.find("\"dat\": \"density\""), std::string::npos);

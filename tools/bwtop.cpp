@@ -65,15 +65,19 @@ int main(int argc, char** argv) {
   const long long min_samples = cli.get_int("min-samples", 0);
   const bool follow = cli.get_bool("follow", false);
   const long long max_refresh = cli.get_int("max-refresh", 0);
+  const bool has_interval = cli.has("interval-ms");
+  const long long interval_flag = cli.get_int("interval-ms", 0);
 
   try {
+    cli.reject_unknown();
     live::TimeSeriesFile f = live::read_timeseries_file(path);
     long long refreshes = 1;
     render(f, windows);
     if (follow) {
-      const long long interval_ms = cli.get_int(
-          "interval-ms", f.series.interval_ms > 0 ? f.series.interval_ms
-                                                  : 250);
+      const long long interval_ms =
+          has_interval               ? interval_flag
+          : f.series.interval_ms > 0 ? f.series.interval_ms
+                                     : 250;
       while (max_refresh <= 0 || refreshes < max_refresh) {
         std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
         f = live::read_timeseries_file(path);

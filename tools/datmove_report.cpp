@@ -32,20 +32,23 @@ int main(int argc, char** argv) {
     return cli.has("help") ? 0 : 2;
   }
   const std::string path = cli.positional().front();
-  std::ifstream is(path);
-  if (!is.good()) {
-    std::cerr << "datmove_report: cannot open '" << path << "'\n";
-    return 1;
-  }
+  const bool csv = cli.get_bool("csv", false);
+  const double cap = cli.get_double("capacity", 0.0);
   core::DatMoveReport rep;
   try {
+    cli.reject_unknown();
+    std::ifstream is(path);
+    if (!is.good()) {
+      std::cerr << "datmove_report: cannot open '" << path << "'\n";
+      return 1;
+    }
     rep = core::parse_datmove_json(is);
   } catch (const Error& e) {
     std::cerr << "datmove_report: " << e.what() << "\n";
     return 1;
   }
 
-  if (cli.get_bool("csv", false)) {
+  if (csv) {
     std::cout << "loop,dat,executions,bytes_read,bytes_written\n";
     for (const DatMoveRecord& r : rep.records)
       std::cout << r.loop << ',' << r.dat << ',' << r.executions << ','
@@ -60,7 +63,6 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   core::datmove_reuse_table(rep).print(std::cout);
 
-  const double cap = cli.get_double("capacity", 0.0);
   if (cap > 0) {
     const count_t spill = rep.reuse.est_spill_bytes(cap);
     const count_t total = rep.reuse.total_bytes();

@@ -35,6 +35,7 @@
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/causal.hpp"
 #include "core/diff.hpp"
 #include "core/report.hpp"
@@ -88,20 +89,28 @@ int main(int argc, char** argv) {
     return cli.has("help") ? 0 : 2;
   }
   try {
-    const std::vector<core::RunReport> a =
-        load_side(cli.positional()[0], cli.get("a-samples", ""));
-    const std::vector<core::RunReport> b =
-        load_side(cli.positional()[1], cli.get("b-samples", ""));
-
+    const std::string a_samples = cli.get("a-samples", "");
+    const std::string b_samples = cli.get("b-samples", "");
     core::DiffOptions opts;
     opts.threshold = cli.get_double("threshold", 0.10);
     opts.mad_k = cli.get_double("mad-k", 3.0);
+    const std::string merged = cli.get("merged-trace", "");
+    const std::string ta = cli.get("trace-a", "");
+    const std::string tb = cli.get("trace-b", "");
+    const bool check = cli.has("check");
+    const bool json_out = cli.has("json");
+    const std::string json_path = cli.get("json", "");
+    const bool csv = cli.get_bool("csv", false);
+    const auto top = static_cast<std::size_t>(cli.get_int("top", 10));
+    cli.reject_unknown();
+
+    const std::vector<core::RunReport> a =
+        load_side(cli.positional()[0], a_samples);
+    const std::vector<core::RunReport> b =
+        load_side(cli.positional()[1], b_samples);
     const core::DiffReport diff = core::diff_runs(a, b, opts);
 
-    const std::string merged = cli.get("merged-trace", "");
     if (!merged.empty()) {
-      const std::string ta = cli.get("trace-a", "");
-      const std::string tb = cli.get("trace-b", "");
       BWLAB_REQUIRE(!ta.empty() && !tb.empty(),
                     "--merged-trace needs --trace-a and --trace-b");
       std::ofstream os(merged);
@@ -111,7 +120,7 @@ int main(int argc, char** argv) {
       std::cerr << "merged trace -> " << merged << "\n";
     }
 
-    if (cli.has("check")) {
+    if (check) {
       double loop_parts = 0;
       for (const core::LoopDelta& l : diff.loops)
         loop_parts += l.delta_seconds;
@@ -134,25 +143,25 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (cli.has("json")) {
-      const std::string path = cli.get("json", "");
-      if (path.empty() || path == "true") {
-        core::write_json(std::cout, diff);
+    if (json_out) {
+      if (json_path.empty() || json_path == "true") {
+        json::write(std::cout, diff);
+        std::cout << '\n';
       } else {
-        std::ofstream os(path);
-        BWLAB_REQUIRE(os.good(), "cannot open '" << path << "'");
-        core::write_json(os, diff);
-        BWLAB_REQUIRE(os.good(), "failed writing '" << path << "'");
-        std::cerr << "diff -> " << path << "\n";
+        std::ofstream os(json_path);
+        BWLAB_REQUIRE(os.good(), "cannot open '" << json_path << "'");
+        json::write(os, diff);
+        os << '\n';
+        BWLAB_REQUIRE(os.good(), "failed writing '" << json_path << "'");
+        std::cerr << "diff -> " << json_path << "\n";
       }
       return 0;
     }
-    if (cli.get_bool("csv", false)) {
+    if (csv) {
       core::write_csv(std::cout, diff);
       return 0;
     }
 
-    const auto top = static_cast<std::size_t>(cli.get_int("top", 10));
     std::cout << cli.positional()[0] << " (A) vs " << cli.positional()[1]
               << " (B)\n"
               << "wall (" << (diff.wall_from_causal ? "causal" : "loops")

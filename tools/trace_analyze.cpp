@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/trace.hpp"
 #include "core/causal.hpp"
 
@@ -32,6 +34,16 @@ int main(int argc, char** argv) {
     return cli.has("help") ? 0 : 2;
   }
   const std::string path = cli.positional().front();
+  core::causal::Options opts;
+  opts.progress_eps_s = cli.get_double("progress-eps-us", 50.0) * 1e-6;
+  opts.copy_bw_bytes_per_s = cli.get_double("copy-bw-gbs", 1.0) * 1e9;
+  const bool json_out = cli.get_bool("json", false);
+  try {
+    cli.reject_unknown();
+  } catch (const Error& e) {
+    std::cerr << "trace_analyze: " << e.what() << "\n";
+    return 1;
+  }
   std::ifstream is(path);
   if (!is.good()) {
     std::cerr << "trace_analyze: cannot open '" << path << "'\n";
@@ -44,13 +56,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  core::causal::Options opts;
-  opts.progress_eps_s = cli.get_double("progress-eps-us", 50.0) * 1e-6;
-  opts.copy_bw_bytes_per_s = cli.get_double("copy-bw-gbs", 1.0) * 1e9;
   const core::causal::Report rep = core::causal::analyze(tracks, opts);
 
-  if (cli.get_bool("json", false)) {
-    core::causal::write_json(std::cout, rep, 0);
+  if (json_out) {
+    json::write(std::cout, core::causal::summarize(rep));
     std::cout << "\n";
     return 0;
   }
