@@ -67,10 +67,14 @@ class Runner {
   static constexpr int kWarmupReps = 1;
   static constexpr int kDefaultReps = 5;
 
+  /// Reads its flags (--reps, --bench-json) here, so a tool that calls
+  /// Cli::reject_unknown() after constructing it accepts them.
   Runner(const Cli& cli, std::string suite)
       : cli_(cli),
         reps_(static_cast<int>(
-            cli.get_int("reps", benchjson::repetitions(kDefaultReps)))) {
+            cli.get_int("reps", benchjson::repetitions(kDefaultReps)))),
+        bench_json_(cli.has("bench-json")),
+        bench_json_path_(cli.get("bench-json", "")) {
     file_.git_sha = benchjson::git_sha();
     file_.suites.push_back({std::move(suite), "host", {}});
   }
@@ -141,8 +145,8 @@ class Runner {
   /// optional explicit path: --bench-json=FILE). Returns the path
   /// written, or "" when the flag is absent.
   std::string finish() {
-    if (!cli_.has("bench-json")) return "";
-    std::string path = cli_.get("bench-json", "");
+    if (!bench_json_) return "";
+    std::string path = bench_json_path_;
     if (path.empty()) path = "BENCH_" + suite().suite + ".json";
     benchjson::write_file(path, file_);
     std::cout << "bench results written to " << path << "\n";
@@ -154,6 +158,8 @@ class Runner {
 
   const Cli& cli_;
   int reps_;
+  bool bench_json_;
+  std::string bench_json_path_;
   benchjson::ResultFile file_;
 };
 

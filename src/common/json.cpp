@@ -216,15 +216,18 @@ void print(std::ostream& os, const Value& v, std::size_t depth) {
 
 }  // namespace
 
-void write_escaped(std::ostream& os, std::string_view s) {
+void write_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
+      out += '\\';
+    out += static_cast<unsigned char>(c) < 0x20 ? '_' : c;
   }
+}
+
+void write_escaped(std::ostream& os, std::string_view s) {
+  std::string out;
+  write_escaped(out, s);
+  os << out;
 }
 
 Value parse(const std::string& text) { return Parser(text).run(); }

@@ -71,6 +71,8 @@ struct Value {
 /// backslash-escaped and control characters become '_', so every name
 /// the repo's writers emit reads back through parse() unchanged.
 void write_escaped(std::ostream& os, std::string_view s);
+/// write_escaped appending to `out`.
+void write_escaped(std::string& out, std::string_view s);
 
 /// Parses one JSON document (trailing content is an error).
 Value parse(const std::string& text);

@@ -17,6 +17,10 @@
 // analyzer (core/causal.hpp) can match send→recv pairs. snapshot()
 // exposes the buffered events post-join for that in-process analysis.
 //
+// This module alone knows the Chrome trace format: write_chrome_json
+// prints TrackViews and read_chrome_json reads a written trace back into
+// them, so offline tools analyze exactly what a live run would.
+//
 // The tracer is compiled in but runtime-disabled by default. The disabled
 // fast path is a single relaxed atomic load plus one branch (asserted
 // < 5 ns by bench/gb_trace_overhead); enabling costs one buffered event
@@ -174,10 +178,11 @@ struct EventView {
 };
 
 /// One thread's track with its decoded events, in record (= timestamp)
-/// order.
+/// order. `rank` is the Chrome pid, `process` its process_name.
 struct TrackView {
   int rank = 0;
   int tid = 0;
+  std::string process;  ///< "rank N" for a live run
   std::string label;
   std::uint64_t dropped = 0;
   std::vector<EventView> events;
@@ -187,13 +192,30 @@ struct TrackView {
 /// threads have joined (same contract as write_chrome_json).
 std::vector<TrackView> snapshot();
 
-/// Serializes all buffered events as Chrome trace-event JSON, one event
-/// per line. Unmatched begin events (buffer overflow, still-open spans)
-/// are closed at the thread's last timestamp so B/E pairs always balance.
+/// Serializes `tracks` as Chrome trace-event JSON, one event per line:
+/// per track its process_name and thread_name ("label (dropped N)")
+/// metadata, then its events. Unmatched ends are dropped and unmatched
+/// begins (buffer overflow, still-open spans) closed at the track's last
+/// timestamp, so B/E pairs always balance. Timestamps print as exact
+/// nanoseconds (µs, three decimals), counter values with 6 significant
+/// digits.
+void write_chrome_json(std::ostream& os, const std::vector<TrackView>& tracks);
+
+/// Serializes all buffered events, decoding one thread buffer at a time
+/// (the same bytes as write_chrome_json(os, snapshot())).
 void write_chrome_json(std::ostream& os);
 
 /// write_chrome_json to `path`; throws bwlab::Error if unwritable.
 void write_chrome_json_file(const std::string& path);
+
+/// Reads a trace written by write_chrome_json back into its tracks,
+/// streaming one event line at a time. The envelope's opening and
+/// closing lines are required; a malformed or truncated line, an unknown
+/// "ph" or "cat" and a bad flow id throw bwlab::Error naming the line.
+std::vector<TrackView> read_chrome_json(std::istream& is);
+
+/// read_chrome_json of `path`; errors read "<path>:<line>: ...".
+std::vector<TrackView> read_chrome_json_file(const std::string& path);
 
 /// RAII span: records a begin event on construction and an end event on
 /// destruction when tracing is enabled; a no-op otherwise. The name is

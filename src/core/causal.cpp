@@ -1,9 +1,6 @@
 #include "core/causal.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <istream>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -407,111 +404,6 @@ Report analyze(const std::vector<trace::TrackView>& tracks,
 
 Report analyze_live(const Options& opts) {
   return analyze(trace::snapshot(), opts);
-}
-
-// --- Offline parsing ---------------------------------------------------------
-
-namespace {
-
-/// Value (numeric or string) following `"key":` in a one-event JSON line.
-std::string json_field(const std::string& line, const std::string& key) {
-  const std::string tag = "\"" + key + "\":";
-  const std::size_t at = line.find(tag);
-  if (at == std::string::npos) return {};
-  std::size_t v = at + tag.size();
-  if (v >= line.size()) return {};
-  if (line[v] == '"') {
-    std::string out;
-    for (std::size_t i = v + 1; i < line.size(); ++i) {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        out.push_back(line[++i]);
-      } else if (line[i] == '"') {
-        return out;
-      } else {
-        out.push_back(line[i]);
-      }
-    }
-    return out;
-  }
-  std::size_t end = v;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(v, end - v);
-}
-
-trace::Cat cat_from_string(const std::string& s) {
-  if (s == "kernel") return trace::Cat::Kernel;
-  if (s == "halo") return trace::Cat::Halo;
-  if (s == "comm") return trace::Cat::Comm;
-  if (s == "tile") return trace::Cat::Tile;
-  if (s == "region") return trace::Cat::Region;
-  if (s == "app") return trace::Cat::App;
-  if (s == "fault") return trace::Cat::Fault;
-  return trace::Cat::App;
-}
-
-}  // namespace
-
-std::vector<trace::TrackView> parse_chrome_trace(std::istream& is) {
-  std::vector<trace::TrackView> out;
-  std::map<std::pair<int, int>, std::size_t> index;
-  auto track = [&](int pid, int tid) -> trace::TrackView& {
-    const auto key = std::make_pair(pid, tid);
-    const auto it = index.find(key);
-    if (it != index.end()) return out[it->second];
-    index[key] = out.size();
-    trace::TrackView t;
-    t.rank = pid;
-    t.tid = tid;
-    out.push_back(std::move(t));
-    return out.back();
-  };
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::string ph = json_field(line, "ph");
-    if (ph.empty()) continue;  // envelope lines
-    const int pid = std::atoi(json_field(line, "pid").c_str());
-    const int tid = std::atoi(json_field(line, "tid").c_str());
-    trace::TrackView& t = track(pid, tid);
-    if (ph[0] == 'M') {
-      // Metadata: recover the label and the per-thread drop count the
-      // serializer folds into the thread_name ("label (dropped N)").
-      if (json_field(line, "name") == "thread_name") {
-        // The label lives inside args: {"name":"rank 0 main (dropped N)"}.
-        const std::size_t args_at = line.find("\"args\"");
-        if (args_at == std::string::npos) continue;
-        const std::string inner = json_field(line.substr(args_at), "name");
-        const std::size_t at = inner.rfind(" (dropped ");
-        if (at != std::string::npos) {
-          t.label = inner.substr(0, at);
-          t.dropped = static_cast<std::uint64_t>(
-              std::strtoull(inner.c_str() + at + 10, nullptr, 10));
-        } else {
-          t.label = inner;
-        }
-      }
-      continue;
-    }
-    trace::EventView e;
-    e.ph = ph[0];
-    e.ts_ns = static_cast<std::uint64_t>(
-        std::llround(std::atof(json_field(line, "ts").c_str()) * 1000.0));
-    e.cat = cat_from_string(json_field(line, "cat"));
-    e.name = json_field(line, "name");
-    if (e.ph == 's' || e.ph == 'f') {
-      const std::string id = json_field(line, "id");
-      e.flow = std::strtoull(id.c_str(), nullptr, 16);  // "0x..." form
-    } else if (e.ph == 'C') {
-      e.value = std::atof(json_field(line, "value").c_str());
-    } else if (e.ph == 'B' && line.find("\"peer\":") != std::string::npos) {
-      e.has_args = true;
-      e.peer = std::atoi(json_field(line, "peer").c_str());
-      e.tag = std::atoi(json_field(line, "tag").c_str());
-      e.seq = std::atoll(json_field(line, "seq").c_str());
-      e.bytes = std::strtoull(json_field(line, "bytes").c_str(), nullptr, 10);
-    }
-    t.events.push_back(std::move(e));
-  }
-  return out;
 }
 
 // --- Cross-check -------------------------------------------------------------

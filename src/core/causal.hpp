@@ -25,12 +25,12 @@
 //    (recovery covers the bwresil "recovery:*" spans — rollback, buddy
 //    mirror/restore, retry backoff).
 //
-// Everything here runs post-join on the snapshot (or on a parsed
-// .trace.json for the offline tools/trace_analyze) — the hot path pays
-// nothing beyond the existing disabled-tracer branch.
+// Everything here runs post-join on the snapshot (or on the tracks
+// trace::read_chrome_json reads back from a saved .trace.json for the
+// offline tools/trace_analyze) — the hot path pays nothing beyond the
+// existing disabled-tracer branch.
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -140,7 +140,7 @@ struct Options {
 };
 
 /// Analyzes decoded track views (trace::snapshot() or
-/// parse_chrome_trace). Only rank-main tracks (tid 0) participate;
+/// trace::read_chrome_json). Only rank-main tracks (tid 0) participate;
 /// worker and watchdog tracks are ignored.
 Report analyze(const std::vector<trace::TrackView>& tracks,
                const Options& opts = {});
@@ -148,11 +148,6 @@ Report analyze(const std::vector<trace::TrackView>& tracks,
 /// analyze() on a snapshot of the global tracer. Call post-join, after
 /// trace::disable().
 Report analyze_live(const Options& opts = {});
-
-/// Parses a Chrome trace JSON previously written by
-/// trace::write_chrome_json (one event per line) back into track views,
-/// so tools/trace_analyze can run the same analysis offline.
-std::vector<trace::TrackView> parse_chrome_trace(std::istream& is);
 
 /// Result of cross-checking the trace-derived communication matrix
 /// against the runtime's own per-rank counters.

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <set>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace bwlab::core {
@@ -378,103 +377,20 @@ void write_csv(std::ostream& os, const DiffReport& d) {
 
 // --- Merged Chrome trace -----------------------------------------------------
 
-namespace {
-
-/// Emits one run's tracks with pid = 2·rank + side (A = 0, B = 1), the
-/// same event-line format trace::write_chrome_json uses, with unmatched
-/// begins closed at the track's last timestamp.
-void write_side(std::ostream& os, const std::vector<trace::TrackView>& tracks,
-                int side, const char* tag, bool& first) {
-  for (const trace::TrackView& t : tracks) {
-    if (t.events.empty()) continue;
-    const int pid = 2 * t.rank + side;
-    if (!first) os << ",\n";
-    first = false;
-    os << R"({"ph":"M","pid":)" << pid << R"(,"tid":)" << t.tid
-       << R"(,"name":"process_name","args":{"name":")" << tag << " rank "
-       << t.rank << R"("}})";
-    os << ",\n"
-       << R"({"ph":"M","pid":)" << pid << R"(,"tid":)" << t.tid
-       << R"(,"name":"thread_name","args":{"name":")";
-    json::write_escaped(os, t.label);
-    os << R"("}})";
-    auto emit_ts = [&os](std::uint64_t ts_ns) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%.3f",
-                    static_cast<double>(ts_ns) / 1000.0);
-      os << buf;
-    };
-    int depth = 0;
-    std::uint64_t last_ts = 0;
-    auto emit_end = [&](std::uint64_t ts_ns) {
-      os << ",\n"
-         << R"({"ph":"E","pid":)" << pid << R"(,"tid":)" << t.tid
-         << R"(,"ts":)";
-      emit_ts(ts_ns);
-      os << "}";
-    };
-    for (const trace::EventView& e : t.events) {
-      last_ts = std::max(last_ts, e.ts_ns);
-      switch (e.ph) {
-        case 'B':
-          ++depth;
-          os << ",\n"
-             << R"({"ph":"B","pid":)" << pid << R"(,"tid":)" << t.tid
-             << R"(,"ts":)";
-          emit_ts(e.ts_ns);
-          os << R"(,"cat":")" << to_string(e.cat) << R"(","name":")";
-          json::write_escaped(os, e.name);
-          os << '"';
-          if (e.has_args)
-            os << R"(,"args":{"peer":)" << e.peer << R"(,"tag":)" << e.tag
-               << R"(,"seq":)" << e.seq << R"(,"bytes":)" << e.bytes << "}";
-          os << "}";
-          break;
-        case 'E':
-          if (depth == 0) continue;  // unmatched end: drop
-          --depth;
-          emit_end(e.ts_ns);
-          break;
-        case 'C':
-          os << ",\n"
-             << R"({"ph":"C","pid":)" << pid << R"(,"tid":)" << t.tid
-             << R"(,"ts":)";
-          emit_ts(e.ts_ns);
-          os << R"(,"name":")";
-          json::write_escaped(os, e.name);
-          os << R"(","args":{"value":)" << e.value << "}}";
-          break;
-        case 's':
-        case 'f': {
-          char id[32];
-          std::snprintf(id, sizeof id, "%llx",
-                        static_cast<unsigned long long>(e.flow));
-          os << ",\n"
-             << R"({"ph":")" << e.ph << '"'
-             << (e.ph == 'f' ? R"(,"bp":"e")" : "") << R"(,"pid":)" << pid
-             << R"(,"tid":)" << t.tid << R"(,"ts":)";
-          emit_ts(e.ts_ns);
-          os << R"(,"cat":"comm","name":"msg","id":"0x)" << id << R"("})";
-          break;
-        }
-        default:
-          break;
-      }
-    }
-    for (; depth > 0; --depth) emit_end(last_ts);
-  }
-}
-
-}  // namespace
-
 void write_merged_chrome_trace(std::ostream& os,
-                               const std::vector<trace::TrackView>& a,
-                               const std::vector<trace::TrackView>& b) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  write_side(os, a, /*side=*/0, "A", first);
-  write_side(os, b, /*side=*/1, "B", first);
-  os << "\n]}\n";
+                               std::vector<trace::TrackView> a,
+                               std::vector<trace::TrackView> b) {
+  for (trace::TrackView& t : a) {
+    t.process = "A rank " + std::to_string(t.rank);
+    t.rank = 2 * t.rank;
+  }
+  for (trace::TrackView& t : b) {
+    t.process = "B rank " + std::to_string(t.rank);
+    t.rank = 2 * t.rank + 1;
+  }
+  a.insert(a.end(), std::make_move_iterator(b.begin()),
+           std::make_move_iterator(b.end()));
+  trace::write_chrome_json(os, a);
 }
 
 }  // namespace bwlab::core

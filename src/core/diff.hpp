@@ -21,7 +21,8 @@
 // Surfaces: the run_diff CLI (tables/JSON/CSV), run_app
 // --diff-against=<report.json>, and a merged Chrome trace that emits
 // both runs' tracks side by side (run A on pid 2·rank, run B on
-// pid 2·rank+1) for visual alignment in Perfetto.
+// pid 2·rank+1) for visual alignment in Perfetto; the merge relabels
+// tracks and trace::write_chrome_json prints them.
 #pragma once
 
 #include <iosfwd>
@@ -227,7 +228,7 @@ void write_csv(std::ostream& os, const DiffReport& d);
 /// pid 2·rank+1 (process names "A rank R" / "B rank R"), both at their
 /// own epoch 0 so the timelines align visually in Perfetto.
 void write_merged_chrome_trace(std::ostream& os,
-                               const std::vector<trace::TrackView>& a,
-                               const std::vector<trace::TrackView>& b);
+                               std::vector<trace::TrackView> a,
+                               std::vector<trace::TrackView> b);
 
 }  // namespace bwlab::core

@@ -2,7 +2,9 @@
 // flow-id stability, wait-state classification on synthetic timelines,
 // the live 2-rank late-sender scenario driven by a bwfault delay spec,
 // matched s/f flow events in the exported Chrome JSON, offline
-// parse_chrome_trace equivalence, per-thread drop accounting in the run
+// trace::read_chrome_json equivalence, the trace codec's round trip (live
+// tracks, merged two-run traces, a parent-commit trace fixture, truncated
+// and malformed input), per-thread drop accounting in the run
 // report, and the headline acceptance scenario — CloverLeaf 2D with a
 // delayed halo send classified as late-sender, the critical path crossing
 // the delayed rank, and bucket seconds summing to the traced wall time.
@@ -10,17 +12,23 @@
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
+#include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/instrument.hpp"
 #include "common/trace.hpp"
 #include "core/causal.hpp"
+#include "core/diff.hpp"
 #include "core/report.hpp"
 #include "par/simmpi.hpp"
 
@@ -260,7 +268,7 @@ TEST_F(CausalTest, OfflineParseMatchesLiveAnalysis) {
   trace::write_chrome_json(os);
   std::istringstream is(os.str());
   const Report offline =
-      core::causal::analyze(core::causal::parse_chrome_trace(is));
+      core::causal::analyze(trace::read_chrome_json(is));
 
   ASSERT_EQ(live.messages.size(), 10u);
   EXPECT_EQ(offline.messages.size(), live.messages.size());
@@ -278,6 +286,209 @@ TEST_F(CausalTest, OfflineParseMatchesLiveAnalysis) {
     EXPECT_NEAR(offline.rank_waits[i].late_sender_s,
                 live.rank_waits[i].late_sender_s, 1e-3);
   EXPECT_NEAR(offline.path.length_s, live.path.length_s, 1e-3);
+}
+
+// --- Trace codec: common/trace writes and reads the Chrome format ----------
+
+std::string write_trace(const std::vector<trace::TrackView>& tracks) {
+  std::ostringstream os;
+  trace::write_chrome_json(os, tracks);
+  return os.str();
+}
+
+std::vector<trace::TrackView> read_trace(const std::string& text) {
+  std::istringstream is(text);
+  return trace::read_chrome_json(is);
+}
+
+/// tests/data/trace_fab5b24.json was written at commit fab5b24 by
+///   ./build/examples/run_app --app=clover2d --n=48 --iters=1 --ranks=2
+///     --threads=2 --tiled --trace=trace_fab5b24.json
+/// the smallest deck whose trace has flows, a counter track (the tile
+/// executor's tile.start_row) and worker tracks.
+std::string parent_trace() {
+  const std::string path =
+      std::string(BWLAB_TEST_DATA_DIR) + "/trace_fab5b24.json";
+  std::ifstream is(path);
+  EXPECT_TRUE(is.good()) << path;
+  std::ostringstream text;
+  text << is.rdbuf();
+  return text.str();
+}
+
+/// Field-by-field equality of two track lists, timestamps in exact ns.
+void expect_same_tracks(const std::vector<trace::TrackView>& got,
+                        const std::vector<trace::TrackView>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const trace::TrackView& g = got[i];
+    const trace::TrackView& w = want[i];
+    EXPECT_EQ(g.rank, w.rank) << i;
+    EXPECT_EQ(g.tid, w.tid) << i;
+    EXPECT_EQ(g.process, w.process) << i;
+    EXPECT_EQ(g.label, w.label) << i;
+    EXPECT_EQ(g.dropped, w.dropped) << i;
+    ASSERT_EQ(g.events.size(), w.events.size()) << i;
+    for (std::size_t j = 0; j < w.events.size(); ++j) {
+      const trace::EventView& a = g.events[j];
+      const trace::EventView& b = w.events[j];
+      const std::string at = std::to_string(i) + "/" + std::to_string(j);
+      EXPECT_EQ(a.ph, b.ph) << at;
+      EXPECT_EQ(a.ts_ns, b.ts_ns) << at;
+      EXPECT_EQ(a.value, b.value) << at;
+      EXPECT_EQ(a.flow, b.flow) << at;
+      EXPECT_EQ(a.cat, b.cat) << at;
+      EXPECT_EQ(a.has_args, b.has_args) << at;
+      EXPECT_EQ(a.peer, b.peer) << at;
+      EXPECT_EQ(a.tag, b.tag) << at;
+      EXPECT_EQ(a.seq, b.seq) << at;
+      EXPECT_EQ(a.bytes, b.bytes) << at;
+      EXPECT_EQ(a.name, b.name) << at;
+    }
+  }
+}
+
+TEST_F(CausalTest, ChromeTraceRoundTripsLiveTracks) {
+  trace::enable();
+  apps::Options opt;
+  opt.n = 48;  // a tiled 2-rank run needs >= 24 rows per rank
+  opt.iterations = 1;
+  opt.ranks = 2;
+  opt.threads = 2;
+  opt.tiled = true;  // the tile executor records the tile.start_row counter
+  apps::clover2d::run(opt);
+  // One overflowed buffer: at a 16-event cap a fresh track opens 20
+  // spans, so 4 begins and all 20 ends are dropped.
+  trace::enable(/*max_events_per_thread=*/16);
+  std::thread([] {
+    trace::set_thread_track(7, 0, "overflow");
+    std::vector<std::unique_ptr<trace::TraceSpan>> open;
+    for (int i = 0; i < 20; ++i)
+      open.push_back(
+          std::make_unique<trace::TraceSpan>(trace::Cat::App, "nest"));
+  }).join();
+  trace::disable();
+
+  const std::vector<trace::TrackView> tracks = trace::snapshot();
+  bool counter = false, flow = false, args = false, worker = false;
+  std::map<int, int> tracks_per_rank;
+  for (const trace::TrackView& t : tracks) {
+    worker |= t.tid > 0;
+    ++tracks_per_rank[t.rank];
+    for (const trace::EventView& e : t.events) {
+      counter |= e.ph == 'C';
+      flow |= e.ph == 's';
+      args |= e.has_args;
+    }
+  }
+  EXPECT_TRUE(counter && flow && args && worker);
+  EXPECT_EQ(tracks_per_rank[0], 2);
+  EXPECT_EQ(tracks_per_rank[1], 2);
+  ASSERT_EQ(tracks.back().rank, 7);
+  EXPECT_EQ(tracks.back().dropped, 24u);
+  EXPECT_EQ(tracks.back().process, "rank 7");
+
+  // The writer closes the overflowed track's 16 open spans at its last
+  // timestamp; every other field reads back exactly.
+  std::vector<trace::TrackView> want = tracks;
+  trace::EventView closer;
+  closer.ph = 'E';
+  closer.ts_ns = want.back().events.back().ts_ns;
+  want.back().events.insert(want.back().events.end(), 16, closer);
+  const std::string text = write_trace(tracks);
+  expect_same_tracks(read_trace(text), want);
+
+  // Streaming the live buffers prints the same bytes.
+  std::ostringstream live;
+  trace::write_chrome_json(live);
+  EXPECT_TRUE(live.str() == text);
+}
+
+TEST_F(CausalTest, MergedTraceReadsBackAsTwoRuns) {
+  const std::vector<trace::TrackView> a = read_trace(parent_trace());
+  std::vector<trace::TrackView> b = a;
+  b.back().dropped = 3;
+  std::ostringstream os;
+  core::write_merged_chrome_trace(os, a, b);
+  const std::vector<trace::TrackView> merged = read_trace(os.str());
+  ASSERT_EQ(merged.size(), a.size() + b.size());
+  for (int side = 0; side < 2; ++side) {
+    const std::vector<trace::TrackView>& run = side == 0 ? a : b;
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      trace::TrackView m = merged[side * a.size() + i];
+      EXPECT_EQ(m.rank, 2 * run[i].rank + side);
+      EXPECT_EQ(m.process, (side == 0 ? "A rank " : "B rank ") +
+                               std::to_string(run[i].rank));
+      // Apart from pid and process name, each track is the run's own.
+      m.rank = run[i].rank;
+      m.process = run[i].process;
+      expect_same_tracks({m}, {run[i]});
+    }
+  }
+}
+
+TEST_F(CausalTest, ParentFormatTraceReprintsByteIdentically) {
+  const std::string text = parent_trace();
+  const std::vector<trace::TrackView> tracks = read_trace(text);
+  ASSERT_EQ(tracks.size(), 4u);  // 2 ranks x (main + worker)
+  const Report r = core::causal::analyze(tracks);
+  EXPECT_EQ(r.nranks, 2);
+  EXPECT_GT(r.messages.size(), 0u);
+  EXPECT_EQ(r.unmatched_sends + r.unmatched_recvs, 0);
+  const std::string reprint = write_trace(tracks);
+  std::size_t at = 0;
+  while (at < text.size() && at < reprint.size() && text[at] == reprint[at])
+    ++at;
+  EXPECT_TRUE(reprint == text) << "first difference at byte " << at;
+}
+
+TEST_F(CausalTest, TruncatedTraceIsADiagnosedError) {
+  const std::string text = parent_trace();
+  const std::size_t close = text.rfind("]}");
+  ASSERT_NE(close, std::string::npos);
+  int cuts = 0;
+  for (std::size_t cut = 97; cut < close; cut += 97, ++cuts)
+    EXPECT_THROW(read_trace(text.substr(0, cut)), Error) << "cut " << cut;
+  EXPECT_GT(cuts, 400);
+}
+
+TEST_F(CausalTest, MalformedTraceLinesNameTheirLine) {
+  const std::string head =
+      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+      R"({"ph":"M","pid":0,"tid":0,"name":"process_name",)"
+      R"("args":{"name":"rank 0"}},)"
+      "\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"ph":"X","pid":0,"tid":0,"ts":1.000})", "unknown ph"},
+      {R"({"ph":"B","pid":0,"tid":0,"ts":1.000,"cat":"disk","name":"x"})",
+       "unknown cat"},
+      {R"({"ph":"s","pid":0,"tid":0,"ts":1.000,"cat":"comm","name":"msg",)"
+       R"("id":"0xzz"})",
+       "bad flow id"},
+      {R"({"ph":"f","pid":0,"tid":0,"ts":1.000,"cat":"comm","name":"msg",)"
+       R"("id":"0x1ffffffffffffffff"})",
+       "bad flow id"},
+      {R"({"ph":"E","pid":0,"tid":0})", "\"ts\""},
+      {R"({"ph":"E","pid":0,"tid":0,"ts":1.000)", "JSON"},
+  };
+  for (const auto& [line, what] : cases) {
+    try {
+      read_trace(head + line + "\n]}\n");
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind("line 3: ", 0), 0u) << msg;
+      EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+  }
+  try {  // a ',' after the last event shows at the closing line
+    read_trace(head + R"({"ph":"E","pid":0,"tid":0,"ts":1.000},)" "\n]}\n");
+    ADD_FAILURE() << "accepted a trailing ','";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "line 4: ',' after the last event");
+  }
+  EXPECT_THROW(read_trace("[\n]}\n"), Error);  // no envelope header
+  EXPECT_TRUE(read_trace(write_trace({})).empty());
 }
 
 // --- Per-thread drop accounting (run-report satellite) ------------------------

@@ -7,8 +7,8 @@
 //   bench_compare [--threshold=10%] [--mad-k=3] BASELINE CAND [CAND...]
 //   bench_compare --merge OUT IN [IN...]     # build a multi-suite baseline
 //
-// Exit codes: 0 gate passed, 1 regression or missing metric, 2 usage or
-// file/parse error.
+// Exit codes: 0 gate passed, 1 regression or missing metric, 2 usage,
+// unknown flag or file/parse error.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -43,11 +43,19 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const std::vector<std::string>& paths = cli.positional();
   try {
-    if (cli.has("merge")) {
-      // Cli reads `--merge OUT` and `--merge=OUT` as the option's value;
-      // a bare `--merge OUT IN...` before a `--` would leave OUT
-      // positional, so accept both spellings.
-      std::string out = cli.get("merge", "");
+    // Every flag is read first: a misspelt one must not default a gate.
+    const bool merge = cli.has("merge");
+    // Cli reads `--merge OUT` and `--merge=OUT` as the option's value;
+    // a bare `--merge OUT IN...` before a `--` would leave OUT
+    // positional, so accept both spellings.
+    std::string out = cli.get("merge", "");
+    benchjson::GateOptions opt;
+    opt.threshold = benchjson::parse_threshold(cli.get("threshold", "10%"));
+    opt.mad_k = cli.get_double("mad-k", opt.mad_k);
+    const bool csv = cli.get_bool("csv", false);
+    cli.reject_unknown();
+
+    if (merge) {
       std::size_t first = 0;
       if (out.empty()) {
         if (paths.empty()) return usage(cli.program());
@@ -64,10 +72,6 @@ int main(int argc, char** argv) {
     }
 
     if (paths.size() < 2) return usage(cli.program());
-    benchjson::GateOptions opt;
-    opt.threshold = benchjson::parse_threshold(
-        cli.get("threshold", "10%"));
-    opt.mad_k = cli.get_double("mad-k", opt.mad_k);
 
     const benchjson::ResultFile baseline = benchjson::read_file(paths[0]);
     const benchjson::ResultFile candidate = read_and_merge(paths, 1);
@@ -75,7 +79,7 @@ int main(int argc, char** argv) {
         benchjson::compare(baseline, candidate, opt);
 
     const Table t = benchjson::compare_table(report);
-    if (cli.get_bool("csv", false))
+    if (csv)
       t.print_csv(std::cout);
     else
       t.print(std::cout);

@@ -178,24 +178,32 @@ int main(int argc, char** argv) {
   pol.degraded = cli.get_bool("degraded", false);
   pol.seed = opt.seed;
 
-  std::vector<std::string> kinds;
-  {
-    std::string s = cli.get("kinds", "drop,delay,crash");
-    while (!s.empty()) {
-      const std::size_t c = s.find(',');
-      kinds.push_back(s.substr(0, c));
-      s = c == std::string::npos ? "" : s.substr(c + 1);
-    }
-    for (const std::string& k : kinds)
-      BWLAB_REQUIRE(k == "drop" || k == "delay" || k == "crash",
-                    "unknown fault kind '" << k << "' in --kinds");
+  std::string kinds_csv = cli.get("kinds", "drop,delay,crash");
+  const int plans = static_cast<int>(cli.get_int("plans", 50));
+  const std::string mode = cli.get("mode", "grid");
+  const bool list = cli.get_bool("list", false);
+  const double require = cli.get_double("require-survival", -1.0);
+  bench::Runner run(cli, "resil");
+  try {
+    cli.reject_unknown();  // a misspelt gate flag must not pass silently
+  } catch (const Error& e) {
+    std::fprintf(stderr, "fault_campaign: %s\n", e.what());
+    return EXIT_FAILURE;
   }
 
+  std::vector<std::string> kinds;
+  while (!kinds_csv.empty()) {
+    const std::size_t c = kinds_csv.find(',');
+    kinds.push_back(kinds_csv.substr(0, c));
+    kinds_csv = c == std::string::npos ? "" : kinds_csv.substr(c + 1);
+  }
+  for (const std::string& k : kinds)
+    BWLAB_REQUIRE(k == "drop" || k == "delay" || k == "crash",
+                  "unknown fault kind '" << k << "' in --kinds");
+
   const std::vector<PlanCell> cells =
-      make_plans(kinds, opt.ranks, opt.iterations,
-                 static_cast<int>(cli.get_int("plans", 50)),
-                 cli.get("mode", "grid"), opt.seed);
-  if (cli.get_bool("list", false)) {
+      make_plans(kinds, opt.ranks, opt.iterations, plans, mode, opt.seed);
+  if (list) {
     for (std::size_t i = 0; i < cells.size(); ++i)
       std::printf("%3zu  %s\n", i, cells[i].spec.c_str());
     return 0;
@@ -209,7 +217,7 @@ int main(int argc, char** argv) {
   std::printf("campaign: %s n=%lld iters=%d ranks=%d, %zu plans (%s), "
               "seed=%llu\n  fault-free checksum %.17g\n",
               app.c_str(), static_cast<long long>(opt.n), opt.iterations,
-              opt.ranks, cells.size(), cli.get("mode", "grid").c_str(),
+              opt.ranks, cells.size(), mode.c_str(),
               static_cast<unsigned long long>(opt.seed), ref.checksum);
 
   std::string vec;
@@ -256,7 +264,6 @@ int main(int argc, char** argv) {
   std::printf("survival rate %.3f, max checksum err %.3g\n", survival,
               max_err);
 
-  bench::Runner run(cli, "resil");
   run.record_value("campaign.plans", "count", benchjson::Better::Higher,
                    static_cast<double>(cells.size()));
   run.record_value("campaign.survival_rate", "rate",
@@ -282,7 +289,6 @@ int main(int argc, char** argv) {
   run.finish();
   resil::clear();
 
-  const double require = cli.get_double("require-survival", -1.0);
   if (require >= 0 && survival < require) {
     std::fprintf(stderr, "FAIL: survival rate %.3f < required %.3f\n",
                  survival, require);

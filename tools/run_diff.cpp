@@ -36,7 +36,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "core/causal.hpp"
+#include "common/trace.hpp"
 #include "core/diff.hpp"
 #include "core/report.hpp"
 
@@ -60,12 +60,6 @@ std::vector<core::RunReport> load_side(const std::string& primary,
   for (const std::string& path : split_csv(samples_csv))
     runs.push_back(core::read_run_report(path));
   return runs;
-}
-
-std::vector<trace::TrackView> load_trace(const std::string& path) {
-  std::ifstream is(path);
-  BWLAB_REQUIRE(is.good(), "cannot open trace '" << path << "'");
-  return core::causal::parse_chrome_trace(is);
 }
 
 /// |sum of parts - total| within 1% of max(|total|, 1 us): the parts are
@@ -115,7 +109,8 @@ int main(int argc, char** argv) {
                     "--merged-trace needs --trace-a and --trace-b");
       std::ofstream os(merged);
       BWLAB_REQUIRE(os.good(), "cannot open '" << merged << "'");
-      core::write_merged_chrome_trace(os, load_trace(ta), load_trace(tb));
+      core::write_merged_chrome_trace(os, trace::read_chrome_json_file(ta),
+                                      trace::read_chrome_json_file(tb));
       BWLAB_REQUIRE(os.good(), "failed writing '" << merged << "'");
       std::cerr << "merged trace -> " << merged << "\n";
     }

@@ -2,8 +2,10 @@
 //
 // Runs the same send→recv matching, wait-state classification and
 // critical-path extraction as `run_app --causal`, but on a .trace.json
-// written by an earlier run (trace::write_chrome_json), so a timeline
-// captured on one machine can be diagnosed on another.
+// written by an earlier run (trace::write_chrome_json) and read back by
+// trace::read_chrome_json, so a timeline captured on one machine can be
+// diagnosed on another. A malformed or truncated trace exits 1 with
+// "trace_analyze: <path>:<line>: ..." on stderr.
 //
 // Usage:
 //   trace_analyze FILE.trace.json [--json] [--progress-eps-us=U]
@@ -12,7 +14,6 @@
 //   --json             emit the causal report as JSON instead of tables
 //   --progress-eps-us  progress-starved threshold slack (default 50)
 //   --copy-bw-gbs      assumed mailbox copy bandwidth (default 1)
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,19 +39,14 @@ int main(int argc, char** argv) {
   opts.progress_eps_s = cli.get_double("progress-eps-us", 50.0) * 1e-6;
   opts.copy_bw_bytes_per_s = cli.get_double("copy-bw-gbs", 1.0) * 1e9;
   const bool json_out = cli.get_bool("json", false);
+  std::vector<trace::TrackView> tracks;
   try {
     cli.reject_unknown();
+    tracks = trace::read_chrome_json_file(path);
   } catch (const Error& e) {
     std::cerr << "trace_analyze: " << e.what() << "\n";
     return 1;
   }
-  std::ifstream is(path);
-  if (!is.good()) {
-    std::cerr << "trace_analyze: cannot open '" << path << "'\n";
-    return 1;
-  }
-  const std::vector<trace::TrackView> tracks =
-      core::causal::parse_chrome_trace(is);
   if (tracks.empty()) {
     std::cerr << "trace_analyze: no trace events in '" << path << "'\n";
     return 1;
