@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "apps/cloverleaf/time_step.hpp"
 #include "apps/resilient_loop.hpp"
 #include "common/resil.hpp"
 #include "common/timer.hpp"
@@ -128,30 +129,37 @@ struct Solver {
           const double dvdy =
               0.5 * (v(0, 1) + v(1, 1) - v(0, 0) - v(1, 0)) / dyl;
           const double div = dudx + dvdy;
-          const double qv = coef * d(0, 0) * div * div * dxl * dyl;
-          q(0, 0) = div < 0.0 ? qv : 0.0;
+          // q = div < 0 ? coef·d·div²·dx·dy : 0, with the operands
+          // selected instead of the product, so the row vectorizes. Off
+          // compression both operands are +0 and the product is the +0 of
+          // the original whatever d holds (NaN and Inf included), since
+          // coef, dx and dy are positive and finite.
+          const double d0 = d(0, 0);
+          const double dc = div < 0.0 ? d0 : 0.0;
+          const double vc = div < 0.0 ? div : 0.0;
+          q(0, 0) = coef * dc * vc * vc * dxl * dyl;
         },
         ops::read(xvel, ops::Stencil::box(2, 1)),
         ops::read(yvel, ops::Stencil::box(2, 1)), ops::read(density),
         ops::write(viscosity));
   }
 
-  /// Reduces the rank's stable time step into `dt_min`.
-  void calc_dt(double& dt_min) {
-    const double dxl = dx;
+  /// Reduces the rank's largest signal speed into `speed_max` (start it
+  /// at cloverleaf::kNoSpeed); finish_dt divides once.
+  void calc_dt(double& speed_max) {
     ops::par_loop(
         {"calc_dt", 8.0}, block, cells(),
-        [dxl](ops::Acc<const double> c, ops::Acc<const double> u,
-              ops::Acc<const double> v, double& dtm) {
-          const double speed = c(0, 0) + std::abs(u(0, 0)) + std::abs(v(0, 0));
-          dtm = std::min(dtm, dxl / std::max(speed, 1e-30));
+        [](ops::Acc<const double> c, ops::Acc<const double> u,
+           ops::Acc<const double> v, double& sm) {
+          sm = std::max(sm, c(0, 0) + std::abs(u(0, 0)) + std::abs(v(0, 0)));
         },
         ops::read(soundspeed), ops::read(xvel, ops::Stencil::box(2, 1)),
-        ops::read(yvel, ops::Stencil::box(2, 1)), ops::reduce_min(dt_min));
+        ops::read(yvel, ops::Stencil::box(2, 1)), ops::reduce_max(speed_max));
   }
 
-  /// The global time step from this rank's calc_dt minimum.
-  double finish_dt(double dt_min) {
+  /// The global time step from this rank's calc_dt speed.
+  double finish_dt(double speed_max) {
+    double dt_min = cloverleaf::dt_bound(dx, speed_max);
     if (ctx.comm() != nullptr) dt_min = ctx.comm()->allreduce_min(dt_min);
     return kCfl * dt_min;
   }
@@ -294,21 +302,26 @@ struct Solver {
         ops::read_write(density), ops::read_write(energy));
   }
 
-  // Upwind advection of nodal momentum, double-buffered per sweep. Both
-  // one-sided differences are computed before the upwind select.
+  // Upwind advection of nodal momentum, double-buffered per sweep. The
+  // upwind select picks the two operands of the one-sided difference, and
+  // the difference is taken once: GCC computed two differences in
+  // branches and, under -ftrapping-math, would not speculate them into a
+  // vector select. Every select comes before any difference, or GCC's
+  // jump threading rebuilds the branches.
   void advec_mom_x(double dt) {
     const double cx = dt / dx;
     ops::par_loop(
         {"advec_mom_x", 14.0}, block, nodes(),
         [cx](ops::Acc<const double> u, ops::Acc<const double> v,
              ops::Acc<double> u1, ops::Acc<double> v1) {
-          const double a = u(0, 0);
-          const double dul = u(0, 0) - u(-1, 0), dur = u(1, 0) - u(0, 0);
-          const double dvl = v(0, 0) - v(-1, 0), dvr = v(1, 0) - v(0, 0);
-          const double du = a > 0.0 ? dul : dur;
-          const double dv = a > 0.0 ? dvl : dvr;
-          u1(0, 0) = u(0, 0) - cx * a * du;
-          v1(0, 0) = v(0, 0) - cx * a * dv;
+          const double um = u(-1, 0), u0 = u(0, 0), up = u(1, 0);
+          const double vm = v(-1, 0), v0 = v(0, 0), vp = v(1, 0);
+          const double a = u0;
+          const bool wind = a > 0.0;
+          const double uh = wind ? u0 : up, ul = wind ? um : u0;
+          const double vh = wind ? v0 : vp, vl = wind ? vm : v0;
+          u1(0, 0) = u0 - cx * a * (uh - ul);
+          v1(0, 0) = v0 - cx * a * (vh - vl);
         },
         ops::read(xvel, ops::Stencil::star(2, 1)),
         ops::read(yvel, ops::Stencil::star(2, 1)), ops::write(xvel1),
@@ -321,13 +334,14 @@ struct Solver {
         {"advec_mom_y", 14.0}, block, nodes(),
         [cy](ops::Acc<const double> u1, ops::Acc<const double> v1,
              ops::Acc<double> u, ops::Acc<double> v) {
-          const double a = v1(0, 0);
-          const double dul = u1(0, 0) - u1(0, -1), dur = u1(0, 1) - u1(0, 0);
-          const double dvl = v1(0, 0) - v1(0, -1), dvr = v1(0, 1) - v1(0, 0);
-          const double du = a > 0.0 ? dul : dur;
-          const double dv = a > 0.0 ? dvl : dvr;
-          u(0, 0) = u1(0, 0) - cy * a * du;
-          v(0, 0) = v1(0, 0) - cy * a * dv;
+          const double um = u1(0, -1), u0 = u1(0, 0), up = u1(0, 1);
+          const double vm = v1(0, -1), v0 = v1(0, 0), vp = v1(0, 1);
+          const double a = v0;
+          const bool wind = a > 0.0;
+          const double uh = wind ? u0 : up, ul = wind ? um : u0;
+          const double vh = wind ? v0 : vp, vl = wind ? vm : v0;
+          u(0, 0) = u0 - cy * a * (uh - ul);
+          v(0, 0) = v0 - cy * a * (vh - vl);
         },
         ops::read(xvel1, ops::Stencil::star(2, 1)),
         ops::read(yvel1, ops::Stencil::star(2, 1)), ops::write(xvel),
@@ -436,12 +450,12 @@ Result run(const Options& opt) {
     // reduction, then the hydro step with the field summary. Eager runs
     // the same loops in the same order.
     lp.step = [&](long long) {
-      double dt_min = 1e30;
+      double speed_max = cloverleaf::kNoSpeed;
       ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
         s.ideal_gas();
-        s.calc_dt(dt_min);
+        s.calc_dt(speed_max);
       });
-      const double dt = s.finish_dt(dt_min);
+      const double dt = s.finish_dt(speed_max);
       Solver::Summary part;
       ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
         s.step(dt);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "apps/cloverleaf/time_step.hpp"
 #include "apps/resilient_loop.hpp"
 #include "common/resil.hpp"
 #include "common/timer.hpp"
@@ -126,8 +127,12 @@ struct Solver {
                                w(0, 1, 0) - w(1, 1, 0)) /
                               dxl;
           const double div = dudx + dvdy + dwdz;
-          const double qv = coef * d(0, 0, 0) * div * div * dxl * dxl;
-          q(0, 0, 0) = div < 0.0 ? qv : 0.0;
+          // Operands selected instead of the product, as in CloverLeaf 2D:
+          // off compression the product is +0 whatever d holds.
+          const double d0 = d(0, 0, 0);
+          const double dc = div < 0.0 ? d0 : 0.0;
+          const double vc = div < 0.0 ? div : 0.0;
+          q(0, 0, 0) = coef * dc * vc * vc * dxl * dxl;
         },
         ops::read(xvel, ops::Stencil::box(3, 1)),
         ops::read(yvel, ops::Stencil::box(3, 1)),
@@ -135,26 +140,25 @@ struct Solver {
         ops::write(viscosity));
   }
 
-  /// Reduces the rank's stable time step into `dt_min`.
-  void calc_dt(double& dt_min) {
-    const double dxl = dx;
+  /// Reduces the rank's largest signal speed into `speed_max` (start it
+  /// at cloverleaf::kNoSpeed); finish_dt divides once.
+  void calc_dt(double& speed_max) {
     ops::par_loop(
         {"calc_dt3", 10.0}, block, cells(),
-        [dxl](ops::Acc<const double> c, ops::Acc<const double> u,
-              ops::Acc<const double> v, ops::Acc<const double> w,
-              double& dtm) {
-          const double speed = c(0, 0, 0) + std::abs(u(0, 0, 0)) +
-                               std::abs(v(0, 0, 0)) + std::abs(w(0, 0, 0));
-          dtm = std::min(dtm, dxl / std::max(speed, 1e-30));
+        [](ops::Acc<const double> c, ops::Acc<const double> u,
+           ops::Acc<const double> v, ops::Acc<const double> w, double& sm) {
+          sm = std::max(sm, c(0, 0, 0) + std::abs(u(0, 0, 0)) +
+                                std::abs(v(0, 0, 0)) + std::abs(w(0, 0, 0)));
         },
         ops::read(soundspeed), ops::read(xvel, ops::Stencil::box(3, 1)),
         ops::read(yvel, ops::Stencil::box(3, 1)),
         ops::read(zvel, ops::Stencil::box(3, 1)),
-        ops::reduce_min(dt_min));
+        ops::reduce_max(speed_max));
   }
 
-  /// The global time step from this rank's calc_dt minimum.
-  double finish_dt(double dt_min) {
+  /// The global time step from this rank's calc_dt speed.
+  double finish_dt(double speed_max) {
+    double dt_min = cloverleaf::dt_bound(dx, speed_max);
     if (ctx.comm() != nullptr) dt_min = ctx.comm()->allreduce_min(dt_min);
     return kCfl * dt_min;
   }
@@ -292,16 +296,22 @@ struct Solver {
         [c](ops::Acc<const double> u, ops::Acc<const double> v,
             ops::Acc<const double> w, ops::Acc<double> u1,
             ops::Acc<double> v1, ops::Acc<double> w1) {
-          const double a = u(0, 0, 0);
-          // Both one-sided differences are computed before the select.
-          auto up = [&](ops::Acc<const double>& q) {
-            const double l = q(0, 0, 0) - q(-1, 0, 0);
-            const double r = q(1, 0, 0) - q(0, 0, 0);
-            return a > 0.0 ? l : r;
-          };
-          u1(0, 0, 0) = u(0, 0, 0) - c * a * up(u);
-          v1(0, 0, 0) = v(0, 0, 0) - c * a * up(v);
-          w1(0, 0, 0) = w(0, 0, 0) - c * a * up(w);
+          // The upwind select picks the operands of the one-sided
+          // difference, which is taken once (see CloverLeaf 2D's
+          // advec_mom_x). Every select comes before any difference: with
+          // a difference between them, GCC's jump threading rebuilt the
+          // branches.
+          const double um = u(-1, 0, 0), u0 = u(0, 0, 0), up = u(1, 0, 0);
+          const double vm = v(-1, 0, 0), v0 = v(0, 0, 0), vp = v(1, 0, 0);
+          const double wm = w(-1, 0, 0), w0 = w(0, 0, 0), wp = w(1, 0, 0);
+          const double a = u0;
+          const bool wind = a > 0.0;
+          const double uh = wind ? u0 : up, ul = wind ? um : u0;
+          const double vh = wind ? v0 : vp, vl = wind ? vm : v0;
+          const double wh = wind ? w0 : wp, wl = wind ? wm : w0;
+          u1(0, 0, 0) = u0 - c * a * (uh - ul);
+          v1(0, 0, 0) = v0 - c * a * (vh - vl);
+          w1(0, 0, 0) = w0 - c * a * (wh - wl);
         },
         ops::read(xvel, ops::Stencil::star(3, 1)),
         ops::read(yvel, ops::Stencil::star(3, 1)),
@@ -313,15 +323,16 @@ struct Solver {
             ops::Acc<const double> w1, ops::Acc<double> u,
             ops::Acc<double> v, ops::Acc<double> w) {
           const double ay = v1(0, 0, 0), az = w1(0, 0, 0);
+          const bool wy = ay > 0.0, wz = az > 0.0;
           auto upy = [&](ops::Acc<const double>& q) {
-            const double l = q(0, 0, 0) - q(0, -1, 0);
-            const double r = q(0, 1, 0) - q(0, 0, 0);
-            return ay > 0.0 ? l : r;
+            const double qm = q(0, -1, 0), q0 = q(0, 0, 0), qp = q(0, 1, 0);
+            const double hi = wy ? q0 : qp, lo = wy ? qm : q0;
+            return hi - lo;
           };
           auto upz = [&](ops::Acc<const double>& q) {
-            const double l = q(0, 0, 0) - q(0, 0, -1);
-            const double r = q(0, 0, 1) - q(0, 0, 0);
-            return az > 0.0 ? l : r;
+            const double qm = q(0, 0, -1), q0 = q(0, 0, 0), qp = q(0, 0, 1);
+            const double hi = wz ? q0 : qp, lo = wz ? qm : q0;
+            return hi - lo;
           };
           u(0, 0, 0) = u1(0, 0, 0) - c * (ay * upy(u1) + az * upz(u1));
           v(0, 0, 0) = v1(0, 0, 0) - c * (ay * upy(v1) + az * upz(v1));
@@ -421,12 +432,12 @@ Result run(const Options& opt) {
     lp.store = &store;
     // Two chains per step when tiled, as in CloverLeaf 2D.
     lp.step = [&](long long) {
-      double dt_min = 1e30;
+      double speed_max = cloverleaf::kNoSpeed;
       ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
         s.ideal_gas();
-        s.calc_dt(dt_min);
+        s.calc_dt(speed_max);
       });
-      const double dt = s.finish_dt(dt_min);
+      const double dt = s.finish_dt(speed_max);
       Solver::Summary part;
       ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
         s.step(dt);

@@ -16,16 +16,25 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
+/// Throws the check's message, which is what a user of a tool reads; a
+/// check without one names its expression and source file (base name
+/// only, so the text does not depend on where the binary was built).
 [[noreturn]] inline void fail(const char* expr, const char* file, int line,
                               const std::string& msg) {
+  if (!msg.empty()) throw Error(msg);
   std::ostringstream os;
   os << "bwlab check failed: (" << expr << ") at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
   throw Error(os.str());
 }
 }  // namespace detail
 
 }  // namespace bwlab
+
+#ifdef __FILE_NAME__
+#define BWLAB_FILE_NAME __FILE_NAME__
+#else
+#define BWLAB_FILE_NAME __FILE__
+#endif
 
 /// Always-on contract check. Usage: BWLAB_REQUIRE(n > 0, "n=" << n);
 #define BWLAB_REQUIRE(expr, msg)                                      \
@@ -33,7 +42,7 @@ namespace detail {
     if (!(expr)) {                                                    \
       std::ostringstream bwlab_os_;                                   \
       bwlab_os_ << msg; /* NOLINT */                                  \
-      ::bwlab::detail::fail(#expr, __FILE__, __LINE__,                \
+      ::bwlab::detail::fail(#expr, BWLAB_FILE_NAME, __LINE__,         \
                             bwlab_os_.str());                         \
     }                                                                 \
   } while (0)

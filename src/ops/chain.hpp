@@ -6,7 +6,9 @@
 // execute_tiled(h):
 //  * all dats read anywhere in the chain are halo-exchanged ONCE with deep
 //    halos (this is the communication-frequency reduction the paper
-//    mentions),
+//    mentions); physical-boundary ghosts are filled only as deep as the
+//    dat's deepest read, which par_loop records at capture
+//    (Dat::note_read), because no extended range crosses a physical edge,
 //  * every loop's local range is extended into the halo region by the
 //    suffix-sum of downstream read radii (redundant computation along MPI
 //    boundaries — the paper's stated cost),
@@ -25,8 +27,9 @@
 //    each producing loop inside each tile, so boundary reads observe
 //    current values exactly as in untiled execution. The refresh covers
 //    exactly the rows the tile wrote (Dat::refresh_physical_bcs): side
-//    ghosts are row-local, and an outer-face strip is refreshed whole
-//    whenever a written row lies within depth of the face.
+//    ghosts are row-local, and an outer-face strip, read-radius deep, is
+//    refreshed whole whenever a written row lies within that radius of
+//    the face.
 //  * a reduction counts owned points only. Each row of a reduction loop's
 //    owned range is computed once, by the tile that runs it, into a
 //    partial of its own; rows go to the team whole, never split. The

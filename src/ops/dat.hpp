@@ -6,12 +6,16 @@
 // depth, per-face physical boundary conditions, and lazy halo-exchange
 // state ("dirty" after a write; exchanged on the next read with a
 // non-trivial stencil — the paper's "ghost cell exchanges triggered as
-// needed").
+// needed"). Inter-rank and periodic ghosts are exchanged at the full
+// depth, which tiled redundant compute reads; physical-boundary ghosts are
+// filled only as deep as the deepest stencil that reads the dat.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -27,6 +31,15 @@
 #include "par/partition.hpp"
 
 namespace bwlab::ops {
+
+/// Debug switch for the read-radius rule: while on, every Dat created
+/// starts as quiet NaN instead of zero, so a loop that reads a ghost no
+/// fill reached (a physical ring deeper than the dat's read radius) turns
+/// its result into NaN. Process-wide; set it before the run starts.
+inline std::atomic<bool>& poison_unfilled_ghosts() {
+  static std::atomic<bool> on{false};
+  return on;
+}
 
 class Block {
  public:
@@ -116,6 +129,9 @@ class Dat {
     // Fresh storage reads zero (field_vector), so only a non-zero init
     // value costs a pass over the array.
     static_assert(std::is_trivially_copyable_v<T>);
+    if constexpr (std::numeric_limits<T>::has_quiet_NaN)
+      if (poison_unfilled_ghosts().load(std::memory_order_relaxed))
+        init = std::numeric_limits<T>::quiet_NaN();
     data_.resize(static_cast<std::size_t>(sx_ * sy_ * (ahi_[2] - alo_[2])));
     const T zero{};
     if (std::memcmp(&init, &zero, sizeof(T)) != 0)
@@ -179,9 +195,29 @@ class Dat {
   bool halos_dirty() const { return dirty_; }
   void mark_halos_dirty() { dirty_ = true; }
 
+  /// The deepest stencil radius any loop has read this dat with; the full
+  /// halo depth until a loop reads it.
+  int read_radius() const { return read_radius_; }
+  /// Records a loop read through a stencil of `radius`, before its halo
+  /// exchange. The first read sets the radius (ghosts filled so far cover
+  /// the full depth); a deeper later read raises it and marks the halos
+  /// dirty, so the next exchange fills the rings it adds.
+  void note_read(int radius) {
+    if (!read_) {
+      read_ = true;
+      read_radius_ = radius;
+    } else if (radius > read_radius_) {
+      read_radius_ = radius;
+      dirty_ = true;
+    }
+  }
+
   /// Performs the full halo update (messages to neighbors, BC fills at
   /// physical boundaries, corner consistency via dimension ordering) and
   /// clears the dirty flag. No-op if halos are clean or depth is 0.
+  /// Messages and periodic wraps carry the full depth; a physical face is
+  /// filled fill_rings() deep, as far as any loop reads past it (tiled
+  /// redundant compute never extends across a non-periodic edge).
   void exchange_halos() {
     if (!dirty_ || depth_ == 0) return;
     trace::TraceSpan span(trace::Cat::Halo, "halo:", name_);
@@ -192,21 +228,27 @@ class Dat {
     dirty_ = false;
   }
 
-  /// Re-applies the physical-boundary ghost fills (used by the tiled
-  /// chain executor to keep boundary ghosts current mid-chain). When
-  /// `outer_lo < outer_hi`, only outer rows [outer_lo, outer_hi) were
-  /// written since the ghosts were last consistent, and the refresh costs
-  /// what those rows cost:
+  /// Physical-boundary ghost rings a fill writes: as deep as the deepest
+  /// read, never deeper than the halo.
+  int fill_rings() const { return std::min(depth_, read_radius_); }
+
+  /// Re-applies the physical-boundary ghost fills, fill_rings() deep (used
+  /// by the tiled chain executor to keep boundary ghosts current
+  /// mid-chain). When `outer_lo < outer_hi`, only outer rows
+  /// [outer_lo, outer_hi) were written since the ghosts were last
+  /// consistent, and the refresh costs what those rows cost:
   ///  * faces of the non-outer dimensions are refreshed exactly on the
   ///    written rows (clipped to the allocation, so redundantly computed
   ///    ghost rows of the outer dimension are covered). A side ghost
   ///    mirrors or copies a point of its own row, so no other row can be
   ///    stale.
   ///  * an outer face is refreshed whole when a written row lies within
-  ///    depth of it, i.e. among the rows its strip is sourced from
-  ///    ([exec_lo, exec_lo + depth] low, [exec_hi - depth - 1, exec_hi)
+  ///    `rings` of it, i.e. among the rows its strip is sourced from
+  ///    ([exec_lo, exec_lo + rings] low, [exec_hi - rings - 1, exec_hi)
   ///    high), and skipped otherwise.
   void refresh_physical_bcs(idx_t outer_lo = 0, idx_t outer_hi = -1) {
+    const idx_t rings = fill_rings();
+    if (rings == 0) return;
     const int outer = block_->ndims() - 1;
     const auto os = static_cast<std::size_t>(outer);
     const bool rows = outer_lo < outer_hi;
@@ -214,21 +256,20 @@ class Dat {
       const auto ds = static_cast<std::size_t>(d);
       if (bc_[ds][0] == Bc::Periodic) continue;
       Box low = base_box(d), high = base_box(d);
-      low.lo[ds] = exec_lo(d) - depth_;
+      low.lo[ds] = exec_lo(d) - rings;
       low.hi[ds] = exec_lo(d);
       high.lo[ds] = exec_hi(d);
-      high.hi[ds] =
-          exec_hi(d) + depth_ + stagger_[ds] - (exec_hi(d) - own_hi_[ds]);
+      high.hi[ds] = exec_hi(d) + rings;
       bool do_low = block_->neighbor(d, -1) < 0;
       bool do_high = block_->neighbor(d, +1) < 0;
       if (rows && d != outer) {
         low.lo[os] = high.lo[os] = std::max(alo_[os], outer_lo);
         low.hi[os] = high.hi[os] = std::min(ahi_[os], outer_hi);
       } else if (rows) {
-        do_low = do_low && outer_lo <= exec_lo(d) + depth_ &&
+        do_low = do_low && outer_lo <= exec_lo(d) + rings &&
                  outer_hi > exec_lo(d);
         do_high = do_high && outer_lo < exec_hi(d) &&
-                  outer_hi > exec_hi(d) - depth_ - 1;
+                  outer_hi > exec_hi(d) - rings - 1;
       }
       if (do_low) fill_bc(d, 0, low);
       if (do_high) fill_bc(d, 1, high);
@@ -397,8 +438,11 @@ class Dat {
     recv_from(nb_high, recv_high, send_low, tag_base + 1);
     recv_from(nb_low, recv_low, send_high, tag_base + 0);
 
-    // Physical-boundary fills where there is no (periodic) neighbor.
+    // Physical-boundary fills where there is no (periodic) neighbor, as
+    // deep as loops read (a high-edge rank's recv_high is `depth` wide).
     if (!periodic) {
+      recv_low.lo[ds] = lo - fill_rings();
+      recv_high.hi[ds] = hi + fill_rings();
       if (nb_low < 0) fill_bc(d, /*side=*/0, recv_low);
       if (nb_high < 0) fill_bc(d, /*side=*/1, recv_high);
     }
@@ -448,6 +492,8 @@ class Dat {
   std::string name_;
   int id_;
   int depth_;
+  int read_radius_ = depth_;  // see read_radius()
+  bool read_ = false;         // a loop has read the dat (note_read)
   std::array<int, 3> stagger_;
   std::array<idx_t, 3> own_lo_{}, own_hi_{}, exec_hi_{}, alo_{}, ahi_{};
   std::array<std::array<Bc, 2>, 3> bc_{};

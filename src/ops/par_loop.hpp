@@ -188,7 +188,10 @@ BoundRed<T, RedKind::Min> bind(const ArgRedMin<T>& a) {
 
 template <class T>
 void pre_exchange(const ArgRead<T>& a) {
-  if (a.sten.max_radius() > 0) a.dat->exchange_halos();
+  const int r = a.sten.max_radius();
+  if (r == 0) return;
+  a.dat->note_read(r);
+  a.dat->exchange_halos();
 }
 template <class A>
 void pre_exchange(const A&) {}
@@ -500,6 +503,8 @@ ChainDatUse dat_use(Dat<T>* d) {
 
 template <class T>
 void add_use(std::vector<ChainDatUse>& v, const ArgRead<T>& a) {
+  // Before the chain's exchange, so it fills the rings this read needs.
+  a.dat->note_read(a.sten.max_radius());
   ChainDatUse u = dat_use(a.dat);
   u.is_read = true;
   u.radius = a.sten.radius;

@@ -90,13 +90,18 @@ TEST_P(Clover2DVariants, ExecutionVariantsAgree) {
       v.ranks = 2;
       v.threads = 2;
       break;
+    case 4:  // physical ghosts next to inter-rank halos, tiled
+      v.ranks = 2;
+      v.tiled = true;
+      v.tile_size = 7;
+      break;
   }
   const Result r = clover2d::run(v);
   EXPECT_LT(rel_diff(r.checksum, ref.checksum), 1e-11);
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, Clover2DVariants,
-                         ::testing::Values(0, 1, 2, 3));
+                         ::testing::Values(0, 1, 2, 3, 4));
 
 TEST(CloverLeaf2D, TiledIsBitwiseIdenticalSerially) {
   Options o;

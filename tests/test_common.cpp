@@ -12,6 +12,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/instrument.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -166,13 +167,33 @@ TEST(Aligned, OverflowingCountThrowsBadAlloc) {
 }
 
 TEST(Error, RequireThrowsWithMessage) {
+  // The message is the diagnostic, alone.
   try {
     BWLAB_REQUIRE(1 == 2, "custom detail " << 42);
     FAIL() << "should have thrown";
   } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "custom detail 42");
+  }
+}
+
+TEST(Error, DiagnosticsCarryNoSourcePath) {
+  // Without a message the check names its expression and its source file
+  // by base name, so no diagnostic depends on where the binary was built.
+  try {
+    BWLAB_REQUIRE(1 == 2, "");
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("1 == 2"), std::string::npos);
-    EXPECT_NE(what.find("custom detail 42"), std::string::npos);
+    EXPECT_NE(what.find("(1 == 2) at test_common.cpp:"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
+  }
+  // A library check reached through a tool's input: a cut JSON document.
+  try {
+    json::parse("{\"a\": [1, 2");
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find('/'), std::string::npos) << e.what();
   }
 }
 

@@ -1,16 +1,21 @@
 // Tests for the mini-OPS structured-mesh DSL: dats and halo exchange
-// (boundary conditions, staggering, periodicity, multi-rank), par_loop
-// semantics (stencils, reductions, ownership, instrumentation), and the
-// cache-blocking tiling executor (bitwise equivalence with eager
-// execution, serial and distributed).
+// (boundary conditions, staggering, periodicity, multi-rank, physical
+// ghosts filled to the read radius), par_loop semantics (stencils,
+// reductions, ownership, instrumentation), and the cache-blocking tiling
+// executor (bitwise equivalence with eager execution, serial and
+// distributed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
 #include "common/aligned.hpp"
@@ -940,6 +945,115 @@ TEST(ChainedReductions, DistributedCountsNoHaloPointTwice) {
     count += tiled[r].count;
   }
   EXPECT_EQ(count, 40.0 * 36.0);
+}
+
+// --- Physical ghosts filled to the read radius ------------------------------
+
+/// Ghost poisoning (ops::poison_unfilled_ghosts) for the guard's lifetime.
+struct PoisonGhosts {
+  PoisonGhosts() { poison_unfilled_ghosts() = true; }
+  ~PoisonGhosts() { poison_unfilled_ghosts() = false; }
+  PoisonGhosts(const PoisonGhosts&) = delete;
+  PoisonGhosts& operator=(const PoisonGhosts&) = delete;
+};
+
+TEST(ReadRadius, DeeperReadRefillsCleanHalos) {
+  // A depth-3 dat that starts as NaN, with reflecting walls. A radius-1
+  // read fills ring 1 of every wall and leaves rings 2 and 3 alone; a
+  // radius-2 read of the unchanged dat, whose halos are clean, must fill
+  // ring 2. Eagerly and in a tiled chain alike.
+  constexpr idx_t nx = 12, ny = 10;
+  for (const bool tiled : {false, true}) {
+    Context ctx;
+    Block b(ctx, "g", 2, {nx, ny, 1});
+    Dat<double> u(b, "u", 3, {0, 0, 0},
+                  std::numeric_limits<double>::quiet_NaN());
+    Dat<double> out(b, "out", 3);
+    u.set_bc_all(Bc::Reflect);
+    u.fill_indexed(ramp);
+    auto read_at = [&](int r) {
+      run_chain(ctx, tiled, 4, [&] {
+        par_loop({"r" + std::to_string(r), 4.0}, b,
+                 Range::make2d(0, nx, 0, ny),
+                 [r](Acc<const double> a, Acc<double> o) {
+                   o(0, 0) = a(-r, 0) + a(r, 0) + a(0, -r) + a(0, r);
+                 },
+                 read(u, Stencil::star(2, r)), write(out));
+      });
+    };
+    // Ring g (1-based) of each wall mirrors interior ring g.
+    auto expect_ring = [&](idx_t g, bool filled) {
+      for (idx_t j = 0; j < ny; ++j)
+        for (const auto& [ghost, src] : {std::pair{-g, g - 1},
+                                         std::pair{nx - 1 + g, nx - g}}) {
+          if (filled)
+            EXPECT_EQ(u.at(ghost, j), u.at(src, j)) << ghost << "," << j;
+          else
+            EXPECT_TRUE(std::isnan(u.at(ghost, j))) << ghost << "," << j;
+        }
+      for (idx_t i = 0; i < nx; ++i)
+        for (const auto& [ghost, src] : {std::pair{-g, g - 1},
+                                         std::pair{ny - 1 + g, ny - g}}) {
+          if (filled)
+            EXPECT_EQ(u.at(i, ghost), u.at(i, src)) << i << "," << ghost;
+          else
+            EXPECT_TRUE(std::isnan(u.at(i, ghost))) << i << "," << ghost;
+        }
+    };
+    read_at(1);
+    EXPECT_EQ(u.read_radius(), 1);
+    EXPECT_FALSE(u.halos_dirty());
+    expect_ring(1, true);
+    expect_ring(2, false);
+    read_at(2);
+    EXPECT_EQ(u.read_radius(), 2);
+    expect_ring(2, true);
+    expect_ring(3, false);
+    for (idx_t j = 0; j < ny; ++j)
+      for (idx_t i = 0; i < nx; ++i)
+        ASSERT_FALSE(std::isnan(out.at(i, j))) << (tiled ? "tiled " : "")
+                                               << i << "," << j;
+  }
+}
+
+TEST(ReadRadius, PoisonedDeepGhostsLeaveCloverLeaf2DBitwise) {
+  // Every ghost no fill reaches holds NaN: with physical rings filled only
+  // as deep as loops read, CloverLeaf 2D must still match its unpoisoned
+  // eager run bit for bit, eager and tiled, on 1 and 2 ranks.
+  apps::Options o;
+  o.n = 40;
+  o.iterations = 4;
+  double ref[2];
+  for (const int ranks : {1, 2}) {
+    o.ranks = ranks;
+    ref[ranks - 1] = apps::clover2d::run(o).checksum;
+  }
+  PoisonGhosts poison;
+  for (const int ranks : {1, 2})
+    for (const idx_t tile : {idx_t{-1}, idx_t{7}, idx_t{0}}) {
+      o.ranks = ranks;
+      o.tiled = tile >= 0;
+      o.tile_size = std::max<idx_t>(tile, 0);
+      EXPECT_EQ(apps::clover2d::run(o).checksum, ref[ranks - 1])
+          << ranks << " rank(s), tile " << tile;
+    }
+}
+
+TEST(ReadRadius, PoisonedPeriodicChainMatchesEager) {
+  Context eager_ctx;
+  Chain eager(eager_ctx, 8);
+  eager.run_loops();
+  const double ref = eager.checksum();
+  PoisonGhosts poison;
+  for (const idx_t tile : {idx_t{7}, idx_t{0}}) {
+    Context ctx;
+    Chain tiled(ctx, 8);
+    ctx.set_lazy(true);
+    tiled.run_loops();
+    ctx.set_lazy(false);
+    ctx.chain().execute_tiled(tile);
+    EXPECT_EQ(tiled.checksum(), ref) << "tile " << tile;
+  }
 }
 
 }  // namespace

@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -17,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/cloverleaf/time_step.hpp"
 #include "common/instrument.hpp"
 #include "core/app_registry.hpp"
 #include "core/memtier.hpp"
@@ -738,3 +742,51 @@ TEST(FuzzChains, RandomChainsReduceBitwiseLikeEager) {
 
 }  // namespace
 }  // namespace bwlab::ops
+
+// --- CloverLeaf's hoisted time-step division ---------------------------------
+//
+// Property: for any cells' signal speeds, one division by the largest speed
+// (cloverleaf::dt_bound) equals the per-cell minimum of dx / max(speed,
+// 1e-30) from 1e30, bit for bit — zeros, subnormals, Inf and NaN included.
+
+namespace bwlab::apps::cloverleaf {
+namespace {
+
+TEST(FuzzTimeStep, HoistedDivisionEqualsPerCellMinimum) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double special[] = {0.0,  -0.0,   tiny,  3 * tiny, 1e-310, 1e-300,
+                            1e-31, 1e-30, 2e-30, 0.5,     1.0,    1e30,
+                            1e300, std::numeric_limits<double>::max(),
+                            inf,  nan};
+  const double spacings[] = {tiny, 1e-300, 1e-3, 10.0 / 2048, 0.25, 1.0,
+                             3.7,  1e10,   1e300};
+  std::mt19937_64 rng(20261018u);
+  auto speed = [&] {
+    const auto pick = rng() % 4;
+    if (pick == 0) return special[rng() % std::size(special)];
+    // A random non-negative double: any exponent, any mantissa.
+    const std::uint64_t bits = rng() >> 1;
+    double s;
+    std::memcpy(&s, &bits, sizeof s);
+    return s;
+  };
+  for (int trial = 0; trial < 20000; ++trial) {
+    const double dx = spacings[rng() % std::size(spacings)];
+    const int cells = static_cast<int>(rng() % 9);  // 0: a rank with none
+    double per_cell = 1e30, speed_max = kNoSpeed;
+    for (int c = 0; c < cells; ++c) {
+      const double s = speed();
+      per_cell = std::min(per_cell, dx / std::max(s, 1e-30));
+      speed_max = std::max(speed_max, s);
+    }
+    const double hoisted = dt_bound(dx, speed_max);
+    ASSERT_EQ(std::memcmp(&hoisted, &per_cell, sizeof(double)), 0)
+        << "trial " << trial << " dx " << dx << ": " << hoisted << " vs "
+        << per_cell;
+  }
+}
+
+}  // namespace
+}  // namespace bwlab::apps::cloverleaf
