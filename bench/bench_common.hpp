@@ -74,9 +74,23 @@ class Runner {
         reps_(static_cast<int>(
             cli.get_int("reps", benchjson::repetitions(kDefaultReps)))),
         bench_json_(cli.has("bench-json")),
-        bench_json_path_(cli.get("bench-json", "")) {
+        bench_json_path_(cli.get("bench-json", "")),
+        name_(suite) {
     file_.git_sha = benchjson::git_sha();
     file_.suites.push_back({std::move(suite), "host", {}});
+  }
+
+  /// Records into suite `name` from here on, starting it on first use, so
+  /// one binary can fill several suites of its result file (still named
+  /// after the constructor's suite). A suite left empty is dropped.
+  void use_suite(const std::string& name) {
+    if (suite().metrics.empty())
+      file_.suites.erase(file_.suites.begin() +
+                         static_cast<std::ptrdiff_t>(cur_));
+    cur_ = 0;
+    while (cur_ < file_.suites.size() && file_.suites[cur_].suite != name)
+      ++cur_;
+    if (cur_ == file_.suites.size()) file_.suites.push_back({name, "host", {}});
   }
 
   int reps() const { return reps_; }
@@ -91,7 +105,7 @@ class Runner {
   }
 
   /// Times `iters` calls of `body()` per repetition, in ns per call —
-  /// the overhead-microbenchmark shape (gb_trace/gb_fault). Records the
+  /// the overhead-microbenchmark shape (gb_layer_overhead). Records the
   /// per-repetition ns samples as `name` and returns the median.
   template <class F>
   double time_ns_per_iter(const std::string& name, std::uint64_t iters,
@@ -147,19 +161,21 @@ class Runner {
   std::string finish() {
     if (!bench_json_) return "";
     std::string path = bench_json_path_;
-    if (path.empty()) path = "BENCH_" + suite().suite + ".json";
+    if (path.empty()) path = "BENCH_" + name_ + ".json";
     benchjson::write_file(path, file_);
     std::cout << "bench results written to " << path << "\n";
     return path;
   }
 
  private:
-  benchjson::Suite& suite() { return file_.suites.front(); }
+  benchjson::Suite& suite() { return file_.suites[cur_]; }
 
   const Cli& cli_;
   int reps_;
   bool bench_json_;
   std::string bench_json_path_;
+  std::string name_;  ///< names the result file
+  std::size_t cur_ = 0;  ///< the suite recorded into
   benchjson::ResultFile file_;
 };
 

@@ -1,9 +1,11 @@
 # Included from the top-level CMakeLists so that build/bench/ contains
 # ONLY the figure/benchmark executables (no CMake-generated files) and
 # `for b in build/bench/*; do $b; done` runs cleanly.
-# One binary per paper figure/table, plus ablations and two real
-# google-benchmark host lanes. All land in build/bench/.
-set(BWLAB_FIG_BENCHES
+# One binary per paper figure/table, plus ablations and three host lanes:
+# the real BabelStream kernels, the pattern micro-kernels and the
+# layer-overhead budgets. All land in build/bench/, measure through the
+# shared bench::Runner harness and write BENCH_*.json with --bench-json.
+set(BWLAB_BENCHES
   fig1_babelstream
   fig2_latency
   fig3_structured_configs
@@ -18,9 +20,12 @@ set(BWLAB_FIG_BENCHES
   tbl_minibude_configs
   abl_tile_size
   abl_vectorization
-  abl_workgroup)
+  abl_workgroup
+  gb_host_stream
+  gb_host_kernels
+  gb_layer_overhead)
 
-foreach(b ${BWLAB_FIG_BENCHES})
+foreach(b ${BWLAB_BENCHES})
   add_executable(${b} ${CMAKE_SOURCE_DIR}/bench/${b}.cpp)
   target_include_directories(${b} PRIVATE ${CMAKE_SOURCE_DIR})
   target_link_libraries(${b}
@@ -30,108 +35,40 @@ foreach(b ${BWLAB_FIG_BENCHES})
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endforeach()
 
-# Host-measurement lanes on the shared bench::Runner harness: the real
-# BabelStream kernels and the pattern micro-kernels. Both emit the
-# machine-readable BENCH_*.json trajectory with --bench-json.
-foreach(b gb_host_stream gb_host_kernels)
-  add_executable(${b} ${CMAKE_SOURCE_DIR}/bench/${b}.cpp)
-  target_include_directories(${b} PRIVATE ${CMAKE_SOURCE_DIR})
-  target_link_libraries(${b}
-    PRIVATE bwlab_core bwlab_apps bwlab_micro bwlab_op2 bwlab_ops bwlab_sim
-            bwlab_par bwlab_common bwlab_warnings)
-  set_target_properties(${b} PROPERTIES
-    RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-endforeach()
-
-# Self-checking microbenchmark (custom main, exits non-zero on failure):
-# asserts the disabled bwtrace fast path stays under its 5 ns budget.
-add_executable(gb_trace_overhead ${CMAKE_SOURCE_DIR}/bench/gb_trace_overhead.cpp)
-target_include_directories(gb_trace_overhead PRIVATE ${CMAKE_SOURCE_DIR})
-target_link_libraries(gb_trace_overhead
-  PRIVATE bwlab_core bwlab_apps bwlab_sim bwlab_par bwlab_common
-          bwlab_warnings)
-set_target_properties(gb_trace_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# Same idea for bwfault: the inactive injection hooks must stay at one
-# relaxed atomic load, and an installed-but-inert plan must not slow the
-# send/recv path measurably.
-add_executable(gb_fault_overhead ${CMAKE_SOURCE_DIR}/bench/gb_fault_overhead.cpp)
-target_include_directories(gb_fault_overhead PRIVATE ${CMAKE_SOURCE_DIR})
-target_link_libraries(gb_fault_overhead
-  PRIVATE bwlab_core bwlab_apps bwlab_sim bwlab_par bwlab_common
-          bwlab_warnings)
-set_target_properties(gb_fault_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# bwcausal hot-path guard: CommArgs spans and flow events with tracing
-# disabled must keep the same single-load-plus-branch cost.
-add_executable(gb_causal_overhead ${CMAKE_SOURCE_DIR}/bench/gb_causal_overhead.cpp)
-target_include_directories(gb_causal_overhead PRIVATE ${CMAKE_SOURCE_DIR})
-target_link_libraries(gb_causal_overhead
-  PRIVATE bwlab_core bwlab_apps bwlab_sim bwlab_par bwlab_common
-          bwlab_warnings)
-set_target_properties(gb_causal_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# bwmem hot-path guard: the datmove::enabled() byte-accounting guards in
-# the par_loop and chain executors must stay one relaxed load + branch
-# while the profiler is off.
-add_executable(gb_datmove_overhead ${CMAKE_SOURCE_DIR}/bench/gb_datmove_overhead.cpp)
-target_include_directories(gb_datmove_overhead PRIVATE ${CMAKE_SOURCE_DIR})
-target_link_libraries(gb_datmove_overhead
-  PRIVATE bwlab_core bwlab_apps bwlab_sim bwlab_par bwlab_common
-          bwlab_warnings)
-set_target_properties(gb_datmove_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# bwresil hot-path guard: the resil::active() guards compiled into
-# Comm::send (sequence stamp + replay log) and Comm::recv (timed retrying
-# collect) must stay one relaxed load + branch while no policy is
-# installed.
-add_executable(gb_resil_overhead ${CMAKE_SOURCE_DIR}/bench/gb_resil_overhead.cpp)
-target_include_directories(gb_resil_overhead PRIVATE ${CMAKE_SOURCE_DIR})
-target_link_libraries(gb_resil_overhead
-  PRIVATE bwlab_core bwlab_apps bwlab_sim bwlab_par bwlab_common
-          bwlab_warnings)
-set_target_properties(gb_resil_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# bwlive hot-path guard: the live::enabled() guards compiled into the
-# app step loops and par_loop byte accounting must stay one relaxed load
-# + branch while the sampler is off, and one snapshot per interval must
-# model to well under 1% of wall time when it is on.
-add_executable(gb_live_overhead ${CMAKE_SOURCE_DIR}/bench/gb_live_overhead.cpp)
-target_include_directories(gb_live_overhead PRIVATE ${CMAKE_SOURCE_DIR})
-target_link_libraries(gb_live_overhead
-  PRIVATE bwlab_core bwlab_apps bwlab_sim bwlab_par bwlab_common
-          bwlab_warnings)
-set_target_properties(gb_live_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# memtier hot-path guard: the allocator hook compiled into every
-# ops::Dat / op2::Dat constructor must stay one relaxed load + branch
-# while no placement config is installed.
-add_executable(gb_memtier_overhead ${CMAKE_SOURCE_DIR}/bench/gb_memtier_overhead.cpp)
-target_include_directories(gb_memtier_overhead PRIVATE ${CMAKE_SOURCE_DIR})
-target_link_libraries(gb_memtier_overhead
-  PRIVATE bwlab_core bwlab_apps bwlab_sim bwlab_par bwlab_common
-          bwlab_warnings)
-set_target_properties(gb_memtier_overhead PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-
-# The self-checking budget benches double as ctest entries under the
-# "bench" label (`ctest -L bench`), so the perf trip wires run with the
-# suite instead of needing a separate CI step. fig_modes is in the list
-# because it also self-checks (the Ibeid degradation shape). They time
-# nanosecond budgets, so RUN_SERIAL keeps `ctest -j` from running them
-# beside the rest of the suite on a shared machine.
+# The self-checking benches double as ctest entries under the "bench"
+# label (`ctest -L bench`), so the perf trip wires run with the suite
+# instead of needing a separate CI step: gb_layer_overhead (every layer's
+# disabled-path budget) and fig_modes (the Ibeid degradation shape). They
+# time nanosecond budgets, so RUN_SERIAL keeps `ctest -j` from running
+# them beside the rest of the suite on a shared machine.
+# gb_layer_overhead keeps its output in the build tree, and one entry per
+# layer (gb_trace_overhead ... gb_memtier_overhead) reads that one run and
+# passes iff the layer's sites were timed and none failed, so a failure
+# names its layer. gb_layer_overhead_trips proves the budgets can fail:
+# with every duration scaled 1000x ($BWBENCH_PERTURB) the bench must exit 1
+# naming each 5 ns site.
 if(BWLAB_BUILD_TESTS)
-  foreach(b gb_trace_overhead gb_fault_overhead gb_causal_overhead
-            gb_datmove_overhead gb_resil_overhead gb_live_overhead
-            gb_memtier_overhead fig_modes)
-    add_test(NAME ${b} COMMAND ${b})
-    set_tests_properties(${b} PROPERTIES TIMEOUT 120 LABELS bench
-                                         RUN_SERIAL TRUE)
+  set(overhead_script ${CMAKE_SOURCE_DIR}/tests/layer_overhead.cmake)
+  set(overhead_log ${CMAKE_BINARY_DIR}/gb_layer_overhead.log)
+  add_test(NAME fig_modes COMMAND fig_modes)
+  add_test(NAME gb_layer_overhead
+           COMMAND ${CMAKE_COMMAND} -DBENCH=$<TARGET_FILE:gb_layer_overhead>
+                   -DLOG=${overhead_log} -P ${overhead_script})
+  set_tests_properties(fig_modes gb_layer_overhead PROPERTIES
+    TIMEOUT 120 LABELS bench RUN_SERIAL TRUE)
+  set_tests_properties(gb_layer_overhead PROPERTIES
+    FIXTURES_SETUP layer_overhead)
+  foreach(layer trace causal datmove fault resil live memtier)
+    add_test(NAME gb_${layer}_overhead
+             COMMAND ${CMAKE_COMMAND} -DLOG=${overhead_log}
+                     -DSUITE=gb_${layer}_overhead -P ${overhead_script})
+    set_tests_properties(gb_${layer}_overhead PROPERTIES
+      LABELS bench FIXTURES_REQUIRED layer_overhead)
   endforeach()
+  add_test(NAME gb_layer_overhead_trips
+           COMMAND ${CMAKE_COMMAND} -DBENCH=$<TARGET_FILE:gb_layer_overhead>
+                   -P ${overhead_script})
+  set_tests_properties(gb_layer_overhead_trips PROPERTIES
+    TIMEOUT 120 LABELS bench RUN_SERIAL TRUE
+    ENVIRONMENT "BWBENCH_PERTURB=1000;BWBENCH_REPS=1")
 endif()

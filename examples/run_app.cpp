@@ -42,14 +42,16 @@
 //                        "drop:rank=1,msg=3;crash:rank=2,step=4" (seeded
 //                        by --seed; see src/common/fault.hpp)
 //   --watchdog-ms=G      deadlock watchdog grace period (0 disables)
-//   --checkpoint-every=K checkpoint fields every K steps, restart after
-//                        an injected rank crash (CloverLeaf 2D)
+//   --checkpoint-every=K commit a checkpoint every K steps; an injected
+//                        rank crash rolls every rank back to the last one,
+//                        the crashed rank restoring from its buddy's mirror
+//                        (CloverLeaf 2D/3D, miniWeather; without
+//                        checkpoints a crash restarts from step 0)
 //   --nan-guard=0|1|2    post-loop NaN/Inf guard: off / report / abort
 //
-// Resilience (bwresil):
-//   --resil              resilient Comm (timeout/retry/backoff + replay)
-//                        and online localized rollback via buddy
-//                        checkpoints instead of supervisor restart
+// Resilience (bwresil; crash rollback runs with or without it):
+//   --resil              resilient Comm policy: timeout/retry/backoff and
+//                        replay of lost or late messages
 //   --retry-max=N        receive retries before giving up (default 8)
 //   --backoff-us=U       initial retry backoff, doubles per attempt
 //   --degraded           when retries exhaust, continue with stale halo

@@ -96,90 +96,25 @@ int repetitions(int fallback) {
   return static_cast<int>(v);
 }
 
-// --- Writer ------------------------------------------------------------------
+// --- Serialization -----------------------------------------------------------
+// Each struct lists its keys once; json::Writer and json::Reader walk the
+// same lists (common/json.hpp), so every member below is required.
 
 namespace {
 
-void write_double(std::ostream& os, double v) {
-  // JSON has no inf/nan; a metric that produced one should be visible,
-  // not a parse error downstream.
-  if (std::isfinite(v)) {
-    std::ostringstream tmp;
-    tmp.precision(17);
-    tmp << v;
-    os << tmp.str();
-  } else {
-    os << "null";
-  }
-}
-
-}  // namespace
-
-void write(std::ostream& os, const ResultFile& f) {
-  os << "{\n  \"schema_version\": " << f.schema_version
-     << ",\n  \"git_sha\": \"";
-  json::write_escaped(os, f.git_sha);
-  os << "\",\n  \"suites\": [";
-  bool first_suite = true;
-  for (const Suite& s : f.suites) {
-    os << (first_suite ? "\n" : ",\n") << "    {\"suite\": \"";
-    first_suite = false;
-    json::write_escaped(os, s.suite);
-    os << "\", \"machine\": \"";
-    json::write_escaped(os, s.machine);
-    os << "\", \"metrics\": [";
-    bool first_metric = true;
-    for (const Metric& m : s.metrics) {
-      os << (first_metric ? "\n" : ",\n") << "      {\"name\": \"";
-      first_metric = false;
-      json::write_escaped(os, m.name);
-      os << "\", \"unit\": \"";
-      json::write_escaped(os, m.unit);
-      os << "\", \"better\": \"" << to_string(m.better)
-         << "\", \"samples\": [";
-      for (std::size_t i = 0; i < m.samples.size(); ++i) {
-        if (i) os << ", ";
-        write_double(os, m.samples[i]);
-      }
-      os << "]}";
-    }
-    os << (first_metric ? "]}" : "\n    ]}");
-  }
-  os << (first_suite ? "]" : "\n  ]") << "\n}\n";
-}
-
-void write_file(const std::string& path, const ResultFile& f) {
-  std::ofstream os(path);
-  BWLAB_REQUIRE(os.good(), "cannot open bench result file '" << path << "'");
-  write(os, f);
-  BWLAB_REQUIRE(os.good(), "failed writing bench results to '" << path << "'");
-}
-
-// --- Reader ------------------------------------------------------------------
-// Bench files are read through the shared parser (common/json); this layer
-// only checks the schema: required members, their types, the version.
-
-namespace {
-
-const json::Value& require_field(const json::Value& o, const char* key,
-                                 json::Value::Kind kind, const char* where) {
-  const json::Value* v = o.find(key);
-  BWLAB_REQUIRE(v != nullptr,
-                "bench JSON: missing \"" << key << "\" in " << where);
-  BWLAB_REQUIRE(v->kind == kind, "bench JSON: \"" << key << "\" in " << where
-                                                   << " has the wrong type");
-  return *v;
-}
-
-const std::string& require_str(const json::Value& o, const char* key,
-                               const char* where) {
-  return require_field(o, key, json::Value::Kind::Str, where).str;
-}
-
-const std::vector<json::Value>& require_arr(const json::Value& o,
-                                            const char* key,
-                                            const char* where) {
-  return require_field(o, key, json::Value::Kind::Arr, where).arr;
+/// A sample as JSON: 17 significant digits, so it reads back bitwise; JSON
+/// has no inf/nan, so a non-finite sample is null (visible, not a parse
+/// error downstream).
+json::Value sample_value(double v) {
+  json::Value out;
+  if (!std::isfinite(v)) return out;
+  std::ostringstream text;
+  text.precision(17);
+  text << v;
+  out.kind = json::Value::Kind::Num;
+  out.num = v;
+  out.str = text.str();
+  return out;
 }
 
 Better parse_better(const std::string& s) {
@@ -192,44 +127,72 @@ Better parse_better(const std::string& s) {
 
 }  // namespace
 
+template <class Io>
+void fields(Io& io, Metric& m) {
+  io("name", m.name, json::required);
+  io("unit", m.unit, json::required);
+  io.custom(
+      "better", [&m] { return std::string(to_string(m.better)); },
+      [&m](const std::string& s) { m.better = parse_better(s); },
+      json::required);
+  io.custom(
+      "samples",
+      [&m] {
+        std::vector<json::Value> out;
+        for (double v : m.samples) out.push_back(sample_value(v));
+        return out;
+      },
+      [&m](const std::vector<json::Value>& in) {
+        m.samples.clear();
+        for (const json::Value& x : in) {
+          BWLAB_REQUIRE(x.kind == json::Value::Kind::Num ||
+                            x.kind == json::Value::Kind::Null,
+                        "bench JSON: samples must be numbers");
+          m.samples.push_back(x.kind == json::Value::Kind::Num ? x.num
+                                                               : std::nan(""));
+        }
+        BWLAB_REQUIRE(!m.samples.empty(), "bench JSON: metric '"
+                                              << m.name << "' has no samples");
+      },
+      json::required);
+}
+
+template <class Io>
+void fields(Io& io, Suite& s) {
+  io("suite", s.suite, json::required);
+  io("machine", s.machine, json::required);
+  io("metrics", s.metrics, json::required);
+}
+
+template <class Io>
+void fields(Io& io, ResultFile& f) {
+  io.custom(
+      "schema_version", [&f] { return f.schema_version; },
+      [&f](int v) {
+        BWLAB_REQUIRE(v == kSchemaVersion, "bench JSON schema_version "
+                                               << v << " is not the supported "
+                                               << kSchemaVersion);
+        f.schema_version = v;
+      },
+      json::required);
+  io("git_sha", f.git_sha, json::required);
+  io("suites", f.suites, json::required);
+}
+
+void write(std::ostream& os, const ResultFile& f) {
+  json::write(os, f);
+  os << '\n';
+}
+
+void write_file(const std::string& path, const ResultFile& f) {
+  std::ofstream os(path);
+  BWLAB_REQUIRE(os.good(), "cannot open bench result file '" << path << "'");
+  write(os, f);
+  BWLAB_REQUIRE(os.good(), "failed writing bench results to '" << path << "'");
+}
+
 ResultFile parse(const std::string& text) {
-  using Kind = json::Value::Kind;
-  const json::Value root = json::parse(text);
-  BWLAB_REQUIRE(root.kind == Kind::Obj,
-                "bench JSON: top level must be an object");
-  ResultFile f;
-  f.schema_version = static_cast<int>(
-      require_field(root, "schema_version", Kind::Num, "result file").num);
-  BWLAB_REQUIRE(f.schema_version == kSchemaVersion,
-                "bench JSON schema_version " << f.schema_version
-                                             << " is not the supported "
-                                             << kSchemaVersion);
-  f.git_sha = require_str(root, "git_sha", "result file");
-  for (const json::Value& sv : require_arr(root, "suites", "result file")) {
-    BWLAB_REQUIRE(sv.kind == Kind::Obj,
-                  "bench JSON: suites[] entries must be objects");
-    Suite s;
-    s.suite = require_str(sv, "suite", "suite");
-    s.machine = require_str(sv, "machine", "suite");
-    for (const json::Value& mv : require_arr(sv, "metrics", "suite")) {
-      BWLAB_REQUIRE(mv.kind == Kind::Obj,
-                    "bench JSON: metrics[] entries must be objects");
-      Metric m;
-      m.name = require_str(mv, "name", "metric");
-      m.unit = require_str(mv, "unit", "metric");
-      m.better = parse_better(require_str(mv, "better", "metric"));
-      for (const json::Value& x : require_arr(mv, "samples", "metric")) {
-        BWLAB_REQUIRE(x.kind == Kind::Num || x.kind == Kind::Null,
-                      "bench JSON: samples must be numbers");
-        m.samples.push_back(x.kind == Kind::Num ? x.num : std::nan(""));
-      }
-      BWLAB_REQUIRE(!m.samples.empty(), "bench JSON: metric '"
-                                            << m.name << "' has no samples");
-      s.metrics.push_back(std::move(m));
-    }
-    f.suites.push_back(std::move(s));
-  }
-  return f;
+  return json::read<ResultFile>(json::parse(text));
 }
 
 ResultFile read_file(const std::string& path) {

@@ -16,13 +16,10 @@ Cli::Cli(int argc, const char* const* argv) {
     }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
+    if (eq != std::string::npos)
       options_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      options_[arg] = argv[++i];
-    } else {
+    else
       options_[arg] = "";  // bare flag
-    }
   }
 }
 

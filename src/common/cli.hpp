@@ -1,5 +1,6 @@
 // Minimal command-line parser for the bench/ and examples/ executables.
-// Supports `--key=value`, `--key value`, and boolean `--flag` forms.
+// `--key=value` gives a value; a bare `--flag` is always a flag (the word
+// after it stays positional); every other word is positional.
 // Every name asked for through has()/get*() is remembered, so a tool can
 // reject the flags it never reads (reject_unknown) instead of silently
 // ignoring a misspelt or retired option.

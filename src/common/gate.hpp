@@ -2,7 +2,7 @@
 // observability/robustness layer (bwtrace, bwmem, bwfault, bwresil,
 // bwlive). Each layer's hot-path hook is guarded by one of these: the
 // disabled fast path is a single relaxed atomic load plus one branch
-// (asserted < 5 ns by the layer's gb_*_overhead bench), so the hooks can
+// (asserted < 5 ns by bench/gb_layer_overhead), so the hooks can
 // stay in production builds. Enable/disable use release stores so a gate
 // flipped after installing a policy publishes that policy to the rank
 // threads that observe the gate.

@@ -31,7 +31,7 @@ namespace bwlab {
 // collection site on the loop-event path (datmove::record, below) is
 // compiled in but runtime-disabled, and the disabled fast path is a single
 // relaxed atomic load plus one branch (asserted < 5 ns by
-// bench/gb_datmove_overhead). The analysis side lives in core/datmove.
+// bench/gb_layer_overhead). The analysis side lives in core/datmove.
 namespace datmove {
 namespace detail {
 inline Gate g_on;

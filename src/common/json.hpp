@@ -14,9 +14,10 @@
 // strings, enums (written through their to_string), std::vector (an
 // array; a vector of (string, T) pairs is an object in that order),
 // std::map<std::string, T> (an object in key order), std::optional (the
-// key is omitted when empty) and other structs with a fields list. A key
-// whose JSON shape differs from its member goes through
-// io.custom(key, to_proxy, from_proxy): the proxy is any of the above.
+// key is omitted when empty), json::Value (passed through unchanged) and
+// other structs with a fields list. A key whose JSON shape differs from
+// its member goes through io.custom(key, to_proxy, from_proxy[, required]):
+// the proxy is any of the above.
 //
 // The reader is tolerant: a missing member reads as a zero value and a
 // scalar of the wrong kind reads as 0 / "" / false, while malformed text,
@@ -127,8 +128,8 @@ class Writer {
       out.obj.emplace_back(std::string(key), to_value(v));
     }
   }
-  template <class To, class From>
-  void custom(std::string_view key, To to, From /*from*/) {
+  template <class To, class From, class... Req>
+  void custom(std::string_view key, To to, From /*from*/, Req...) {
     (*this)(key, to());
   }
 
@@ -150,10 +151,10 @@ class Reader {
     BWLAB_REQUIRE(m != nullptr, "JSON object has no \"" << key << "\" member");
     read(m, v);
   }
-  template <class To, class From>
-  void custom(std::string_view key, To /*to*/, From from) {
+  template <class To, class From, class... Req>
+  void custom(std::string_view key, To /*to*/, From from, Req... req) {
     std::invoke_result_t<To&> proxy{};
-    (*this)(key, proxy);
+    (*this)(key, proxy, req...);
     from(proxy);
   }
 
@@ -176,7 +177,9 @@ class Reader {
 template <class T>
 Value to_value(const T& v) {
   Value out;
-  if constexpr (std::is_same_v<T, bool>) {
+  if constexpr (std::is_same_v<T, Value>) {
+    out = v;
+  } else if constexpr (std::is_same_v<T, bool>) {
     out.kind = Value::Kind::Bool;
     out.b = v;
   } else if constexpr (std::is_arithmetic_v<T>) {
@@ -209,7 +212,9 @@ Value to_value(const T& v) {
 template <class T>
 void from_value(const Value& v, T& out) {
   using Kind = Value::Kind;
-  if constexpr (std::is_same_v<T, bool>) {
+  if constexpr (std::is_same_v<T, Value>) {
+    out = v;
+  } else if constexpr (std::is_same_v<T, bool>) {
     out = v.b;
   } else if constexpr (std::is_integral_v<T>) {
     // Out-of-range (or nan) input would make the conversion undefined.

@@ -10,7 +10,7 @@
 // Contracts, matching the other bw* layers:
 //  - Compiled in, runtime-disabled. The hot-path hooks (on_step,
 //    on_loop_bytes) cost one relaxed load + branch when the sampler is
-//    off (asserted < 5 ns by bench/gb_live_overhead).
+//    off (asserted < 5 ns by bench/gb_layer_overhead).
 //  - The sampler never takes a lock a rank thread holds: everything it
 //    reads is a relaxed atomic or a provider built on relaxed atomics.
 //    (Exception: the MetricsRegistry map mutex, which rank threads only

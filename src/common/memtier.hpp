@@ -6,7 +6,7 @@
 // report's "memtier" section (core/memtier.hpp) reports per dat and per
 // tier, and counted bytes never depend on them. Like every always-on
 // layer the hook is compiled in and gated: the disabled fast path is one
-// relaxed load plus a branch (asserted < 5 ns by bench/gb_memtier_overhead).
+// relaxed load plus a branch (asserted < 5 ns by bench/gb_layer_overhead).
 //
 // This lives in common (not core/sim) so the ops/op2 runtimes can call
 // the hook without a dependency cycle; core adapts sim::MachineModel

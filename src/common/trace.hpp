@@ -23,7 +23,7 @@
 //
 // The tracer is compiled in but runtime-disabled by default. The disabled
 // fast path is a single relaxed atomic load plus one branch (asserted
-// < 5 ns by bench/gb_trace_overhead); enabling costs one buffered event
+// < 5 ns by bench/gb_layer_overhead); enabling costs one buffered event
 // per span endpoint, no locks on the hot path.
 //
 // Usage:

@@ -92,7 +92,7 @@ void fields(Io& io, DatMoveReport& r) {
 
 /// Facade over the collection switch plus the post-run analysis. The
 /// runtime side costs one relaxed load + branch per loop while disabled
-/// (bench/gb_datmove_overhead enforces < 5 ns).
+/// (bench/gb_layer_overhead enforces < 5 ns).
 class DataMoveProfiler {
  public:
   static void enable() { datmove::enable(); }

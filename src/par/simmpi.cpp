@@ -342,28 +342,25 @@ class World {
               static_cast<std::size_t>(count) * sizeof(double));
     {
       std::unique_lock<std::mutex> lock(coll_.mu);
-      if (coll_.arrived == 0) {
-        coll_.buf.assign(vals, vals + count);
-      } else {
-        BWLAB_REQUIRE(coll_.buf.size() == static_cast<std::size_t>(count),
-                      "allreduce count mismatch across ranks");
-        for (int i = 0; i < count; ++i) {
-          switch (op) {
-            case ReduceOp::Sum: coll_.buf[static_cast<std::size_t>(i)] += vals[i]; break;
-            case ReduceOp::Min:
-              coll_.buf[static_cast<std::size_t>(i)] =
-                  std::min(coll_.buf[static_cast<std::size_t>(i)], vals[i]);
-              break;
-            case ReduceOp::Max:
-              coll_.buf[static_cast<std::size_t>(i)] =
-                  std::max(coll_.buf[static_cast<std::size_t>(i)], vals[i]);
-              break;
-          }
-        }
-      }
+      const auto len = static_cast<std::size_t>(count);
+      const std::size_t slots = len * static_cast<std::size_t>(n_);
+      if (coll_.arrived == 0) coll_.buf.resize(slots);
+      BWLAB_REQUIRE(coll_.buf.size() == slots,
+                    "allreduce count mismatch across ranks");
+      std::copy(vals, vals + count, coll_.buf.begin() + count * rank);
       const count_t my_gen = coll_.gen;
       if (++coll_.arrived == n_) {
-        coll_.result = coll_.buf;
+        // The last arrival folds the slots in rank order, so the result
+        // has the same bits whatever order the ranks arrived in.
+        coll_.result.assign(coll_.buf.begin(), coll_.buf.begin() + count);
+        for (std::size_t j = len; j < coll_.buf.size(); ++j) {
+          double& acc = coll_.result[j % len];
+          switch (op) {
+            case ReduceOp::Sum: acc += coll_.buf[j]; break;
+            case ReduceOp::Min: acc = std::min(acc, coll_.buf[j]); break;
+            case ReduceOp::Max: acc = std::max(acc, coll_.buf[j]); break;
+          }
+        }
         coll_.arrived = 0;
         ++coll_.gen;
         coll_.cv.notify_all();
@@ -567,7 +564,7 @@ class World {
     std::condition_variable cv;
     int arrived = 0;
     count_t gen = 0;
-    std::vector<double> buf;
+    std::vector<double> buf;  ///< one slot of `count` values per rank
     std::vector<double> result;
   };
   struct RankPhase {

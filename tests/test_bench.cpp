@@ -88,6 +88,17 @@ TEST(BenchJson, RejectsMalformedJson) {
       benchjson::parse(
           R"({"schema_version": 1, "git_sha": "x", "suites": [{}]})"),
       Error);
+  const auto one_metric = [](const std::string& better,
+                             const std::string& samples) {
+    return R"({"schema_version": 1, "git_sha": "x", "suites": [)"
+           R"({"suite": "s", "machine": "host", "metrics": [)"
+           R"({"name": "m", "unit": "ns", "better": ")" +
+           better + R"(", "samples": )" + samples + "}]}]}";
+  };
+  EXPECT_NO_THROW(benchjson::parse(one_metric("lower", "[1, null]")));
+  EXPECT_THROW(benchjson::parse(one_metric("lower", R"("1.5")")), Error);
+  EXPECT_THROW(benchjson::parse(one_metric("lower", R"(["1.5"])")), Error);
+  EXPECT_THROW(benchjson::parse(one_metric("sideways", "[1]")), Error);
 }
 
 TEST(BenchJson, MergeConcatenatesAndRejectsDuplicates) {

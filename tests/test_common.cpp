@@ -271,11 +271,9 @@ TEST(Table, RowArityChecked) {
 }
 
 TEST(Cli, ParsesAllForms) {
-  // NB: a bare flag consumes the next non-option token as its value, so
-  // positionals go before bare flags (documented Cli semantics).
-  const char* argv[] = {"prog",     "--alpha=3", "--beta", "7",
+  const char* argv[] = {"prog",     "--alpha=3", "--beta=7",
                         "pos1",     "--flag",    "--gamma=2.5"};
-  Cli cli(7, argv);
+  Cli cli(6, argv);
   EXPECT_EQ(cli.get_int("alpha", 0), 3);
   EXPECT_EQ(cli.get_int("beta", 0), 7);
   EXPECT_TRUE(cli.has("flag"));
@@ -284,6 +282,14 @@ TEST(Cli, ParsesAllForms) {
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "pos1");
   EXPECT_EQ(cli.get_int("absent", -1), -1);
+
+  // A bare flag never takes the next word as its value.
+  const char* csv_argv[] = {"prog", "--csv", "a", "b"};
+  const Cli csv(4, csv_argv);
+  EXPECT_TRUE(csv.get_bool("csv", false));
+  ASSERT_EQ(csv.positional().size(), 2u);
+  EXPECT_EQ(csv.positional()[0], "a");
+  EXPECT_EQ(csv.positional()[1], "b");
 }
 
 TEST(Cli, RejectsMalformedNumbers) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -145,6 +148,23 @@ TEST_P(AllreduceRanks, SumMinMax) {
     c.allreduce(v, 2, ReduceOp::Sum);
     EXPECT_DOUBLE_EQ(v[0], n * (n + 1) / 2.0);
     EXPECT_DOUBLE_EQ(v[1], -n * (n + 1) / 2.0);
+  });
+
+  // A sum whose bits depend on association: whatever order the ranks
+  // arrive in, the result is the serial fold in rank order.
+  const auto part = [](int r) {
+    return r % 2 ? 1.0 : 1e16 * (r % 4 == 0 ? 1 : -1);
+  };
+  double serial = part(0);
+  for (int r = 1; r < n; ++r) serial += part(r);
+  run_ranks(n, [&](Comm& c) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const int turn = (c.rank() * 3 + rep) % n;  // a new order each rep
+      std::this_thread::sleep_for(std::chrono::microseconds(200 * turn));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(c.allreduce_sum(part(c.rank()))),
+                std::bit_cast<std::uint64_t>(serial))
+          << "rep " << rep;
+    }
   });
 }
 

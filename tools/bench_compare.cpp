@@ -44,11 +44,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string>& paths = cli.positional();
   try {
     // Every flag is read first: a misspelt one must not default a gate.
-    const bool merge = cli.has("merge");
-    // Cli reads `--merge OUT` and `--merge=OUT` as the option's value;
-    // a bare `--merge OUT IN...` before a `--` would leave OUT
-    // positional, so accept both spellings.
-    std::string out = cli.get("merge", "");
+    const bool merge = cli.get_bool("merge", false);
     benchjson::GateOptions opt;
     opt.threshold = benchjson::parse_threshold(cli.get("threshold", "10%"));
     opt.mad_k = cli.get_double("mad-k", opt.mad_k);
@@ -56,18 +52,13 @@ int main(int argc, char** argv) {
     cli.reject_unknown();
 
     if (merge) {
-      std::size_t first = 0;
-      if (out.empty()) {
-        if (paths.empty()) return usage(cli.program());
-        out = paths.front();
-        first = 1;
-      }
-      if (paths.size() < first + 1) return usage(cli.program());
-      benchjson::ResultFile merged = read_and_merge(paths, first);
+      if (paths.size() < 2) return usage(cli.program());
+      benchjson::ResultFile merged = read_and_merge(paths, 1);
       merged.git_sha = benchjson::git_sha();
-      benchjson::write_file(out, merged);
-      std::cout << "merged " << paths.size() - first << " file(s), "
-                << merged.suites.size() << " suite(s) into " << out << "\n";
+      benchjson::write_file(paths.front(), merged);
+      std::cout << "merged " << paths.size() - 1 << " file(s), "
+                << merged.suites.size() << " suite(s) into " << paths.front()
+                << "\n";
       return 0;
     }
 
