@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   apps::Options base;
   base.n = cli.get_int("n", 192);
   base.iterations = static_cast<int>(cli.get_int("iters", 3));
+  cli.reject_unknown();
 
   const apps::Result eager = apps::clover2d::run(base);
   run.record_value("host.clover2d.eager_s", "s", benchjson::Better::Lower,

@@ -13,6 +13,10 @@ using namespace bwlab::core;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "abl_vectorization");
+  const idx_t mgcfd_n = cli.get_int("mgcfd-n", 24);
+  const idx_t volna_n = cli.get_int("volna-n", 64);
+  const int iters = static_cast<int>(cli.get_int("iters", 3));
+  cli.reject_unknown();
 
   Table host("Ablation — execution modes on THIS host (real runs)");
   host.set_columns({{"app / mode", 0},
@@ -20,8 +24,8 @@ int main(int argc, char** argv) {
                     {"checksum matches serial", 0}});
   {
     apps::Options o;
-    o.n = cli.get_int("mgcfd-n", 24);
-    o.iterations = static_cast<int>(cli.get_int("iters", 3));
+    o.n = mgcfd_n;
+    o.iterations = iters;
     const apps::Result serial = apps::mgcfd::run(o);
     host.add_row({std::string("MG-CFD serial"), serial.elapsed,
                   std::string("-")});
@@ -44,8 +48,8 @@ int main(int argc, char** argv) {
   }
   {
     apps::Options o;
-    o.n = cli.get_int("volna-n", 64);
-    o.iterations = static_cast<int>(cli.get_int("iters", 3));
+    o.n = volna_n;
+    o.iterations = iters;
     const apps::Result serial = apps::volna::run(o);
     host.add_row({std::string("Volna serial"), serial.elapsed,
                   std::string("-")});

@@ -16,6 +16,8 @@ using namespace bwlab;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "abl_workgroup");
+  const idx_t n = cli.get_int("n", 96);
+  cli.reject_unknown();
 
   Table model(
       "Model — streaming efficiency of workgroup shapes (domain 320^3, "
@@ -42,7 +44,6 @@ int main(int argc, char** argv) {
   run.emit(model);
 
   // Real executor: a 3-D stencil at several shapes on this host.
-  const idx_t n = cli.get_int("n", 96);
   ops::Context ctx;
   ops::Block b(ctx, "g", 3, {n, n, n});
   ops::Dat<double> u(b, "u", 1), v(b, "v", 1);

@@ -38,16 +38,6 @@ inline double best_time(const core::AppInfo& a, const sim::MachineModel& m,
   return best;
 }
 
-/// Prints `t` as text or CSV depending on --csv.
-inline void emit(const Cli& cli, const Table& t) {
-  if (cli.get_bool("csv", false)) {
-    t.print_csv(std::cout);
-  } else {
-    t.print(std::cout);
-    std::cout << "\n";
-  }
-}
-
 /// The one timing-and-recording harness for bench/ binaries. Centralizes
 /// what the gb_* benches used to each hand-roll (and subtly disagree on):
 /// warmup repetitions, measured repetitions, and the statistic reported —
@@ -67,14 +57,14 @@ class Runner {
   static constexpr int kWarmupReps = 1;
   static constexpr int kDefaultReps = 5;
 
-  /// Reads its flags (--reps, --bench-json) here, so a tool that calls
-  /// Cli::reject_unknown() after constructing it accepts them.
+  /// Reads its flags (--reps, --bench-json, --csv) here, so a tool that
+  /// calls Cli::reject_unknown() after constructing it accepts them.
   Runner(const Cli& cli, std::string suite)
-      : cli_(cli),
-        reps_(static_cast<int>(
+      : reps_(static_cast<int>(
             cli.get_int("reps", benchjson::repetitions(kDefaultReps)))),
         bench_json_(cli.has("bench-json")),
         bench_json_path_(cli.get("bench-json", "")),
+        csv_(cli.get_bool("csv", false)),
         name_(suite) {
     file_.git_sha = benchjson::git_sha();
     file_.suites.push_back({std::move(suite), "host", {}});
@@ -152,8 +142,15 @@ class Runner {
   /// suite records model predictions for a paper platform).
   void set_machine(const std::string& id) { suite().machine = id; }
 
-  /// Prints `t` honoring --csv (same as bench::emit).
-  void emit(const Table& t) const { bench::emit(cli_, t); }
+  /// Prints `t` as text, or as CSV with --csv.
+  void emit(const Table& t) const {
+    if (csv_) {
+      t.print_csv(std::cout);
+    } else {
+      t.print(std::cout);
+      std::cout << "\n";
+    }
+  }
 
   /// Writes BENCH_<suite>.json if --bench-json was given (with an
   /// optional explicit path: --bench-json=FILE). Returns the path
@@ -170,10 +167,10 @@ class Runner {
  private:
   benchjson::Suite& suite() { return file_.suites[cur_]; }
 
-  const Cli& cli_;
   int reps_;
   bool bench_json_;
   std::string bench_json_path_;
+  bool csv_;
   std::string name_;  ///< names the result file
   std::size_t cur_ = 0;  ///< the suite recorded into
   benchjson::ResultFile file_;

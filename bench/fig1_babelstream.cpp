@@ -15,6 +15,10 @@ using namespace bwlab;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig1_babelstream");
+  const idx_t n = cli.get_int("host-elems", 1 << 22);
+  const int reps = static_cast<int>(cli.get_int("host-reps", 5));
+  const int threads = static_cast<int>(cli.get_int("threads", 1));
+  cli.reject_unknown();
 
   Table t("Figure 1 — BabelStream Triad bandwidth (GB/s), model");
   t.set_columns({{"array MiB", 1},
@@ -74,9 +78,7 @@ int main(int argc, char** argv) {
   run.emit(plateau);
 
   // Real host lane: run the actual BabelStream kernels here.
-  const idx_t n = cli.get_int("host-elems", 1 << 22);
-  const int reps = static_cast<int>(cli.get_int("host-reps", 5));
-  par::ThreadPool pool(static_cast<int>(cli.get_int("threads", 1)));
+  par::ThreadPool pool(threads);
   micro::BabelStream bs(n, pool);
   const auto results = bs.run_all(reps);
   Table host("BabelStream on THIS host (real measurement)");

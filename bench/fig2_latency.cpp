@@ -11,6 +11,9 @@ using namespace bwlab;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig2_latency");
+  const auto messages =
+      static_cast<count_t>(cli.get_int("messages", 100000));
+  cli.reject_unknown();
 
   Table t("Figure 2 — core-to-core message latency (ns), model");
   t.set_columns({{"platform", 0},
@@ -50,8 +53,7 @@ int main(int argc, char** argv) {
   Table host("One writer / one reader on THIS host (real measurement)");
   host.set_columns({{"cache lines", 0}, {"ns/message", 1}});
   for (int lines : {1, 4, 16, 64}) {
-    const micro::LatencyResult r = micro::measure_host(
-        lines, static_cast<count_t>(cli.get_int("messages", 100000)));
+    const micro::LatencyResult r = micro::measure_host(lines, messages);
     host.add_row({double(lines), r.ns_per_message});
     run.record_value("host.lines" + std::to_string(lines) + ".ns_per_msg",
                      "ns", benchjson::Better::Lower, r.ns_per_message);

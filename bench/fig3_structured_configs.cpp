@@ -58,6 +58,7 @@ void sweep(bench::Runner& run, const sim::MachineModel& m) {
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig3_structured_configs");
+  cli.reject_unknown();
   sweep(run, sim::max9480());
   sweep(run, sim::icx8360y());
   run.finish();

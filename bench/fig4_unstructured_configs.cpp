@@ -10,6 +10,7 @@ using namespace bwlab::core;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig4_unstructured_configs");
+  cli.reject_unknown();
   const sim::MachineModel& m = sim::max9480();
   const auto apps = unstructured_apps();
   const auto space = config_space(m, AppClass::Unstructured);

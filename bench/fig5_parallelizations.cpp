@@ -10,6 +10,7 @@ using namespace bwlab::core;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig5_parallelizations");
+  cli.reject_unknown();
   const sim::MachineModel& m = sim::max9480();
   PerfModel pm(m);
 

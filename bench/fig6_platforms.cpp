@@ -11,6 +11,7 @@ using namespace bwlab::core;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig6_platforms");
+  cli.reject_unknown();
 
   Table t("Figure 6 — best modeled runtime (s) and winning configuration");
   t.set_columns({{"application", 0},

@@ -14,6 +14,9 @@ using namespace bwlab::core;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig7_mpi_overhead");
+  const idx_t n = cli.get_int("n", 48);
+  const int iters = static_cast<int>(cli.get_int("iters", 2));
+  cli.reject_unknown();
 
   Table t("Figure 7 — % of runtime in MPI (model)");
   std::vector<Column> cols = {{"application", 0}};
@@ -84,8 +87,6 @@ int main(int argc, char** argv) {
                         {"blocked %", 1},
                         {"messages", 0},
                         {"payload MB", 2}});
-  const idx_t n = cli.get_int("n", 48);
-  const int iters = static_cast<int>(cli.get_int("iters", 2));
   for (int ranks : {2, 4}) {
     apps::Options opt;
     opt.n = n;

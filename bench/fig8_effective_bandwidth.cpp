@@ -11,6 +11,7 @@ using namespace bwlab::core;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig8_effective_bandwidth");
+  cli.reject_unknown();
 
   struct PaperFrac {
     const char* id;

@@ -15,6 +15,13 @@ using namespace bwlab::core;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig9_tiling");
+  const idx_t host_n = cli.get_int("host-n", 256);
+  const int host_iters = static_cast<int>(cli.get_int("host-iters", 3));
+  const int team = static_cast<int>(cli.get_int(
+      "host-threads",
+      std::min(4u, std::max(1u, std::thread::hardware_concurrency()))));
+  const idx_t tile = cli.get_int("tile", 16);
+  cli.reject_unknown();
   const AppProfile& prof = app_by_id("cloverleaf2d").profile;
 
   struct PaperGain {
@@ -64,15 +71,12 @@ int main(int argc, char** argv) {
   // variants: eager, serial tiled, tiled with a thread team (the parallel
   // intra-tile executor), and auto-tuned tile height with the same team.
   apps::Options o;
-  o.n = cli.get_int("host-n", 256);
-  o.iterations = static_cast<int>(cli.get_int("host-iters", 3));
-  const int team = static_cast<int>(cli.get_int(
-      "host-threads",
-      std::min(4u, std::max(1u, std::thread::hardware_concurrency()))));
+  o.n = host_n;
+  o.iterations = host_iters;
   const apps::Result eager = apps::clover2d::run(o);
   apps::Options ot = o;
   ot.tiled = true;
-  ot.tile_size = cli.get_int("tile", 16);
+  ot.tile_size = tile;
   const apps::Result tiled = apps::clover2d::run(ot);
   apps::Options op = ot;
   op.threads = team;

@@ -45,6 +45,7 @@ AppProfile rescale(const AppProfile& base, double target_ws_bytes) {
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "fig_modes");
+  cli.reject_unknown();
   const AppProfile& prof = app_by_id("cloverleaf2d").profile;
 
   const sim::MachineModel& hbm = sim::machine_by_id("max9480");
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
     prev_slowdown = slowdown;
     if (r == 3.0) spill_cache_over_flat = tc / tf;
   }
-  bench::emit(cli, t);
+  run.emit(t);
 
   // Deterministic model metrics for the bwbench gate.
   run.record_value("model.fit.cache_over_flat", "x",

@@ -15,13 +15,17 @@ using namespace bwlab;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "gb_host_kernels");
+  const idx_t stencil_n = cli.get_int("stencil-n", 512);
+  const idx_t wide_n = cli.get_int("wide-n", 48);
+  const idx_t mesh_n = cli.get_int("mesh-n", 128);
+  cli.reject_unknown();
 
   Table t("Pattern micro-kernels on THIS host (median of " +
           std::to_string(run.reps()) + " reps)");
   t.set_columns({{"kernel", 0}, {"points", 0}, {"ns/point", 3}});
 
   {
-    const idx_t n = cli.get_int("stencil-n", 512);
+    const idx_t n = stencil_n;
     ops::Context ctx;
     ops::Block b(ctx, "g", 2, {n, n, 1});
     ops::Dat<double> u(b, "u", 1), v(b, "v", 1);
@@ -42,7 +46,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    const idx_t n = cli.get_int("wide-n", 48);
+    const idx_t n = wide_n;
     ops::Context ctx;
     ops::Block b(ctx, "g", 3, {n, n, n});
     ops::Dat<float> u(b, "u", 4), v(b, "v", 4);
@@ -68,7 +72,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    const idx_t n = cli.get_int("mesh-n", 128);
+    const idx_t n = mesh_n;
     // Renumbered mesh: production-like indirect locality.
     const op2::TriMesh mesh = op2::make_tri_mesh(n, n, 1.0, 1.0, 1234);
     op2::Set cells("cells", mesh.ncells), edges("edges", mesh.nedges);

@@ -14,7 +14,9 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "gb_host_stream");
 
-  par::ThreadPool pool(static_cast<int>(cli.get_int("threads", 1)));
+  const int threads = static_cast<int>(cli.get_int("threads", 1));
+  cli.reject_unknown();
+  par::ThreadPool pool(threads);
   Table t("BabelStream on THIS host (median of " + std::to_string(run.reps()) +
           " reps)");
   t.set_columns({{"kernel", 0}, {"elements", 0}, {"GB/s", 2}});

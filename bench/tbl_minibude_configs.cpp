@@ -9,6 +9,7 @@ using namespace bwlab::core;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "tbl_minibude_configs");
+  cli.reject_unknown();
   const AppProfile& p = app_by_id("minibude").profile;
   PerfModel pm(sim::max9480());
   const Config best{Compiler::OneAPI, Zmm::High, false, ParMode::MpiOmp};

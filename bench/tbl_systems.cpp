@@ -9,6 +9,7 @@ using namespace bwlab;
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   bench::Runner run(cli, "tbl_systems");
+  cli.reject_unknown();
   Table t("Section 2 — modeled platform summary");
   t.set_columns({{"quantity", 0},
                  {"MAX 9480", 1},

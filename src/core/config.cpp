@@ -149,9 +149,6 @@ void Robustness::install() const {
     fault::clear();
   else
     fault::install(fault::FaultPlan::parse(faults, seed));
-  fault::set_nan_policy(nan_guard >= 2   ? fault::NanPolicy::Abort
-                        : nan_guard == 1 ? fault::NanPolicy::Report
-                                         : fault::NanPolicy::Off);
   resil::Policy pol;
   pol.enabled = resil;
   pol.retry_max = retry_max;

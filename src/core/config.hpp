@@ -94,8 +94,10 @@ struct Robustness {
   bool degraded = false;       ///< stale-data continue when retries exhaust
 
   /// Installs the process-global pieces: parses + installs the fault
-  /// plan (clears it when `faults` is empty), sets the NaN policy, and
-  /// installs (or clears) the bwresil policy.
+  /// plan (clears it when `faults` is empty) and installs (or clears) the
+  /// bwresil policy. The NaN policy is per run: apply() copies
+  /// `nan_guard` into the Options and each app's run() sets it
+  /// (apps::apply_robustness).
   void install() const;
   /// Copies the per-run knobs into an application's Options.
   void apply(apps::Options& opt) const;

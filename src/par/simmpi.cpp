@@ -22,6 +22,11 @@
 
 namespace bwlab::par {
 
+/// What a rank is currently blocked in, for the watchdog's diagnosis.
+/// Backoff is the bwresil retry sleep: the rank is live in its recovery
+/// protocol, so the watchdog must not count it as frozen.
+enum class BlockedOp { None, Recv, Wait, Barrier, Allreduce, Backoff, Done };
+
 namespace {
 
 /// Feeds a just-measured blocked interval into the global metrics. The
@@ -33,9 +38,6 @@ void record_blocked(seconds_t s) {
   blocked.add(s);
 }
 
-}  // namespace
-
-namespace {
 struct Message {
   int src;
   int tag;
@@ -52,11 +54,7 @@ struct AbortedError : bwlab::Error {
   AbortedError() : bwlab::Error("rank aborted: a peer rank threw") {}
 };
 
-/// What a rank is currently blocked in, for the watchdog's diagnosis.
-/// Backoff is the bwresil retry sleep: the rank is live in its recovery
-/// protocol, so the watchdog must not count it as frozen.
-enum class BlockedOp { None, Recv, Wait, Barrier, Allreduce, Backoff, Done };
-
+/// Also the trace span name of each blocking Comm call.
 const char* to_string(BlockedOp op) {
   switch (op) {
     case BlockedOp::None: return "running";
@@ -117,7 +115,7 @@ class World {
   /// injected drop is recoverable: stamps the message with the next wire
   /// seq of its (src, dest, tag) stream and appends a payload copy to the
   /// replay log. Entries are pruned when the receiver acknowledges
-  /// consumption (resil_ack).
+  /// consumption (resil_consume).
   long long resil_stamp_send(int src, int dest, int tag, const void* data,
                              std::size_t bytes) {
     std::lock_guard<std::mutex> lock(resil_mu_);
@@ -131,96 +129,62 @@ class World {
     return seq;
   }
 
-  /// Blocks until a message matching (src, tag) is available for `dest`,
-  /// then copies it out. Returns the time spent blocked. `op` is Recv or
-  /// Wait, for the watchdog's attribution only. With a bwresil policy
-  /// active, dispatches to the timed retry/backoff protocol instead.
+  /// The one receive: blocks until the message `dest` expects from
+  /// (src, tag) arrives, copies it into `data` and returns the time spent
+  /// blocked. `op` is Recv or Wait, for the watchdog's attribution only.
+  ///
+  /// With the bwresil policy off, the first (src, tag) message matches
+  /// (FIFO) and the wait has no deadline. With it on, only the stream's
+  /// next wire seq matches, under a per-attempt timeout; on expiry, first
+  /// try the sender's replay log (this is the retransmit — it recovers
+  /// injected drops and outruns injected delays), then back off (bounded
+  /// exponential, seeded jitter) and retry. Exhausted retries either
+  /// continue degraded (buffer stays stale, stream advances) or wait on
+  /// with no deadline, where the watchdog still guards against a genuine
+  /// deadlock — resilience never hides one. Every attempt bumps the
+  /// activity counter: a rank inside this protocol is live, not frozen.
   seconds_t collect(int src, int dest, int tag, void* data,
                     std::size_t bytes, BlockedOp op) {
-    if (resil::active()) return collect_resil(src, dest, tag, data, bytes, op);
     BWLAB_REQUIRE(src >= 0 && src < n_, "recv from invalid rank " << src);
+    Blocked blocked(*this, dest, op, src, tag, bytes);
     Mailbox& box = inbox_[static_cast<std::size_t>(dest)];
-    Timer timer;
-    set_phase(dest, op, src, tag, bytes);
-    std::unique_lock<std::mutex> lock(box.mu);
-    auto match = box.messages.end();
-    box.cv.wait(lock, [&] {
-      if (aborted_.load()) return true;
-      match = std::find_if(box.messages.begin(), box.messages.end(),
-                           [&](const Message& m) {
-                             return m.src == src && m.tag == tag;
-                           });
-      return match != box.messages.end();
-    });
-    if (match == box.messages.end()) {
-      lock.unlock();
-      set_phase(dest, BlockedOp::None, -1, -1, 0);
-      throw AbortedError();
-    }
-    BWLAB_REQUIRE(match->payload.size() == bytes,
-                  "message size mismatch: rank "
-                      << dest << " receiving from rank " << src << " tag "
-                      << tag << " expects " << bytes << " bytes, matching "
-                      << "send carries " << match->payload.size());
-    std::memcpy(data, match->payload.data(), bytes);
-    box.messages.erase(match);
-    sync_mailbox_gauge(dest, box);
-    lock.unlock();
-    set_phase(dest, BlockedOp::None, -1, -1, 0);
-    bump_activity();
-    return timer.elapsed();
-  }
-
-  /// The resilient receive: match the *exact* expected wire seq of the
-  /// (src, tag) stream under a per-attempt timeout; on expiry, first try
-  /// the sender's replay log (this is the retransmit — it recovers
-  /// injected drops and outruns injected delays), then back off
-  /// (bounded exponential, seeded jitter) and retry. Exhausted retries
-  /// either continue degraded (buffer stays stale, stream advances) or
-  /// fall back to the plain blocking wait, where the watchdog still
-  /// guards against a genuine deadlock. Every attempt bumps the activity
-  /// counter: a rank inside this protocol is live, not frozen.
-  seconds_t collect_resil(int src, int dest, int tag, void* data,
-                          std::size_t bytes, BlockedOp op) {
-    BWLAB_REQUIRE(src >= 0 && src < n_, "recv from invalid rank " << src);
-    const resil::Policy pol = resil::policy();
-    Mailbox& box = inbox_[static_cast<std::size_t>(dest)];
-    Timer timer;
-    long long want = 0;
-    {
+    const bool resil = resil::active();
+    resil::Policy pol;
+    long long want = -1;
+    if (resil) {
+      pol = resil::policy();
       std::lock_guard<std::mutex> lock(resil_mu_);
       want = resil_recv_seq_[{dest, src, tag}];
     }
-    // Messages with a stale seq (an injected delay whose payload was
-    // already recovered from the replay log) are dropped during matching.
-    const auto stale = [&](const Message& m) {
-      return m.src == src && m.tag == tag && m.seq >= 0 && m.seq < want;
+    const auto ours = [&](const Message& m) {
+      return m.src == src && m.tag == tag;
     };
-    const auto wanted = [&](const Message& m) {
-      return m.src == src && m.tag == tag && (m.seq < 0 || m.seq == want);
-    };
-    int attempts = 0;
-    for (;;) {
-      set_phase(dest, op, src, tag, bytes, attempts);
-      bool got = false;
+    bool timed = resil;
+    bool retried = false;
+    for (int attempt = 0;;) {
+      const auto until =
+          timed ? Clock::now() + std::chrono::microseconds(pol.timeout_us)
+                : Clock::time_point::max();
       {
         std::unique_lock<std::mutex> lock(box.mu);
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::microseconds(pol.timeout_us);
         auto match = box.messages.end();
-        box.cv.wait_until(lock, deadline, [&] {
-          if (aborted_.load()) return true;
-          std::erase_if(box.messages, stale);
-          match = std::find_if(box.messages.begin(), box.messages.end(),
-                               wanted);
+        const bool got = blocked.wait(box.cv, lock, until, [&] {
+          // An abort ends a receive even when its message is there.
+          if (aborted_.load()) return false;
+          // A message with a stale seq (an injected delay whose payload
+          // was already recovered from the replay log) is dropped.
+          if (resil && std::erase_if(box.messages, [&](const Message& m) {
+                return ours(m) && m.seq >= 0 && m.seq < want;
+              }))
+            sync_mailbox_gauge(dest, box);
+          match = std::find_if(
+              box.messages.begin(), box.messages.end(),
+              [&](const Message& m) {
+                return ours(m) && (!resil || m.seq < 0 || m.seq == want);
+              });
           return match != box.messages.end();
         });
-        if (aborted_.load()) {
-          lock.unlock();
-          set_phase(dest, BlockedOp::None, -1, -1, 0);
-          throw AbortedError();
-        }
-        if (match != box.messages.end()) {
+        if (got) {
           BWLAB_REQUIRE(match->payload.size() == bytes,
                         "message size mismatch: rank "
                             << dest << " receiving from rank " << src
@@ -229,155 +193,87 @@ class World {
                             << match->payload.size());
           std::memcpy(data, match->payload.data(), bytes);
           box.messages.erase(match);
-          got = true;
+          sync_mailbox_gauge(dest, box);
+          break;
         }
-        sync_mailbox_gauge(dest, box);
       }
-      if (got) {
-        resil_consume(src, dest, tag, want);
-        set_phase(dest, BlockedOp::None, -1, -1, 0);
-        bump_activity();
-        if (attempts > 0) resil::count_recovered();
-        return timer.elapsed();
-      }
-      // Timeout. Retransmit from the sender's replay log if it already
+      // Timed out. Retransmit from the sender's replay log if it already
       // holds the wanted seq (a dropped or still-delayed message).
+      retried = true;
       if (resil_fetch_replay(src, dest, tag, want, data, bytes)) {
-        resil_consume(src, dest, tag, want);
-        set_phase(dest, BlockedOp::None, -1, -1, 0);
-        bump_activity();
         resil::count_retry();
-        resil::count_recovered();
-        return timer.elapsed();
+        break;
       }
-      if (attempts >= pol.retry_max) {
-        if (pol.degraded) {
-          // Skip-and-extrapolate: leave the destination buffer stale
-          // (the caller's previous halo contents) and advance the
-          // stream so later messages still match.
-          trace::TraceSpan span(trace::Cat::Fault, "recovery:degraded");
-          resil_consume(src, dest, tag, want);
-          set_phase(dest, BlockedOp::None, -1, -1, 0);
-          bump_activity();
-          resil::count_degraded();
-          return timer.elapsed();
+      if (attempt >= pol.retry_max) {
+        if (!pol.degraded) {
+          timed = false;  // retries exhausted: wait on with no deadline
+          continue;
         }
-        // Retries exhausted, degraded mode off: block like the plain
-        // path. The watchdog still converts a real deadlock into a
-        // diagnosed WatchdogError — resilience never hides one.
-        std::unique_lock<std::mutex> lock(box.mu);
-        auto match = box.messages.end();
-        box.cv.wait(lock, [&] {
-          if (aborted_.load()) return true;
-          std::erase_if(box.messages, stale);
-          match = std::find_if(box.messages.begin(), box.messages.end(),
-                               wanted);
-          return match != box.messages.end();
-        });
-        if (match == box.messages.end()) {
-          lock.unlock();
-          set_phase(dest, BlockedOp::None, -1, -1, 0);
-          throw AbortedError();
-        }
-        BWLAB_REQUIRE(match->payload.size() == bytes,
-                      "message size mismatch: rank "
-                          << dest << " receiving from rank " << src
-                          << " tag " << tag << " expects " << bytes
-                          << " bytes, matching send carries "
-                          << match->payload.size());
-        std::memcpy(data, match->payload.data(), bytes);
-        box.messages.erase(match);
-        sync_mailbox_gauge(dest, box);
-        lock.unlock();
+        // Skip-and-extrapolate: leave the destination buffer stale (the
+        // caller's previous halo contents) and advance the stream so
+        // later messages still match.
+        trace::TraceSpan span(trace::Cat::Fault, "recovery:degraded");
         resil_consume(src, dest, tag, want);
-        set_phase(dest, BlockedOp::None, -1, -1, 0);
-        bump_activity();
-        resil::count_recovered();
-        return timer.elapsed();
+        resil::count_degraded();
+        return blocked.elapsed();
       }
       // Backoff before the next attempt. The Backoff phase keeps the
       // watchdog from counting this rank as frozen, and the activity
       // bump restarts its stability window.
-      ++attempts;
+      ++attempt;
       resil::count_retry();
-      set_phase(dest, BlockedOp::Backoff, src, tag, bytes, attempts);
+      blocked.set(BlockedOp::Backoff, attempt);
       bump_activity();
       {
         trace::TraceSpan span(trace::Cat::Fault, "recovery:backoff");
         std::this_thread::sleep_for(std::chrono::microseconds(
-            resil::backoff_delay_us(dest, attempts - 1)));
+            resil::backoff_delay_us(dest, attempt - 1)));
       }
       resil::count_backoff();
+      blocked.set(op, attempt);
     }
+    if (resil) resil_consume(src, dest, tag, want);
+    if (retried) resil::count_recovered();
+    return blocked.elapsed();
   }
 
-  seconds_t barrier(int rank) {
-    Timer timer;
-    set_phase(rank, BlockedOp::Barrier, -1, -1, 0);
-    {
-      std::unique_lock<std::mutex> lock(coll_.mu);
-      const count_t my_gen = coll_.gen;
-      if (++coll_.arrived == n_) {
-        coll_.arrived = 0;
-        ++coll_.gen;
-        coll_.cv.notify_all();
-      } else {
-        coll_.cv.wait(lock,
-                      [&] { return coll_.gen != my_gen || aborted_.load(); });
-        if (coll_.gen == my_gen) {
-          lock.unlock();
-          set_phase(rank, BlockedOp::None, -1, -1, 0);
-          throw AbortedError();
+  /// The one collective: an in-place allreduce of `count` values per
+  /// rank, folded in rank order by the last arrival. A barrier is the
+  /// same call with no values, so a barrier meeting an allreduce on
+  /// another rank fails the count check. `op` (Barrier or Allreduce)
+  /// only names the call for the watchdog and the bwlive census.
+  seconds_t allreduce(int rank, double* vals, int count, ReduceOp reduce,
+                      BlockedOp op) {
+    const auto len = static_cast<std::size_t>(count);
+    Blocked blocked(*this, rank, op, -1, -1, len * sizeof(double));
+    std::unique_lock<std::mutex> lock(coll_.mu);
+    const std::size_t slots = len * static_cast<std::size_t>(n_);
+    if (coll_.arrived == 0) coll_.buf.resize(slots);
+    BWLAB_REQUIRE(coll_.buf.size() == slots,
+                  "allreduce count mismatch across ranks");
+    std::copy(vals, vals + count, coll_.buf.begin() + count * rank);
+    const count_t my_gen = coll_.gen;
+    if (++coll_.arrived == n_) {
+      // The last arrival folds the slots in rank order, so the result
+      // has the same bits whatever order the ranks arrived in.
+      coll_.result.assign(coll_.buf.begin(), coll_.buf.begin() + count);
+      for (std::size_t j = len; j < coll_.buf.size(); ++j) {
+        double& acc = coll_.result[j % len];
+        switch (reduce) {
+          case ReduceOp::Sum: acc += coll_.buf[j]; break;
+          case ReduceOp::Min: acc = std::min(acc, coll_.buf[j]); break;
+          case ReduceOp::Max: acc = std::max(acc, coll_.buf[j]); break;
         }
       }
+      coll_.arrived = 0;
+      ++coll_.gen;
+      coll_.cv.notify_all();
+    } else {
+      blocked.wait(coll_.cv, lock, Clock::time_point::max(),
+                   [&] { return coll_.gen != my_gen; });
     }
-    set_phase(rank, BlockedOp::None, -1, -1, 0);
-    bump_activity();
-    return timer.elapsed();
-  }
-
-  seconds_t allreduce(int rank, double* vals, int count, ReduceOp op) {
-    Timer timer;
-    set_phase(rank, BlockedOp::Allreduce, -1, -1,
-              static_cast<std::size_t>(count) * sizeof(double));
-    {
-      std::unique_lock<std::mutex> lock(coll_.mu);
-      const auto len = static_cast<std::size_t>(count);
-      const std::size_t slots = len * static_cast<std::size_t>(n_);
-      if (coll_.arrived == 0) coll_.buf.resize(slots);
-      BWLAB_REQUIRE(coll_.buf.size() == slots,
-                    "allreduce count mismatch across ranks");
-      std::copy(vals, vals + count, coll_.buf.begin() + count * rank);
-      const count_t my_gen = coll_.gen;
-      if (++coll_.arrived == n_) {
-        // The last arrival folds the slots in rank order, so the result
-        // has the same bits whatever order the ranks arrived in.
-        coll_.result.assign(coll_.buf.begin(), coll_.buf.begin() + count);
-        for (std::size_t j = len; j < coll_.buf.size(); ++j) {
-          double& acc = coll_.result[j % len];
-          switch (op) {
-            case ReduceOp::Sum: acc += coll_.buf[j]; break;
-            case ReduceOp::Min: acc = std::min(acc, coll_.buf[j]); break;
-            case ReduceOp::Max: acc = std::max(acc, coll_.buf[j]); break;
-          }
-        }
-        coll_.arrived = 0;
-        ++coll_.gen;
-        coll_.cv.notify_all();
-      } else {
-        coll_.cv.wait(lock,
-                      [&] { return coll_.gen != my_gen || aborted_.load(); });
-        if (coll_.gen == my_gen) {
-          lock.unlock();
-          set_phase(rank, BlockedOp::None, -1, -1, 0);
-          throw AbortedError();
-        }
-      }
-      std::copy(coll_.result.begin(), coll_.result.end(), vals);
-    }
-    set_phase(rank, BlockedOp::None, -1, -1, 0);
-    bump_activity();
-    return timer.elapsed();
+    std::copy(coll_.result.begin(), coll_.result.end(), vals);
+    return blocked.elapsed();
   }
 
   /// Wakes every blocked rank after a peer threw (or the watchdog fired).
@@ -554,6 +450,55 @@ class World {
   }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// The bracket around every blocking call: from construction `rank`
+  /// shows as blocked in `op` (to the watchdog and the bwlive census),
+  /// and on every way out it shows as running again with the activity
+  /// counter bumped. wait() is the one place a rank parks.
+  class Blocked {
+   public:
+    Blocked(World& w, int rank, BlockedOp op, int peer, int tag,
+            std::size_t bytes)
+        : w_(w), rank_(rank), peer_(peer), tag_(tag), bytes_(bytes) {
+      set(op, 0);
+    }
+    ~Blocked() {
+      w_.set_phase(rank_, BlockedOp::None, -1, -1, 0);
+      w_.bump_activity();
+    }
+    Blocked(const Blocked&) = delete;
+    Blocked& operator=(const Blocked&) = delete;
+
+    /// Republishes the phase: a bwresil retry attempt or its backoff.
+    void set(BlockedOp op, int attempt) {
+      w_.set_phase(rank_, op, peer_, tag_, bytes_, attempt);
+    }
+
+    /// Parks on `cv` (whose mutex `lock` holds) until `ready()` holds —
+    /// true — or `until` passes — false. Throws AbortedError once the
+    /// world is aborted without `ready()` having held.
+    template <class Ready>
+    bool wait(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+              Clock::time_point until, Ready ready) {
+      bool ok = false;
+      cv.wait_until(lock, until,
+                    [&] { return (ok = ready()) || w_.aborted_.load(); });
+      if (!ok && w_.aborted_.load()) throw AbortedError();
+      return ok;
+    }
+
+    seconds_t elapsed() const { return timer_.elapsed(); }
+
+   private:
+    World& w_;
+    int rank_;
+    int peer_;
+    int tag_;
+    std::size_t bytes_;
+    Timer timer_;
+  };
+
   struct Mailbox {
     mutable std::mutex mu;
     std::condition_variable cv;
@@ -716,16 +661,20 @@ void Comm::send(int dest, int tag, const void* data, std::size_t bytes) {
 }
 
 void Comm::recv(int src, int tag, void* data, std::size_t bytes) {
+  receive(BlockedOp::Recv, src, tag, data, bytes);
+}
+
+void Comm::receive(BlockedOp op, int src, int tag, void* data,
+                   std::size_t bytes) {
   // Receives of a (src, tag) stream complete in FIFO order on this single
-  // rank thread, so the seq this recv will consume is known at entry and
-  // the span args can carry it.
+  // rank thread, so the seq this receive will consume is known at entry
+  // and the span args can carry it.
   const bool traced = trace::enabled();
   const long long seq = traced ? recv_seq_[{src, tag}]++ : -1;
   trace::TraceSpan span(
-      trace::Cat::Comm, "recv", {},
+      trace::Cat::Comm, to_string(op), {},
       trace::CommArgs{src, tag, seq, static_cast<unsigned long long>(bytes)});
-  const seconds_t blocked =
-      world_->collect(src, rank_, tag, data, bytes, BlockedOp::Recv);
+  const seconds_t blocked = world_->collect(src, rank_, tag, data, bytes, op);
   if (traced) trace::flow_finish(trace::flow_id(src, rank_, tag, seq));
   comm_seconds_ += blocked;
   record_blocked(blocked);
@@ -755,20 +704,8 @@ Comm::Request Comm::irecv(int src, int tag, void* data, std::size_t bytes) {
 }
 
 void Comm::wait(Request& r) {
-  if (r.done) return;
-  const bool traced = trace::enabled();
-  const long long seq =
-      traced && r.is_recv ? recv_seq_[{r.peer, r.tag}]++ : -1;
-  trace::TraceSpan span(trace::Cat::Comm, "wait", {},
-                        trace::CommArgs{r.peer, r.tag, seq,
-                                        static_cast<unsigned long long>(
-                                            r.bytes)});
-  if (r.is_recv) {
-    const seconds_t blocked = world_->collect(r.peer, rank_, r.tag, r.data,
-                                              r.bytes, BlockedOp::Wait);
-    if (traced) trace::flow_finish(trace::flow_id(r.peer, rank_, r.tag, seq));
-    comm_seconds_ += blocked;
-    record_blocked(blocked);
+  if (!r.done && r.is_recv) {
+    receive(BlockedOp::Wait, r.peer, r.tag, r.data, r.bytes);
     world_->irecv_completed(rank_);
   }
   r.done = true;
@@ -779,25 +716,24 @@ void Comm::wait_all(std::vector<Request>& rs) {
 }
 
 void Comm::barrier() {
+  collective(BlockedOp::Barrier, nullptr, 0, ReduceOp::Sum);
+}
+
+void Comm::allreduce(double* vals, int n, ReduceOp op) {
+  collective(BlockedOp::Allreduce, vals, n, op);
+}
+
+void Comm::collective(BlockedOp op, double* vals, int n, ReduceOp reduce) {
   // Collective seq: barriers and allreduces share one World generation
   // counter, so every rank passes the same sequence of collective calls
   // and the k-th collective span on each rank is the same instance —
   // that is what lets the critical-path walk find the last arriver.
   const long long seq = trace::enabled() ? coll_seq_++ : -1;
-  trace::TraceSpan span(trace::Cat::Comm, "barrier", {},
-                        trace::CommArgs{-1, -1, seq, 0});
-  const seconds_t blocked = world_->barrier(rank_);
-  comm_seconds_ += blocked;
-  record_blocked(blocked);
-}
-
-void Comm::allreduce(double* vals, int n, ReduceOp op) {
-  const long long seq = trace::enabled() ? coll_seq_++ : -1;
   trace::TraceSpan span(
-      trace::Cat::Comm, "allreduce", {},
+      trace::Cat::Comm, to_string(op), {},
       trace::CommArgs{-1, -1, seq,
                       static_cast<unsigned long long>(n) * sizeof(double)});
-  const seconds_t blocked = world_->allreduce(rank_, vals, n, op);
+  const seconds_t blocked = world_->allreduce(rank_, vals, n, reduce, op);
   comm_seconds_ += blocked;
   record_blocked(blocked);
 }
@@ -910,19 +846,23 @@ std::vector<RankStats> run_ranks(int nranks,
 
   // Progress watchdog: a sustained "all live ranks blocked, activity
   // counter frozen" state cannot resolve itself (only ranks generate
-  // traffic), so after the grace period it is a proven deadlock.
+  // traffic), so after the grace period it is a proven deadlock. It polls
+  // on a condition the join signals, so it stops as soon as the run ends.
   std::thread watchdog;
-  std::atomic<bool> watchdog_stop{false};
+  std::mutex stop_mu;
+  std::condition_variable stop_cv;
+  bool stop = false;
   if (opts.watchdog_grace_ms > 0) {
-    watchdog = std::thread([&world, &watchdog_stop, &opts] {
+    watchdog = std::thread([&] {
       trace::set_thread_track(0, 1 << 16, "bwfault watchdog");
       const double poll_ms =
           std::clamp(opts.watchdog_grace_ms / 4.0, 5.0, 100.0);
+      const auto poll =
+          std::chrono::microseconds(static_cast<long>(poll_ms * 1e3));
       double stable_ms = 0;
       std::uint64_t last_activity = world.activity();
-      while (!watchdog_stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(static_cast<long>(poll_ms * 1e3)));
+      std::unique_lock<std::mutex> lock(stop_mu);
+      while (!stop_cv.wait_for(lock, poll, [&] { return stop; })) {
         if (world.all_done()) return;
         const std::uint64_t act = world.activity();
         if (act == last_activity && world.all_live_blocked()) {
@@ -945,7 +885,11 @@ std::vector<RankStats> run_ranks(int nranks,
   body(0);
   for (std::thread& t : threads) t.join();
   if (watchdog.joinable()) {
-    watchdog_stop.store(true, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(stop_mu);
+      stop = true;
+    }
+    stop_cv.notify_one();
     watchdog.join();
   }
 

@@ -33,6 +33,7 @@ namespace bwlab::par {
 enum class ReduceOp { Sum, Min, Max };
 
 class World;
+enum class BlockedOp;  ///< what a rank is blocked in (simmpi.cpp)
 
 /// Per-rank communicator handle, valid only inside run_ranks().
 class Comm {
@@ -86,6 +87,11 @@ class Comm {
   Comm(World& world, int rank) : world_(&world), rank_(rank) {}
 
  private:
+  /// The one blocking receive behind recv and wait: the recv seq, the
+  /// span, the flow finish and the blocked-time accounting.
+  void receive(BlockedOp op, int src, int tag, void* data, std::size_t bytes);
+  /// The one collective behind barrier (no values) and allreduce.
+  void collective(BlockedOp op, double* vals, int n, ReduceOp reduce);
 
   World* world_;
   int rank_;

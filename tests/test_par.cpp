@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/resil.hpp"
 #include "par/partition.hpp"
 #include "par/simmpi.hpp"
 #include "par/thread_pool.hpp"
@@ -231,24 +232,50 @@ bool contains_all(const std::string& haystack,
 }
 }  // namespace
 
+// The plain and the resilient receive share one size check.
 TEST(SimMpi, SizeMismatchNamesRanksTagAndBothSizes) {
+  for (const bool resil_on : {false, true}) {
+    SCOPED_TRACE(resil_on ? "resil policy on" : "resil policy off");
+    resil::Policy pol;
+    pol.enabled = resil_on;
+    resil::install(pol);
+    try {
+      run_ranks(2, [](Comm& c) {
+        double x = 0;
+        if (c.rank() == 0) {
+          c.send(1, 5, &x, 4);
+        } else {
+          c.recv(0, 5, &x, 8);
+        }
+      });
+      ADD_FAILURE() << "expected a size-mismatch error";
+    } catch (const MultiRankError& e) {
+      ASSERT_EQ(e.errors().size(), 1u);
+      EXPECT_EQ(e.errors()[0].rank, 1);
+      EXPECT_FALSE(e.errors()[0].rank_failure);
+      EXPECT_TRUE(contains_all(
+          e.errors()[0].message,
+          {"size mismatch", "rank 1", "rank 0", "tag 5", "8", "4"}))
+          << e.errors()[0].message;
+    }
+    resil::clear();
+  }
+}
+
+// A barrier is an allreduce of no values: meeting an allreduce on another
+// rank is a diagnosed count mismatch, not a silent pairing.
+TEST(SimMpi, BarrierMeetingAllreduceIsDiagnosed) {
   try {
     run_ranks(2, [](Comm& c) {
-      double x = 0;
-      if (c.rank() == 0) {
-        c.send(1, 5, &x, 4);
-      } else {
-        c.recv(0, 5, &x, 8);
-      }
+      if (c.rank() == 0)
+        c.barrier();
+      else
+        c.allreduce_sum(1.0);
     });
-    FAIL() << "expected a size-mismatch error";
+    FAIL() << "expected a count-mismatch error";
   } catch (const MultiRankError& e) {
     ASSERT_EQ(e.errors().size(), 1u);
-    EXPECT_EQ(e.errors()[0].rank, 1);
-    EXPECT_FALSE(e.errors()[0].rank_failure);
-    EXPECT_TRUE(contains_all(
-        e.errors()[0].message,
-        {"size mismatch", "rank 1", "rank 0", "tag 5", "8", "4"}))
+    EXPECT_TRUE(contains_all(e.errors()[0].message, {"count mismatch"}))
         << e.errors()[0].message;
   }
 }
@@ -375,6 +402,47 @@ TEST(SimMpi, WatchdogIgnoresSlowButLiveRanks) {
       },
       ro);
   EXPECT_EQ(stats.size(), 2u);
+}
+
+// The dump names what each rank is blocked in: rank 0 waits in a barrier
+// that rank 1 never joins, rank 1 in a recv that rank 0 never sends.
+TEST(SimMpi, WatchdogNamesRankBlockedInBarrier) {
+  RunOptions ro;
+  ro.watchdog_grace_ms = 100;
+  try {
+    run_ranks(
+        2,
+        [](Comm& c) {
+          double x = 0;
+          if (c.rank() == 0)
+            c.barrier();
+          else
+            c.recv(0, 4, &x, sizeof x);
+        },
+        ro);
+    FAIL() << "expected WatchdogError";
+  } catch (const WatchdogError& e) {
+    EXPECT_TRUE(contains_all(e.what(), {"rank 0: blocked in barrier",
+                                        "rank 1: blocked in recv(src=0"}))
+        << e.what();
+  }
+}
+
+// The watchdog stops as soon as the run ends, not at its next poll tick:
+// at the default grace a poll lasts 100 ms, so 20 runs that each waited
+// for one would take 2 s. Each run outlasts the watchdog thread's start,
+// so the run ends while the watchdog is inside a poll.
+TEST(SimMpi, WatchdogStopsWhenTheRunEnds) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i)
+    run_ranks(1, [](Comm& c) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      c.barrier();
+    });
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(elapsed_s, 1.0);
 }
 
 // --- Partitioning -----------------------------------------------------------
