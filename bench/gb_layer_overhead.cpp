@@ -159,8 +159,6 @@ double time_site(bench::Runner& run, const Site& s, int& failed) {
 
 /// One 2-rank ping-pong pass: kMsgs round trips per rank.
 void pingpong() {
-  par::RunOptions ro;
-  ro.watchdog_grace_ms = 0;  // measure the raw message path
   par::run_ranks(
       2,
       [](par::Comm& c) {
@@ -175,8 +173,7 @@ void pingpong() {
             c.send(peer, 2, payload, sizeof payload);
           }
         }
-      },
-      ro);
+      });
 }
 
 /// One small clover2d pass: 2 ranks, enough steps to run real halo

@@ -71,4 +71,13 @@ if(BWLAB_BUILD_TESTS)
   set_tests_properties(gb_layer_overhead_trips PROPERTIES
     TIMEOUT 120 LABELS bench RUN_SERIAL TRUE
     ENVIRONMENT "BWBENCH_PERTURB=1000;BWBENCH_REPS=1")
+  # bench_provenance: a bench file stamps the commit the tree was last
+  # built at (src/common/git_sha.cmake); skipped without git.
+  add_test(NAME bench_provenance
+           COMMAND ${CMAKE_COMMAND} -DBENCH=$<TARGET_FILE:tbl_systems>
+                   -DSRC=${CMAKE_SOURCE_DIR}
+                   -DWORK=${CMAKE_BINARY_DIR}/bench_provenance
+                   -P ${CMAKE_SOURCE_DIR}/tests/provenance.cmake)
+  set_tests_properties(bench_provenance PROPERTIES
+    LABELS unit SKIP_REGULAR_EXPRESSION "SKIP: ")
 endif()

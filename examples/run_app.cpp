@@ -41,7 +41,6 @@
 //   --faults=SPEC        deterministic fault plan, e.g.
 //                        "drop:rank=1,msg=3;crash:rank=2,step=4" (seeded
 //                        by --seed; see src/common/fault.hpp)
-//   --watchdog-ms=G      deadlock watchdog grace period (0 disables)
 //   --checkpoint-every=K commit a checkpoint every K steps; an injected
 //                        rank crash rolls every rank back to the last one,
 //                        the crashed rank restoring from its buddy's mirror
@@ -50,12 +49,12 @@
 //   --nan-guard=0|1|2    post-loop NaN/Inf guard: off / report / abort
 //
 // Resilience (bwresil; crash rollback runs with or without it):
-//   --resil              resilient Comm policy: timeout/retry/backoff and
-//                        replay of lost or late messages
-//   --retry-max=N        receive retries before giving up (default 8)
-//   --backoff-us=U       initial retry backoff, doubles per attempt
-//   --degraded           when retries exhaust, continue with stale halo
-//                        data instead of blocking
+//   --resil              resilient Comm policy: a receive no rank can
+//                        satisfy any more is served from the sender's
+//                        replay log (recovers dropped messages)
+//   --degraded           when no replay log holds the message, continue
+//                        with stale halo data instead of a diagnosed
+//                        deadlock
 #include <iostream>
 #include <string>
 
@@ -168,10 +167,9 @@ int run_main(int argc, char** argv) {
               << "  --mode=hbm|hbmonly|flat|cache --snc=0|1 "
                  "--place=auto|hbm|ddr|firsttouch\n"
               << "  --machine=ID --attr-tol=X\n"
-              << "  --faults=SPEC --watchdog-ms=G --nan-guard=0|1|2\n"
+              << "  --faults=SPEC --nan-guard=0|1|2\n"
               << "  --checkpoint-every=K (crash rollback checkpoints)\n"
-              << "  --resil --retry-max=N --backoff-us=U --degraded "
-                 "(Comm retry policy)\n"
+              << "  --resil --degraded (Comm replay policy)\n"
               << "  --live --live-interval-ms=M --live-status\n"
               << "  --live-out=FILE --live-ring=N --live-stall-windows=W\n";
     return 0;
@@ -251,7 +249,7 @@ int run_main(int argc, char** argv) {
 
   // bwlive: started before dispatch so every run_ranks world registers
   // its per-rank census, and stopped on both the success and the failure
-  // path (the series up to a watchdog abort is exactly what one wants to
+  // path (the series up to a deadlock abort is exactly what one wants to
   // look at).
   live::Config live_cfg;
   std::string live_out;
@@ -282,7 +280,7 @@ int run_main(int argc, char** argv) {
     result = dispatch(app, opt);
   } catch (const Error& e) {
     finish_live();
-    // A diagnosed failure (watchdog deadlock dump, aggregated rank
+    // A diagnosed failure (deadlock dump, aggregated rank
     // errors, NaN-guard abort). Flush the trace first — the timeline up
     // to the failure is exactly what one wants to look at.
     trace::disable();

@@ -33,7 +33,8 @@ struct Options {
   std::uint64_t seed = 12345;  ///< synthetic input seed
 
   // --- Robustness (bwfault) --------------------------------------------------
-  /// Progress-watchdog grace period for distributed runs; <= 0 disables.
+  /// Unread: SimMPI diagnoses a deadlock exactly, with no grace period.
+  /// Kept only because hostbench/hostbench.cpp still assigns it.
   double watchdog_ms = 1000.0;
   /// Checkpoint the field state every K steps (0 = off) in the apps that
   /// recover from crashes (CloverLeaf 2D/3D, miniWeather): an injected
@@ -62,17 +63,10 @@ inline void apply_robustness(const Options& opt) {
                                              : fault::NanPolicy::Off);
 }
 
-/// par::RunOptions derived from the app options.
-inline par::RunOptions run_options(const Options& opt) {
-  par::RunOptions ro;
-  ro.watchdog_grace_ms = opt.watchdog_ms;
-  return ro;
-}
-
-/// Standard distributed launch: run_ranks with the app's watchdog grace.
+/// Standard distributed launch: run_ranks on the app's rank count.
 template <class Fn>
 std::vector<par::RankStats> run_distributed(const Options& opt, Fn&& fn) {
-  return par::run_ranks(opt.ranks, std::forward<Fn>(fn), run_options(opt));
+  return par::run_ranks(opt.ranks, std::forward<Fn>(fn));
 }
 
 struct Result {

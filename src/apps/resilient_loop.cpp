@@ -98,7 +98,7 @@ LoopRun run_resilient_loop(const ResilientLoop& lp) {
     }
     // Health check passed: crash faults only fire at step tops, so this
     // step runs crash-free on every rank; drops and delays inside it
-    // are survived by the Comm layer (or diagnosed by the watchdog).
+    // are survived by the Comm layer (or diagnosed as a deadlock).
     lp.step(it);
     run.executed.push_back(it);
     if (checkpoint_due(lp, it)) {

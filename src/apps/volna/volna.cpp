@@ -337,8 +337,7 @@ Result run_distributed(const Options& opt, real hump, op2::Mode mode,
       result.instr = rt.instr();
       result.comm_seconds = comm.comm_seconds();
     }
-      },
-      run_options(opt));
+      });
   return result;
 }
 

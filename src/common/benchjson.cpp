@@ -11,6 +11,11 @@
 #include "common/json.hpp"
 #include "common/stats.hpp"
 
+// The build's commit id, generated by src/common/git_sha.cmake. A build
+// without it (hostbench compiles src/*.cpp on its own) stamps "unknown".
+#if __has_include("bwlab_git_sha.h")
+#include "bwlab_git_sha.h"
+#endif
 #ifndef BWLAB_GIT_SHA
 #define BWLAB_GIT_SHA "unknown"
 #endif

@@ -63,7 +63,7 @@ struct ResultFile {
 // --- Provenance / environment ------------------------------------------------
 
 /// Commit id for result provenance: $BWBENCH_GIT_SHA if set, else the
-/// configure-time sha CMake baked in, else "unknown".
+/// sha of the last build (src/common/git_sha.cmake), else "unknown".
 std::string git_sha();
 
 /// Synthetic slowdown factor for gate testing: $BWBENCH_PERTURB (> 0)

@@ -60,8 +60,8 @@ struct Config {
   long long interval_ms = 250;
   std::size_t ring_capacity = 4096;  ///< oldest samples evicted (counted)
   /// Consecutive flat windows (no step/message/byte progress) before a
-  /// rank is flagged as stalling — chosen so the flag fires well inside
-  /// the bwfault watchdog's grace period.
+  /// rank is flagged as stalling (slow but live; a deadlock is diagnosed
+  /// by SimMPI at once, before any window closes).
   int stall_windows = 4;
   bool status_line = false;       ///< render a live \r status to stderr
   double roof_bytes_per_s = 0;    ///< MachineModel STREAM-triad roof

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/gate.hpp"
 #include "common/metrics.hpp"
-#include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "common/trace.hpp"
 
@@ -23,7 +22,6 @@ Gate g_active;  // hot-path guard (common/gate.hpp)
 std::atomic<long long> g_retries{0};
 std::atomic<long long> g_recovered{0};
 std::atomic<long long> g_degraded{0};
-std::atomic<long long> g_backoffs{0};
 std::atomic<long long> g_rollbacks{0};
 std::atomic<long long> g_buddy_restores{0};
 
@@ -39,12 +37,7 @@ void install(const Policy& policy) {
   std::lock_guard<std::mutex> lock(g_mu);
   g_policy = policy;
   g_active.set(policy.enabled);
-  g_retries.store(0, std::memory_order_relaxed);
-  g_recovered.store(0, std::memory_order_relaxed);
-  g_degraded.store(0, std::memory_order_relaxed);
-  g_backoffs.store(0, std::memory_order_relaxed);
-  g_rollbacks.store(0, std::memory_order_relaxed);
-  g_buddy_restores.store(0, std::memory_order_relaxed);
+  reset_stats();
 }
 
 void clear() { install(Policy{}); }
@@ -56,28 +49,11 @@ Policy policy() {
   return g_policy;
 }
 
-long long backoff_delay_us(int rank, int attempt) {
-  Policy p = policy();
-  long long base = p.backoff_us;
-  for (int i = 0; i < attempt && base < p.backoff_cap_us; ++i) base *= 2;
-  if (base > p.backoff_cap_us) base = p.backoff_cap_us;
-  // Jitter keyed on (seed, rank, attempt): decorrelates contending ranks
-  // without breaking determinism.
-  SplitMix64 rng(p.seed ^ (0x9E3779B97F4A7C15ULL * (rank + 1)) ^
-                 (0xBF58476D1CE4E5B9ULL * (attempt + 1)));
-  const long long jitter =
-      base > 0 ? static_cast<long long>(rng.below(
-                     static_cast<std::uint64_t>(base / 4 + 1)))
-               : 0;
-  return base + jitter;
-}
-
 Stats stats() {
   Stats s;
   s.retries = g_retries.load(std::memory_order_relaxed);
   s.recovered = g_recovered.load(std::memory_order_relaxed);
   s.degraded_events = g_degraded.load(std::memory_order_relaxed);
-  s.backoff_waits = g_backoffs.load(std::memory_order_relaxed);
   s.rollbacks = g_rollbacks.load(std::memory_order_relaxed);
   s.buddy_restores = g_buddy_restores.load(std::memory_order_relaxed);
   return s;
@@ -87,7 +63,6 @@ void reset_stats() {
   g_retries.store(0, std::memory_order_relaxed);
   g_recovered.store(0, std::memory_order_relaxed);
   g_degraded.store(0, std::memory_order_relaxed);
-  g_backoffs.store(0, std::memory_order_relaxed);
   g_rollbacks.store(0, std::memory_order_relaxed);
   g_buddy_restores.store(0, std::memory_order_relaxed);
 }
@@ -95,7 +70,6 @@ void reset_stats() {
 void count_retry() { g_retries.fetch_add(1, std::memory_order_relaxed); }
 void count_recovered() { g_recovered.fetch_add(1, std::memory_order_relaxed); }
 void count_degraded() { g_degraded.fetch_add(1, std::memory_order_relaxed); }
-void count_backoff() { g_backoffs.fetch_add(1, std::memory_order_relaxed); }
 void count_rollback() { g_rollbacks.fetch_add(1, std::memory_order_relaxed); }
 void count_buddy_restore() {
   g_buddy_restores.fetch_add(1, std::memory_order_relaxed);

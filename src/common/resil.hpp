@@ -5,12 +5,15 @@
 //  * a resilient Comm policy (off by default, one relaxed atomic load at
 //    every hook when disabled, same budget as bwfault) — par::Comm
 //    sequences every point-to-point message and keeps a sender-side
-//    replay log, so a receive that times out (a bwfault drop or long
-//    delay) is retried from the log under bounded, seeded exponential
-//    backoff instead of tripping the watchdog; when retries exhaust,
-//    DegradedMode either continues with the stale buffer
-//    (skip-and-extrapolate halo / stale allreduce) or raises a diagnosed
-//    error — never a hang;
+//    replay log. SimMPI sees exactly when no rank can progress (every
+//    live rank parked, no wait satisfiable); at that moment each blocked
+//    receiver whose wanted message is in its sender's log is served from
+//    it (a retry — this recovers a bwfault drop). Only when no log holds
+//    it does DegradedMode act: the lowest-ranked blocked receiver
+//    continues with its stale buffer (skip-and-extrapolate halo / stale
+//    allreduce), or the run ends in a diagnosed error — never a hang. An
+//    injected delay is no loss: the sender sleeps running, and the
+//    receiver simply waits;
 //
 //  * a buddy-checkpoint board — each rank mirrors its committed
 //    SnapshotStore bytes (ghosts included) to rank+1 mod N after every
@@ -24,12 +27,11 @@
 //    trace::Cat::Fault "recovery:*" spans which bwcausal attributes to a
 //    dedicated `recovery` critical-path bucket.
 //
-// Same policy + same seed + same fault plan => the same retry schedule
-// and the same recovery decisions, which is what lets tools/fault_campaign
-// gate survivability in CI like a perf number.
+// No clock takes part in any recovery decision, so the same policy + the
+// same fault plan => the same retries and the same recovery decisions,
+// which is what lets tools/fault_campaign and CI gate them exactly.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,29 +41,18 @@ class SnapshotStore;
 
 namespace bwlab::resil {
 
-/// Process-wide resilience policy. Installed like a fault plan; every
-/// knob is surfaced as a run_app flag (--resil, --retry-max,
-/// --backoff-us, --degraded).
+/// Process-wide resilience policy. Installed like a fault plan; both
+/// knobs are run_app flags (--resil, --degraded).
 struct Policy {
   bool enabled = false;
-  int retry_max = 8;             ///< receive retry attempts before giving up
-  long long timeout_us = 2000;   ///< per-attempt receive timeout
-  long long backoff_us = 100;    ///< initial backoff (doubles per attempt)
-  long long backoff_cap_us = 20000;  ///< exponential backoff ceiling
-  bool degraded = false;         ///< continue with stale data when exhausted
-  std::uint64_t seed = 0;        ///< jitter stream seed (reuse --seed)
+  bool degraded = false;  ///< continue with stale data when no log helps
 };
 
 /// The run report's "policy" object (`enabled` is implied by the
 /// section's presence).
 template <class Io>
 void fields(Io& io, Policy& p) {
-  io("retry_max", p.retry_max);
-  io("timeout_us", p.timeout_us);
-  io("backoff_us", p.backoff_us);
-  io("backoff_cap_us", p.backoff_cap_us);
   io("degraded", p.degraded);
-  io("seed", p.seed);
 }
 
 /// Installs `policy` process-wide (and resets stats). A policy with
@@ -77,18 +68,11 @@ bool active();
 /// Copy of the installed policy (default-constructed when inactive).
 Policy policy();
 
-/// Deterministic bounded-exponential backoff with seeded jitter for
-/// retry `attempt` (0-based) on `rank`: min(backoff_us << attempt, cap)
-/// plus up to 25% SplitMix64 jitter keyed on (seed, rank, attempt) — a
-/// pure function of the policy, never of execution timing.
-long long backoff_delay_us(int rank, int attempt);
-
 /// Recovery-event counters since the last install()/reset_stats().
 struct Stats {
-  long long retries = 0;         ///< receive retry attempts performed
-  long long recovered = 0;       ///< receives satisfied after >= 1 retry
+  long long retries = 0;         ///< retransmits from a replay log
+  long long recovered = 0;       ///< receives served by a retransmit
   long long degraded_events = 0; ///< degraded-mode continuations
-  long long backoff_waits = 0;   ///< backoff sleeps taken
   long long rollbacks = 0;       ///< localized rollbacks (peer ranks)
   long long buddy_restores = 0;  ///< failed-rank restores from a buddy
 };
@@ -100,7 +84,6 @@ void reset_stats();
 void count_retry();
 void count_recovered();
 void count_degraded();
-void count_backoff();
 void count_rollback();
 void count_buddy_restore();
 

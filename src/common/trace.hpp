@@ -55,7 +55,7 @@ enum class Cat : std::uint8_t {
   Tile,    ///< one tile of the cache-blocking executor
   Region,  ///< coarse region (thread-pool parallel region, chain run)
   App,     ///< application-defined phases
-  Fault,   ///< bwfault events (injections, watchdog, checkpoint/restore)
+  Fault,   ///< bwfault events (injections, deadlocks, checkpoint/restore)
 };
 
 const char* to_string(Cat c);

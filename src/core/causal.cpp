@@ -36,7 +36,7 @@ const char* bucket_of(const SpanRec& s) {
                                                             : "comm_wait";
     case trace::Cat::Fault:
       // bwresil emits all recovery work (rollback, buddy mirror/restore,
-      // retry backoff) as Fault spans named "recovery:*"; attribute those
+      // replay, degraded) as Fault spans named "recovery:*"; attribute those
       // to their own bucket so recovery cost is visible in the critical
       // path.
       return s.name.rfind("recovery", 0) == 0 ? "recovery" : "other";
@@ -176,7 +176,7 @@ Report analyze(const std::vector<trace::TrackView>& tracks,
   // run_ranks call), and analysis wants one timeline per rank.
   std::map<int, std::vector<trace::EventView>> per_rank;
   for (const trace::TrackView& t : tracks) {
-    if (t.tid != 0) continue;  // workers / watchdog: not SimMPI timelines
+    if (t.tid != 0) continue;  // pool workers: not SimMPI timelines
     auto& dst = per_rank[t.rank];
     dst.insert(dst.end(), t.events.begin(), t.events.end());
   }
@@ -500,13 +500,25 @@ Table critical_path_table(const Report& r) {
     t.add_row({std::string(b), s, 100.0 * s / len});
   }
   t.add_separator();
-  std::string ranks;
-  for (std::size_t i = 0; i < r.path.ranks.size(); ++i) {
-    if (i > 0) ranks += "->";
-    ranks += std::to_string(r.path.ranks[i]);
+  // The row names the hop count and the set of ranks (runs collapsed to
+  // "a-b"), so it stays narrow however long the path; the hop-by-hop
+  // list is in the JSON (critical_path.ranks).
+  const std::size_t hops = r.path.ranks.empty() ? 0 : r.path.ranks.size() - 1;
+  std::vector<int> set = r.path.ranks;
+  std::sort(set.begin(), set.end());
+  set.erase(std::unique(set.begin(), set.end()), set.end());
+  std::ostringstream row;
+  row << "path (" << hops << (hops == 1 ? " hop" : " hops") << ", ranks ";
+  if (set.empty()) row << "-";
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    std::size_t j = i;
+    while (j + 1 < set.size() && set[j + 1] == set[j] + 1) ++j;
+    row << (i > 0 ? "," : "") << set[i];
+    if (j > i) row << "-" << set[j];
+    i = j;
   }
-  t.add_row({std::string("path (ranks " + ranks + ")"), r.path.length_s,
-             100.0});
+  row << ")";
+  t.add_row({row.str(), r.path.length_s, 100.0});
   return t;
 }
 

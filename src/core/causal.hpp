@@ -23,7 +23,7 @@
 //    wall time to kernel / halo_pack / comm_wait / imbalance / recovery /
 //    other buckets that sum exactly to the traced wall interval
 //    (recovery covers the bwresil "recovery:*" spans — rollback, buddy
-//    mirror/restore, retry backoff).
+//    mirror/restore, replay, degraded).
 //
 // Everything here runs post-join on the snapshot (or on the tracks
 // trace::read_chrome_json reads back from a saved .trace.json for the
@@ -141,7 +141,7 @@ struct Options {
 
 /// Analyzes decoded track views (trace::snapshot() or
 /// trace::read_chrome_json). Only rank-main tracks (tid 0) participate;
-/// worker and watchdog tracks are ignored.
+/// pool-worker tracks are ignored.
 Report analyze(const std::vector<trace::TrackView>& tracks,
                const Options& opts = {});
 

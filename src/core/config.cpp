@@ -151,16 +151,11 @@ void Robustness::install() const {
     fault::install(fault::FaultPlan::parse(faults, seed));
   resil::Policy pol;
   pol.enabled = resil;
-  pol.retry_max = retry_max;
-  pol.backoff_us = backoff_us;
-  if (pol.backoff_cap_us < backoff_us) pol.backoff_cap_us = backoff_us;
   pol.degraded = degraded;
-  pol.seed = seed;
   resil::install(pol);
 }
 
 void Robustness::apply(apps::Options& opt) const {
-  opt.watchdog_ms = watchdog_ms;
   opt.checkpoint_every = checkpoint_every;
   opt.nan_guard = nan_guard;
 }
@@ -169,12 +164,9 @@ Robustness robustness_from_cli(const Cli& cli) {
   Robustness r;
   r.faults = cli.get("faults", "");
   r.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345));
-  r.watchdog_ms = cli.get_double("watchdog-ms", 1000.0);
   r.checkpoint_every = static_cast<int>(cli.get_int("checkpoint-every", 0));
   r.nan_guard = static_cast<int>(cli.get_int("nan-guard", 0));
   r.resil = cli.get_bool("resil", false);
-  r.retry_max = static_cast<int>(cli.get_int("retry-max", 8));
-  r.backoff_us = cli.get_int("backoff-us", 100);
   r.degraded = cli.get_bool("degraded", false);
   return r;
 }

@@ -77,21 +77,18 @@ struct Layout {
 Layout layout(const sim::MachineModel& m, const Config& c);
 
 /// Runtime robustness knobs (bwfault), the configuration axis orthogonal
-/// to the paper's compiler/ZMM/HT space: fault injection, deadlock
-/// watchdog, checkpoint/rollback and the NaN/Inf field guard. Shared by
+/// to the paper's compiler/ZMM/HT space: fault injection, the bwresil
+/// policy, checkpoint/rollback and the NaN/Inf field guard. Shared by
 /// every driver binary so the flags mean the same thing everywhere.
 struct Robustness {
   std::string faults;          ///< fault plan spec ("" = none)
   std::uint64_t seed = 12345;  ///< seeds the plan's payload-flip masks
-  double watchdog_ms = 1000.0; ///< deadlock grace period (<= 0 disables)
   int checkpoint_every = 0;    ///< rollback checkpoint cadence (0 = off)
   int nan_guard = 0;           ///< 0 off, 1 report, 2 abort
 
   // --- bwresil (resilient Comm policy) -------------------------------------
-  bool resil = false;          ///< Comm retry/backoff/degraded policy
-  int retry_max = 8;           ///< receive retries before giving up
-  long long backoff_us = 100;  ///< initial retry backoff (doubles per try)
-  bool degraded = false;       ///< stale-data continue when retries exhaust
+  bool resil = false;          ///< Comm replay-log retransmit policy
+  bool degraded = false;       ///< stale-data continue when no log helps
 
   /// Installs the process-global pieces: parses + installs the fault
   /// plan (clears it when `faults` is empty) and installs (or clears) the
@@ -104,9 +101,8 @@ struct Robustness {
 };
 
 /// Parses the shared robustness flags from an already-constructed Cli:
-/// --faults, --watchdog-ms, --checkpoint-every, --nan-guard, --resil,
-/// --retry-max, --backoff-us, --degraded (seed comes from the common
-/// --seed flag).
+/// --faults, --checkpoint-every, --nan-guard, --resil, --degraded (seed
+/// comes from the common --seed flag).
 Robustness robustness_from_cli(const Cli& cli);
 
 }  // namespace bwlab::core

@@ -10,9 +10,10 @@
 // The stall classifier is the offline twin of the sampler's online
 // flat-window flagging: a rank whose progress counters (steps, messages,
 // bytes sent) are all flat across the last `windows` sampling windows is
-// stalling. Its window count is strictly shorter than the bwfault
-// watchdog's grace period, so the live "stalling" flag always precedes a
-// WatchdogError — tests assert that ordering.
+// stalling. A stall is not a deadlock: SimMPI diagnoses a deadlock (a
+// WatchdogError) the moment the last live rank parks, before any
+// sampling window can close, so the flag marks what it alone can see — a
+// slow but live rank, e.g. a late sender — and tests assert both.
 #pragma once
 
 #include <cstddef>

@@ -129,8 +129,8 @@ RunReport make_run_report(const Instrumentation& instr,
     const resil::Stats st = resil::stats();
     r.resil = ResilSection{resil::policy(),   st.retries,
                            st.recovered,      st.degraded_events,
-                           st.backoff_waits,  st.rollbacks,
-                           st.buddy_restores, resil::buddy_total_bytes()};
+                           st.rollbacks,      st.buddy_restores,
+                           resil::buddy_total_bytes()};
   }
   // Trace health: only present when the tracer has (or had) events, so
   // untraced runs keep their report unchanged.

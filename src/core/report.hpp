@@ -117,7 +117,6 @@ struct ResilSection {
   long long retries = 0;
   long long recovered = 0;
   long long degraded_events = 0;
-  long long backoff_waits = 0;
   long long rollbacks = 0;
   long long buddy_restores = 0;
   count_t buddy_bytes = 0;
@@ -128,7 +127,6 @@ void fields(Io& io, ResilSection& r) {
   io("retries", r.retries);
   io("recovered", r.recovered);
   io("degraded_events", r.degraded_events);
-  io("backoff_waits", r.backoff_waits);
   io("rollbacks", r.rollbacks);
   io("buddy_restores", r.buddy_restores);
   io("buddy_bytes", r.buddy_bytes);

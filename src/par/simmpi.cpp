@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -22,10 +21,17 @@
 
 namespace bwlab::par {
 
-/// What a rank is currently blocked in, for the watchdog's diagnosis.
-/// Backoff is the bwresil retry sleep: the rank is live in its recovery
-/// protocol, so the watchdog must not count it as frozen.
-enum class BlockedOp { None, Recv, Wait, Barrier, Allreduce, Backoff, Done };
+/// What a rank is currently blocked in, for the deadlock dump. The values
+/// are the bwlive census codes ("rank.<R>.blocked_op"); 5 is retired, so
+/// saved series keep decoding Done as 6.
+enum class BlockedOp {
+  None = 0,
+  Recv = 1,
+  Wait = 2,
+  Barrier = 3,
+  Allreduce = 4,
+  Done = 6
+};
 
 namespace {
 
@@ -45,11 +51,13 @@ struct Message {
   /// bwresil wire sequence number per (src, dest, tag) stream; -1 when
   /// the resilience policy is off (matching then ignores it).
   long long seq = -1;
+  /// Retransmitted from the sender's replay log by the stall check.
+  bool replayed = false;
 };
 
 /// Thrown into ranks blocked on communication when a peer rank failed (or
-/// the watchdog fired); run_ranks reports the original cause instead of
-/// these secondary cancellations.
+/// a deadlock was diagnosed); run_ranks reports the original cause instead
+/// of these secondary cancellations.
 struct AbortedError : bwlab::Error {
   AbortedError() : bwlab::Error("rank aborted: a peer rank threw") {}
 };
@@ -62,27 +70,38 @@ const char* to_string(BlockedOp op) {
     case BlockedOp::Wait: return "wait";
     case BlockedOp::Barrier: return "barrier";
     case BlockedOp::Allreduce: return "allreduce";
-    case BlockedOp::Backoff: return "backoff";
     case BlockedOp::Done: return "done";
   }
   return "?";
 }
 
+bool is_receive(BlockedOp op) {
+  return op == BlockedOp::Recv || op == BlockedOp::Wait;
+}
+
 }  // namespace
 
 const char* blocked_op_name(int code) {
-  if (code < static_cast<int>(BlockedOp::None) ||
-      code > static_cast<int>(BlockedOp::Done))
-    return "?";
-  return to_string(static_cast<BlockedOp>(code));
+  switch (code) {
+    case 0: case 1: case 2: case 3: case 4: case 6:
+      return to_string(static_cast<BlockedOp>(code));
+  }
+  return "?";
 }
 
-/// Shared state of one run_ranks() execution.
+/// Shared state of one run_ranks() execution. One mutex guards all of it
+/// (mailboxes, the collective, rank phases and the bwresil streams), so
+/// "no rank can make progress" is observed exactly: a rank *parks* only
+/// after finding its wait predicate false under that lock, a rank that
+/// makes another's predicate true unparks it in the same critical section,
+/// and when the last live rank parks (or finishes) with every other live
+/// rank parked, nothing outside World can change anything any more. That
+/// moment is the stall check: a bwresil retransmit, a degraded continue,
+/// or a diagnosed deadlock — never a timer.
 class World {
  public:
   explicit World(int nranks)
-      : n_(nranks), inbox_(static_cast<std::size_t>(nranks)),
-        phases_(static_cast<std::size_t>(nranks)),
+      : n_(nranks), live_(nranks), ranks_(static_cast<std::size_t>(nranks)),
         sends_(static_cast<std::size_t>(nranks)),
         bytes_(static_cast<std::size_t>(nranks)),
         pending_irecv_(static_cast<std::size_t>(nranks)),
@@ -94,21 +113,23 @@ class World {
   void deliver(int src, int dest, int tag, const void* data,
                std::size_t bytes, long long seq = -1) {
     BWLAB_REQUIRE(dest >= 0 && dest < n_, "send to invalid rank " << dest);
-    Mailbox& box = inbox_[static_cast<std::size_t>(dest)];
     Message msg{src, tag, {}, seq};
-    msg.payload.resize(bytes);
-    std::memcpy(msg.payload.data(), data, bytes);
-    {
-      std::lock_guard<std::mutex> lock(box.mu);
-      box.messages.push_back(std::move(msg));
-      sync_mailbox_gauge(dest, box);
-    }
+    msg.payload.assign(static_cast<const char*>(data),
+                       static_cast<const char*>(data) + bytes);
     sends_[static_cast<std::size_t>(src)].fetch_add(
         1, std::memory_order_relaxed);
     bytes_[static_cast<std::size_t>(src)].fetch_add(
         static_cast<long long>(bytes), std::memory_order_relaxed);
-    bump_activity();
-    box.cv.notify_all();
+    RankState& to = rank(dest);
+    bool woke = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      to.mailbox.push_back(std::move(msg));
+      sync_mailbox_gauge(dest);
+      woke = release(dest);
+    }
+    // Outside the lock, so the receiver does not wake into a held mutex.
+    if (woke) to.cv.notify_one();
   }
 
   /// bwresil send-side bookkeeping, called *before* the fault hook so an
@@ -118,141 +139,85 @@ class World {
   /// consumption (resil_consume).
   long long resil_stamp_send(int src, int dest, int tag, const void* data,
                              std::size_t bytes) {
-    std::lock_guard<std::mutex> lock(resil_mu_);
-    const std::array<int, 3> key{src, dest, tag};
-    const long long seq = resil_send_seq_[key]++;
     ReplayEntry e;
-    e.seq = seq;
     e.payload.assign(static_cast<const char*>(data),
                      static_cast<const char*>(data) + bytes);
+    const std::array<int, 3> key{src, dest, tag};
+    std::lock_guard<std::mutex> lock(mu_);
+    const long long seq = e.seq = resil_send_seq_[key]++;
     resil_replay_[key].push_back(std::move(e));
     return seq;
   }
 
   /// The one receive: blocks until the message `dest` expects from
-  /// (src, tag) arrives, copies it into `data` and returns the time spent
-  /// blocked. `op` is Recv or Wait, for the watchdog's attribution only.
+  /// (src, tag) is in its mailbox, copies it into `data` and returns the
+  /// time spent blocked. `op` (Recv or Wait) only names the call.
   ///
   /// With the bwresil policy off, the first (src, tag) message matches
-  /// (FIFO) and the wait has no deadline. With it on, only the stream's
-  /// next wire seq matches, under a per-attempt timeout; on expiry, first
-  /// try the sender's replay log (this is the retransmit — it recovers
-  /// injected drops and outruns injected delays), then back off (bounded
-  /// exponential, seeded jitter) and retry. Exhausted retries either
-  /// continue degraded (buffer stays stale, stream advances) or wait on
-  /// with no deadline, where the watchdog still guards against a genuine
-  /// deadlock — resilience never hides one. Every attempt bumps the
-  /// activity counter: a rank inside this protocol is live, not frozen.
+  /// (FIFO). With it on, only the stream's next wire seq matches; the
+  /// stall check may put that seq into the mailbox from the sender's
+  /// replay log (a retransmit) or grant a degraded continue, which leaves
+  /// `data` stale and advances the stream.
   seconds_t collect(int src, int dest, int tag, void* data,
                     std::size_t bytes, BlockedOp op) {
     BWLAB_REQUIRE(src >= 0 && src < n_, "recv from invalid rank " << src);
-    Blocked blocked(*this, dest, op, src, tag, bytes);
-    Mailbox& box = inbox_[static_cast<std::size_t>(dest)];
-    const bool resil = resil::active();
-    resil::Policy pol;
-    long long want = -1;
-    if (resil) {
-      pol = resil::policy();
-      std::lock_guard<std::mutex> lock(resil_mu_);
-      want = resil_recv_seq_[{dest, src, tag}];
+    const Timer timer;
+    Message got{src, tag, {}};
+    bool degraded = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      Phase phase(*this, dest, op, src, tag, bytes);
+      RankState& me = rank(dest);
+      if (resil::active()) me.want = resil_recv_seq_[{dest, src, tag}];
+      await(lock, dest);
+      if (me.degrade) {
+        degraded = true;
+      } else {
+        const auto match = find_match(dest);
+        BWLAB_REQUIRE(match->payload.size() == bytes,
+                      "message size mismatch: rank "
+                          << dest << " receiving from rank " << src
+                          << " tag " << tag << " expects " << bytes
+                          << " bytes, matching send carries "
+                          << match->payload.size());
+        got = std::move(*match);
+        me.mailbox.erase(match);
+        sync_mailbox_gauge(dest);
+      }
+      if (me.want >= 0) resil_consume(src, dest, tag, me.want);
     }
-    const auto ours = [&](const Message& m) {
-      return m.src == src && m.tag == tag;
-    };
-    bool timed = resil;
-    bool retried = false;
-    for (int attempt = 0;;) {
-      const auto until =
-          timed ? Clock::now() + std::chrono::microseconds(pol.timeout_us)
-                : Clock::time_point::max();
-      {
-        std::unique_lock<std::mutex> lock(box.mu);
-        auto match = box.messages.end();
-        const bool got = blocked.wait(box.cv, lock, until, [&] {
-          // An abort ends a receive even when its message is there.
-          if (aborted_.load()) return false;
-          // A message with a stale seq (an injected delay whose payload
-          // was already recovered from the replay log) is dropped.
-          if (resil && std::erase_if(box.messages, [&](const Message& m) {
-                return ours(m) && m.seq >= 0 && m.seq < want;
-              }))
-            sync_mailbox_gauge(dest, box);
-          match = std::find_if(
-              box.messages.begin(), box.messages.end(),
-              [&](const Message& m) {
-                return ours(m) && (!resil || m.seq < 0 || m.seq == want);
-              });
-          return match != box.messages.end();
-        });
-        if (got) {
-          BWLAB_REQUIRE(match->payload.size() == bytes,
-                        "message size mismatch: rank "
-                            << dest << " receiving from rank " << src
-                            << " tag " << tag << " expects " << bytes
-                            << " bytes, matching send carries "
-                            << match->payload.size());
-          std::memcpy(data, match->payload.data(), bytes);
-          box.messages.erase(match);
-          sync_mailbox_gauge(dest, box);
-          break;
-        }
-      }
-      // Timed out. Retransmit from the sender's replay log if it already
-      // holds the wanted seq (a dropped or still-delayed message).
-      retried = true;
-      if (resil_fetch_replay(src, dest, tag, want, data, bytes)) {
-        resil::count_retry();
-        break;
-      }
-      if (attempt >= pol.retry_max) {
-        if (!pol.degraded) {
-          timed = false;  // retries exhausted: wait on with no deadline
-          continue;
-        }
-        // Skip-and-extrapolate: leave the destination buffer stale (the
-        // caller's previous halo contents) and advance the stream so
-        // later messages still match.
-        trace::TraceSpan span(trace::Cat::Fault, "recovery:degraded");
-        resil_consume(src, dest, tag, want);
-        resil::count_degraded();
-        return blocked.elapsed();
-      }
-      // Backoff before the next attempt. The Backoff phase keeps the
-      // watchdog from counting this rank as frozen, and the activity
-      // bump restarts its stability window.
-      ++attempt;
-      resil::count_retry();
-      blocked.set(BlockedOp::Backoff, attempt);
-      bump_activity();
-      {
-        trace::TraceSpan span(trace::Cat::Fault, "recovery:backoff");
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            resil::backoff_delay_us(dest, attempt - 1)));
-      }
-      resil::count_backoff();
-      blocked.set(op, attempt);
+    if (degraded) {
+      // Skip-and-extrapolate: the destination buffer keeps the caller's
+      // previous contents.
+      trace::TraceSpan span(trace::Cat::Fault, "recovery:degraded");
+      resil::count_degraded();
+    } else if (got.replayed) {
+      trace::TraceSpan span(trace::Cat::Fault, "recovery:replay");
+      std::memcpy(data, got.payload.data(), bytes);
+      resil::count_recovered();
+    } else {
+      std::memcpy(data, got.payload.data(), bytes);
     }
-    if (resil) resil_consume(src, dest, tag, want);
-    if (retried) resil::count_recovered();
-    return blocked.elapsed();
+    return timer.elapsed();
   }
 
   /// The one collective: an in-place allreduce of `count` values per
-  /// rank, folded in rank order by the last arrival. A barrier is the
-  /// same call with no values, so a barrier meeting an allreduce on
-  /// another rank fails the count check. `op` (Barrier or Allreduce)
-  /// only names the call for the watchdog and the bwlive census.
-  seconds_t allreduce(int rank, double* vals, int count, ReduceOp reduce,
+  /// rank, folded in rank order by the last arrival, which never parks. A
+  /// barrier is the same call with no values, so a barrier meeting an
+  /// allreduce on another rank fails the count check. `op` (Barrier or
+  /// Allreduce) only names the call.
+  seconds_t allreduce(int r, double* vals, int count, ReduceOp reduce,
                       BlockedOp op) {
+    const Timer timer;
     const auto len = static_cast<std::size_t>(count);
-    Blocked blocked(*this, rank, op, -1, -1, len * sizeof(double));
-    std::unique_lock<std::mutex> lock(coll_.mu);
+    std::unique_lock<std::mutex> lock(mu_);
+    Phase phase(*this, r, op, -1, -1, len * sizeof(double));
     const std::size_t slots = len * static_cast<std::size_t>(n_);
     if (coll_.arrived == 0) coll_.buf.resize(slots);
     BWLAB_REQUIRE(coll_.buf.size() == slots,
                   "allreduce count mismatch across ranks");
-    std::copy(vals, vals + count, coll_.buf.begin() + count * rank);
-    const count_t my_gen = coll_.gen;
+    std::copy(vals, vals + count, coll_.buf.begin() + count * r);
+    rank(r).gen = coll_.gen;
     if (++coll_.arrived == n_) {
       // The last arrival folds the slots in rank order, so the result
       // has the same bits whatever order the ranks arrived in.
@@ -267,24 +232,18 @@ class World {
       }
       coll_.arrived = 0;
       ++coll_.gen;
-      coll_.cv.notify_all();
+      for (int q = 0; q < n_; ++q) poke(q);
     } else {
-      blocked.wait(coll_.cv, lock, Clock::time_point::max(),
-                   [&] { return coll_.gen != my_gen; });
+      await(lock, r);
     }
     std::copy(coll_.result.begin(), coll_.result.end(), vals);
-    return blocked.elapsed();
+    return timer.elapsed();
   }
 
-  /// Wakes every blocked rank after a peer threw (or the watchdog fired).
+  /// Wakes every parked rank after a peer threw.
   void abort_all() {
-    aborted_.store(true);
-    for (Mailbox& box : inbox_) {
-      std::lock_guard<std::mutex> lock(box.mu);
-      box.cv.notify_all();
-    }
-    std::lock_guard<std::mutex> lock(coll_.mu);
-    coll_.cv.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    abort_locked();
   }
 
   static bool is_abort(const std::exception_ptr& e) {
@@ -297,134 +256,30 @@ class World {
     }
   }
 
-  // --- Watchdog interface ----------------------------------------------------
+  /// Rank `r` returned (or threw): it leaves the live set, and if every
+  /// rank still live is parked, nothing will wake them but the check.
+  void mark_done(int r) {
+    std::lock_guard<std::mutex> lock(mu_);
+    set_phase(r, BlockedOp::Done, -1, -1, 0);
+    if (--live_ > 0 && parked_ == live_) stalled();
+  }
 
-  void mark_done(int rank) { set_phase(rank, BlockedOp::Done, -1, -1, 0); }
-
-  void irecv_posted(int rank) {
-    pending_irecv_[static_cast<std::size_t>(rank)].fetch_add(
+  void irecv_posted(int r) {
+    pending_irecv_[static_cast<std::size_t>(r)].fetch_add(
         1, std::memory_order_relaxed);
   }
-  void irecv_completed(int rank) {
-    pending_irecv_[static_cast<std::size_t>(rank)].fetch_sub(
+  void irecv_completed(int r) {
+    pending_irecv_[static_cast<std::size_t>(r)].fetch_sub(
         1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t activity() const {
-    return activity_.load(std::memory_order_relaxed);
-  }
-
-  /// True when at least one rank is live (not Done) and every live rank
-  /// is blocked in a communication operation. Such a state can only end
-  /// through mailbox traffic — if the activity counter does not move
-  /// either, the run is deadlocked.
-  bool all_live_blocked() const {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    int live = 0;
-    for (const RankPhase& p : phases_) {
-      if (p.op == BlockedOp::Done) continue;
-      // A rank sleeping in bwresil backoff is live inside its retry
-      // protocol (it will wake and act on its own), not frozen.
-      if (p.op == BlockedOp::None || p.op == BlockedOp::Backoff)
-        return false;
-      ++live;
-    }
-    return live > 0;
-  }
-
-  bool all_done() const {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    for (const RankPhase& p : phases_)
-      if (p.op != BlockedOp::Done) return false;
-    return true;
-  }
-
-  /// Per-rank diagnostic dump for the watchdog failure message: blocked
-  /// operation + peer/tag/bytes, pending-irecv census, send counters, and
-  /// the messages sitting unmatched in each mailbox.
-  std::string dump() const {
-    std::ostringstream os;
-    std::vector<RankPhase> snap;
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      snap = phases_;
-    }
-    for (int r = 0; r < n_; ++r) {
-      const auto rs = static_cast<std::size_t>(r);
-      const RankPhase& p = snap[rs];
-      os << "  rank " << r << ": ";
-      switch (p.op) {
-        case BlockedOp::Recv:
-        case BlockedOp::Wait:
-          os << "blocked in " << to_string(p.op) << "(src=" << p.peer
-             << ", tag=" << p.tag << ", bytes=" << p.bytes << ")";
-          if (p.attempt > 0)
-            os << " retrying, attempt " << p.attempt;
-          break;
-        case BlockedOp::Barrier:
-          os << "blocked in barrier";
-          break;
-        case BlockedOp::Allreduce:
-          os << "blocked in allreduce(bytes=" << p.bytes << ")";
-          break;
-        case BlockedOp::Backoff:
-          os << "in retry backoff for recv(src=" << p.peer
-             << ", tag=" << p.tag << ", bytes=" << p.bytes
-             << "), attempt " << p.attempt;
-          break;
-        case BlockedOp::None:
-          os << "running";
-          break;
-        case BlockedOp::Done:
-          os << "finished";
-          break;
-      }
-      os << "; sent " << sends_[rs].load(std::memory_order_relaxed)
-         << " msgs/" << bytes_[rs].load(std::memory_order_relaxed)
-         << " B; pending irecvs "
-         << pending_irecv_[rs].load(std::memory_order_relaxed);
-      Mailbox& box = const_cast<Mailbox&>(inbox_[rs]);
-      std::lock_guard<std::mutex> lock(box.mu);
-      if (box.messages.empty()) {
-        os << "; mailbox empty";
-      } else {
-        os << "; mailbox holds " << box.messages.size() << " unmatched:";
-        for (const Message& m : box.messages)
-          os << " [src=" << m.src << " tag=" << m.tag << " bytes="
-             << m.payload.size() << "]";
-      }
-      os << "\n";
-    }
-    return os.str();
-  }
-
-  void watchdog_fire(double grace_ms) {
-    trace::TraceSpan span(trace::Cat::Fault, "watchdog:deadlock");
-    static Counter& fires =
-        MetricsRegistry::global().counter("watchdog.deadlocks");
-    fires.inc();
-    std::ostringstream os;
-    os << "bwfault watchdog: no progress for " << grace_ms
-       << " ms — all live ranks blocked, no mailbox traffic; "
-       << "aborting the run\n"
-       << dump();
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      watchdog_msg_ = os.str();
-      watchdog_fired_ = true;
-    }
-    abort_all();
   }
 
   /// bwlive provider: per-rank census from the lock-free mirrors only
   /// (send counters, pending irecvs, mailbox occupancy, blocked-op code —
   /// see blocked_op_name). Safe to call from the sampler thread at any
-  /// point while the world is alive; never touches a mailbox or state
-  /// mutex a rank could be holding.
+  /// point while the world is alive; never takes the world lock a rank
+  /// could be holding.
   void live_sample(std::map<std::string, double>& kv) const {
     kv["world.ranks"] = static_cast<double>(n_);
-    kv["world.activity"] =
-        static_cast<double>(activity_.load(std::memory_order_relaxed));
     for (int r = 0; r < n_; ++r) {
       const auto rs = static_cast<std::size_t>(r);
       kv[live::rank_key(r, "msgs_sent")] = static_cast<double>(
@@ -440,84 +295,30 @@ class World {
     }
   }
 
-  bool watchdog_fired() const {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    return watchdog_fired_;
-  }
-  std::string watchdog_message() const {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    return watchdog_msg_;
+  /// The deadlock diagnosis, empty when the run had none.
+  std::string deadlock_message() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return deadlock_msg_;
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  /// The bracket around every blocking call: from construction `rank`
-  /// shows as blocked in `op` (to the watchdog and the bwlive census),
-  /// and on every way out it shows as running again with the activity
-  /// counter bumped. wait() is the one place a rank parks.
-  class Blocked {
-   public:
-    Blocked(World& w, int rank, BlockedOp op, int peer, int tag,
-            std::size_t bytes)
-        : w_(w), rank_(rank), peer_(peer), tag_(tag), bytes_(bytes) {
-      set(op, 0);
-    }
-    ~Blocked() {
-      w_.set_phase(rank_, BlockedOp::None, -1, -1, 0);
-      w_.bump_activity();
-    }
-    Blocked(const Blocked&) = delete;
-    Blocked& operator=(const Blocked&) = delete;
-
-    /// Republishes the phase: a bwresil retry attempt or its backoff.
-    void set(BlockedOp op, int attempt) {
-      w_.set_phase(rank_, op, peer_, tag_, bytes_, attempt);
-    }
-
-    /// Parks on `cv` (whose mutex `lock` holds) until `ready()` holds —
-    /// true — or `until` passes — false. Throws AbortedError once the
-    /// world is aborted without `ready()` having held.
-    template <class Ready>
-    bool wait(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
-              Clock::time_point until, Ready ready) {
-      bool ok = false;
-      cv.wait_until(lock, until,
-                    [&] { return (ok = ready()) || w_.aborted_.load(); });
-      if (!ok && w_.aborted_.load()) throw AbortedError();
-      return ok;
-    }
-
-    seconds_t elapsed() const { return timer_.elapsed(); }
-
-   private:
-    World& w_;
-    int rank_;
-    int peer_;
-    int tag_;
-    std::size_t bytes_;
-    Timer timer_;
-  };
-
-  struct Mailbox {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Message> messages;
-  };
-  struct Collective {
-    std::mutex mu;
-    std::condition_variable cv;
-    int arrived = 0;
-    count_t gen = 0;
-    std::vector<double> buf;  ///< one slot of `count` values per rank
-    std::vector<double> result;
-  };
-  struct RankPhase {
+  struct RankState {
     BlockedOp op = BlockedOp::None;
     int peer = -1;
     int tag = -1;
     std::size_t bytes = 0;
-    int attempt = 0;  ///< bwresil retry attempt count (0 = first try)
+    long long want = -1;   ///< bwresil wire seq to match (-1: policy off)
+    count_t gen = 0;       ///< collective generation waited on
+    bool degrade = false;  ///< granted a degraded continue by the check
+    bool parked = false;   ///< waiting on cv; its predicate was false
+    std::condition_variable cv;
+    std::deque<Message> mailbox;
+  };
+  struct Collective {
+    int arrived = 0;
+    count_t gen = 0;
+    std::vector<double> buf;  ///< one slot of `count` values per rank
+    std::vector<double> result;
   };
   /// One logged send awaiting receiver acknowledgement (bwresil).
   struct ReplayEntry {
@@ -525,53 +326,217 @@ class World {
     std::vector<char> payload;
   };
 
-  void set_phase(int rank, BlockedOp op, int peer, int tag,
-                 std::size_t bytes, int attempt = 0) {
-    // Lock-free mirror first: the bwlive sampler reads it without state_mu_.
-    phase_op_[static_cast<std::size_t>(rank)].store(
-        static_cast<int>(op), std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(state_mu_);
-    RankPhase& p = phases_[static_cast<std::size_t>(rank)];
-    p.op = op;
-    p.peer = peer;
-    p.tag = tag;
-    p.bytes = bytes;
-    p.attempt = attempt;
+  /// The bracket around every blocking call, built and destroyed under
+  /// mu_: from construction `r` shows as blocked in `op` (to the dump and
+  /// the bwlive census), and on every way out it shows as running again.
+  class Phase {
+   public:
+    Phase(World& w, int r, BlockedOp op, int peer, int tag,
+          std::size_t bytes)
+        : w_(w), r_(r) {
+      w_.set_phase(r, op, peer, tag, bytes);
+    }
+    ~Phase() { w_.set_phase(r_, BlockedOp::None, -1, -1, 0); }
+    Phase(const Phase&) = delete;
+    Phase& operator=(const Phase&) = delete;
+
+   private:
+    World& w_;
+    int r_;
+  };
+
+  RankState& rank(int r) { return ranks_[static_cast<std::size_t>(r)]; }
+
+  void set_phase(int r, BlockedOp op, int peer, int tag, std::size_t bytes) {
+    // Lock-free mirror first: the bwlive sampler reads it without mu_.
+    phase_op_[static_cast<std::size_t>(r)].store(static_cast<int>(op),
+                                                std::memory_order_relaxed);
+    RankState& s = rank(r);
+    s.op = op;
+    s.peer = peer;
+    s.tag = tag;
+    s.bytes = bytes;
+    s.want = -1;
+    s.degrade = false;
   }
 
-  /// Refreshes the lock-free mailbox-occupancy mirror; caller holds box.mu.
-  void sync_mailbox_gauge(int dest, const Mailbox& box) {
-    mailbox_n_[static_cast<std::size_t>(dest)].store(
-        static_cast<long long>(box.messages.size()),
-        std::memory_order_relaxed);
+  /// The message rank `r`'s receive matches, or mailbox.end(). A message
+  /// with a stale seq (one a degraded continue skipped) is dropped.
+  std::deque<Message>::iterator find_match(int r) {
+    RankState& s = rank(r);
+    const auto ours = [&](const Message& m) {
+      return m.src == s.peer && m.tag == s.tag;
+    };
+    if (s.want >= 0 && std::erase_if(s.mailbox, [&](const Message& m) {
+          return ours(m) && m.seq >= 0 && m.seq < s.want;
+        }))
+      sync_mailbox_gauge(r);
+    return std::find_if(s.mailbox.begin(), s.mailbox.end(),
+                        [&](const Message& m) {
+                          return ours(m) &&
+                                 (s.want < 0 || m.seq < 0 || m.seq == s.want);
+                        });
   }
 
-  /// Copies the replay-log entry with wire seq `want` of stream
-  /// (src → dest, tag) into `data`, if present.
-  bool resil_fetch_replay(int src, int dest, int tag, long long want,
-                          void* data, std::size_t bytes) {
-    trace::TraceSpan span(trace::Cat::Fault, "recovery:replay");
-    std::lock_guard<std::mutex> lock(resil_mu_);
-    auto it = resil_replay_.find({src, dest, tag});
-    if (it == resil_replay_.end()) return false;
-    for (const ReplayEntry& e : it->second) {
-      if (e.seq != want) continue;
-      BWLAB_REQUIRE(e.payload.size() == bytes,
-                    "message size mismatch: rank "
-                        << dest << " replaying from rank " << src << " tag "
-                        << tag << " expects " << bytes
-                        << " bytes, logged send carries "
-                        << e.payload.size());
-      std::memcpy(data, e.payload.data(), bytes);
-      return true;
+  /// The one wait predicate, run by the waiting rank and by every check.
+  bool ready(int r) {
+    RankState& s = rank(r);
+    if (is_receive(s.op))
+      return s.degrade || find_match(r) != s.mailbox.end();
+    if (s.op == BlockedOp::Barrier || s.op == BlockedOp::Allreduce)
+      return coll_.gen != s.gen;
+    return true;
+  }
+
+  /// Parks rank `r` until its predicate holds. An abort ends only a wait
+  /// that cannot complete: a rank whose message or collective result is
+  /// there takes it, and runs on to its own diagnosis if it has one.
+  void await(std::unique_lock<std::mutex>& lock, int r) {
+    RankState& s = rank(r);
+    while (!ready(r)) {
+      if (aborted_) throw AbortedError();
+      s.parked = true;
+      if (++parked_ == live_) stalled();
+      s.cv.wait(lock, [&] { return !s.parked; });
+    }
+  }
+
+  /// Unparks rank `r` if it is parked and its predicate now holds; the
+  /// caller notifies its cv.
+  bool release(int r) {
+    RankState& s = rank(r);
+    if (!s.parked || !ready(r)) return false;
+    unpark(s);
+    return true;
+  }
+
+  void unpark(RankState& s) {
+    s.parked = false;
+    --parked_;
+  }
+
+  /// release() and notify under the lock.
+  bool poke(int r) {
+    if (!release(r)) return false;
+    rank(r).cv.notify_one();
+    return true;
+  }
+
+  /// Every live rank is parked: re-evaluate each predicate; failing that,
+  /// with the bwresil policy on, retransmit from the replay logs (every
+  /// receiver whose wanted seq is logged, in rank order) or grant the
+  /// lowest-ranked receiver a degraded continue; failing that, the run is
+  /// deadlocked.
+  void stalled() {
+    if (aborted_) return;
+    bool woke = false;
+    for (int r = 0; r < n_; ++r) woke |= poke(r);
+    if (!woke && resil::active()) {
+      for (int r = 0; r < n_; ++r) woke |= replay(r);
+      if (!woke && resil::policy().degraded)
+        for (int r = 0; r < n_ && !woke; ++r) {
+          RankState& s = rank(r);
+          if (!s.parked || !is_receive(s.op)) continue;
+          s.degrade = true;
+          woke = poke(r);
+        }
+    }
+    if (!woke) deadlock();
+  }
+
+  /// Puts the replay-log entry parked receiver `r` waits for into its
+  /// mailbox (a retransmit) and wakes it; false when no log holds it.
+  bool replay(int r) {
+    RankState& s = rank(r);
+    if (!s.parked || !is_receive(s.op) || s.want < 0) return false;
+    const auto log = resil_replay_.find({s.peer, r, s.tag});
+    if (log == resil_replay_.end()) return false;
+    for (const ReplayEntry& e : log->second) {
+      if (e.seq != s.want) continue;
+      s.mailbox.push_back(Message{s.peer, s.tag, e.payload, e.seq, true});
+      sync_mailbox_gauge(r);
+      resil::count_retry();
+      return poke(r);
     }
     return false;
+  }
+
+  void deadlock() {
+    trace::TraceSpan span(trace::Cat::Fault, "watchdog:deadlock");
+    static Counter& found =
+        MetricsRegistry::global().counter("watchdog.deadlocks");
+    found.inc();
+    deadlock_msg_ =
+        "bwfault: no progress possible — every live rank is blocked and "
+        "no wait can be satisfied; aborting the run\n" +
+        dump();
+    abort_locked();
+  }
+
+  void abort_locked() {
+    aborted_ = true;
+    for (RankState& s : ranks_) {
+      if (!s.parked) continue;
+      unpark(s);
+      s.cv.notify_one();
+    }
+  }
+
+  /// Per-rank diagnostic dump for the deadlock message: blocked operation
+  /// + peer/tag/bytes, pending-irecv census, send counters, and the
+  /// messages sitting unmatched in each mailbox.
+  std::string dump() const {
+    std::ostringstream os;
+    for (int r = 0; r < n_; ++r) {
+      const auto rs = static_cast<std::size_t>(r);
+      const RankState& s = ranks_[rs];
+      os << "  rank " << r << ": ";
+      switch (s.op) {
+        case BlockedOp::Recv:
+        case BlockedOp::Wait:
+          os << "blocked in " << to_string(s.op) << "(src=" << s.peer
+             << ", tag=" << s.tag << ", bytes=" << s.bytes << ")";
+          break;
+        case BlockedOp::Barrier:
+          os << "blocked in barrier";
+          break;
+        case BlockedOp::Allreduce:
+          os << "blocked in allreduce(bytes=" << s.bytes << ")";
+          break;
+        case BlockedOp::None:
+          os << "running";
+          break;
+        case BlockedOp::Done:
+          os << "finished";
+          break;
+      }
+      os << "; sent " << sends_[rs].load(std::memory_order_relaxed)
+         << " msgs/" << bytes_[rs].load(std::memory_order_relaxed)
+         << " B; pending irecvs "
+         << pending_irecv_[rs].load(std::memory_order_relaxed);
+      if (s.mailbox.empty()) {
+        os << "; mailbox empty";
+      } else {
+        os << "; mailbox holds " << s.mailbox.size() << " unmatched:";
+        for (const Message& m : s.mailbox)
+          os << " [src=" << m.src << " tag=" << m.tag << " bytes="
+             << m.payload.size() << "]";
+      }
+      os << "\n";
+    }
+    return os.str();
+  }
+
+  /// Refreshes the lock-free mailbox-occupancy mirror; caller holds mu_.
+  void sync_mailbox_gauge(int r) {
+    mailbox_n_[static_cast<std::size_t>(r)].store(
+        static_cast<long long>(rank(r).mailbox.size()),
+        std::memory_order_relaxed);
   }
 
   /// Acknowledges consumption of wire seq `seq`: advances the expected
   /// receive seq and prunes acknowledged entries from the replay log.
   void resil_consume(int src, int dest, int tag, long long seq) {
-    std::lock_guard<std::mutex> lock(resil_mu_);
     resil_recv_seq_[{dest, src, tag}] = seq + 1;
     auto it = resil_replay_.find({src, dest, tag});
     if (it == resil_replay_.end()) return;
@@ -579,33 +544,26 @@ class World {
     while (!log.empty() && log.front().seq <= seq) log.pop_front();
   }
 
-  void bump_activity() {
-    activity_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  int n_;
-  std::vector<Mailbox> inbox_;
+  const int n_;
+  mutable std::mutex mu_;
+  int live_;        ///< ranks not Done
+  int parked_ = 0;  ///< ranks parked in await()
+  bool aborted_ = false;
+  std::string deadlock_msg_;
+  std::vector<RankState> ranks_;
   Collective coll_;
-  std::atomic<bool> aborted_{false};
 
-  mutable std::mutex state_mu_;
-  std::vector<RankPhase> phases_;
-  bool watchdog_fired_ = false;
-  std::string watchdog_msg_;
-  std::atomic<std::uint64_t> activity_{0};
   std::vector<std::atomic<long long>> sends_;
   std::vector<std::atomic<long long>> bytes_;
   std::vector<std::atomic<long long>> pending_irecv_;
-  /// Lock-free mirrors for the bwlive sampler: mailbox occupancy (synced
-  /// under each box's mu) and the current BlockedOp code per rank.
+  /// Lock-free mirrors for the bwlive sampler: mailbox occupancy and the
+  /// current BlockedOp code per rank (both written under mu_).
   std::vector<std::atomic<long long>> mailbox_n_;
   std::vector<std::atomic<int>> phase_op_;
 
   // bwresil per-stream state: wire seq counters and the sender-side
   // replay log, all keyed (src, dest, tag) — except recv seqs, keyed
-  // (dest, src, tag). Touched only when a policy is active, never on the
-  // disabled hot path.
-  std::mutex resil_mu_;
+  // (dest, src, tag). Touched only when a policy is active.
   std::map<std::array<int, 3>, long long> resil_send_seq_;
   std::map<std::array<int, 3>, long long> resil_recv_seq_;
   std::map<std::array<int, 3>, std::deque<ReplayEntry>> resil_replay_;
@@ -794,12 +752,6 @@ bool MultiRankError::any_rank_failure() const {
 
 std::vector<RankStats> run_ranks(int nranks,
                                  const std::function<void(Comm&)>& fn) {
-  return run_ranks(nranks, fn, RunOptions{});
-}
-
-std::vector<RankStats> run_ranks(int nranks,
-                                 const std::function<void(Comm&)>& fn,
-                                 const RunOptions& opts) {
   BWLAB_REQUIRE(nranks >= 1, "run_ranks needs >= 1 rank, got " << nranks);
   World world(nranks);
 
@@ -844,54 +796,11 @@ std::vector<RankStats> run_ranks(int nranks,
     st.payload_bytes_sent = comm.payload_bytes_sent();
   };
 
-  // Progress watchdog: a sustained "all live ranks blocked, activity
-  // counter frozen" state cannot resolve itself (only ranks generate
-  // traffic), so after the grace period it is a proven deadlock. It polls
-  // on a condition the join signals, so it stops as soon as the run ends.
-  std::thread watchdog;
-  std::mutex stop_mu;
-  std::condition_variable stop_cv;
-  bool stop = false;
-  if (opts.watchdog_grace_ms > 0) {
-    watchdog = std::thread([&] {
-      trace::set_thread_track(0, 1 << 16, "bwfault watchdog");
-      const double poll_ms =
-          std::clamp(opts.watchdog_grace_ms / 4.0, 5.0, 100.0);
-      const auto poll =
-          std::chrono::microseconds(static_cast<long>(poll_ms * 1e3));
-      double stable_ms = 0;
-      std::uint64_t last_activity = world.activity();
-      std::unique_lock<std::mutex> lock(stop_mu);
-      while (!stop_cv.wait_for(lock, poll, [&] { return stop; })) {
-        if (world.all_done()) return;
-        const std::uint64_t act = world.activity();
-        if (act == last_activity && world.all_live_blocked()) {
-          stable_ms += poll_ms;
-          if (stable_ms >= opts.watchdog_grace_ms) {
-            world.watchdog_fire(opts.watchdog_grace_ms);
-            return;
-          }
-        } else {
-          stable_ms = 0;
-          last_activity = act;
-        }
-      }
-    });
-  }
-
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks - 1));
   for (int r = 1; r < nranks; ++r) threads.emplace_back(body, r);
   body(0);
   for (std::thread& t : threads) t.join();
-  if (watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(stop_mu);
-      stop = true;
-    }
-    stop_cv.notify_one();
-    watchdog.join();
-  }
 
   // Aggregate every original failure (rank-id prefixed); cancellations
   // (AbortedError) are secondary and reported only if nothing else is.
@@ -902,7 +811,8 @@ std::vector<RankStats> run_ranks(int nranks,
       fails.push_back(RankError{r, describe(e), is_rank_failure(e)});
   }
   if (!fails.empty()) throw MultiRankError(std::move(fails));
-  if (world.watchdog_fired()) throw WatchdogError(world.watchdog_message());
+  if (std::string dump = world.deadlock_message(); !dump.empty())
+    throw WatchdogError(dump);
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
   return stats;

@@ -10,13 +10,15 @@
 // sim::CommModel instead.
 //
 // Robustness (bwfault): run_ranks never hangs and never loses an error.
-// A progress watchdog converts any deadlock (all live ranks blocked, no
-// mailbox traffic for a grace period) into a WatchdogError carrying a
-// per-rank diagnostic dump; a rank that throws poisons every blocked
-// peer's mailbox promptly; and the join aggregates *all* rank errors into
-// one MultiRankError instead of rethrowing an arbitrary one. Fault
+// Every rank state lives under one world lock, so a deadlock is seen
+// exactly, when it happens: once the last live rank parks with no wait
+// satisfiable, the run ends in a WatchdogError carrying a per-rank
+// diagnostic dump — no timer, no grace period. A rank that throws wakes
+// every blocked peer promptly, and the join aggregates *all* rank errors
+// into one MultiRankError instead of rethrowing an arbitrary one. Fault
 // injection hooks (common/fault.hpp) sit on the send path and can drop,
-// delay, or corrupt messages deterministically.
+// delay, or corrupt messages deterministically; an injected delay sleeps
+// in the sender, which counts as running.
 #pragma once
 
 #include <functional>
@@ -137,11 +139,12 @@ class MultiRankError : public Error {
   std::vector<RankError> errors_;
 };
 
-/// Thrown by run_ranks when the progress watchdog detected a deadlock:
-/// all live ranks blocked in recv/wait/barrier/allreduce with no mailbox
-/// traffic for the grace period. what() carries the per-rank dump
-/// (blocking operation, peer, tag, bytes, pending irecvs, mailbox
-/// contents, send counters).
+/// Thrown by run_ranks when it diagnosed a deadlock: every live rank
+/// blocked in recv/wait/barrier/allreduce and no wait satisfiable (with
+/// the bwresil policy on: not even from a replay log or by a degraded
+/// continue). Raised the moment the last live rank parks; what() carries
+/// the per-rank dump (blocking operation, peer, tag, bytes, pending
+/// irecvs, mailbox contents, send counters).
 class WatchdogError : public Error {
  public:
   explicit WatchdogError(const std::string& dump) : Error(dump) {}
@@ -149,16 +152,9 @@ class WatchdogError : public Error {
 
 /// Human-readable name of a blocked-op code as exported by the bwlive
 /// per-rank census ("rank.<R>.blocked_op"): 0 running, 1 recv, 2 wait,
-/// 3 barrier, 4 allreduce, 5 backoff, 6 done. "?" for anything else.
+/// 3 barrier, 4 allreduce, 6 done. "?" for anything else (5, the
+/// retired retry backoff, included).
 const char* blocked_op_name(int code);
-
-/// Knobs of one run_ranks execution.
-struct RunOptions {
-  /// Grace period of the progress watchdog: a stable "all live ranks
-  /// blocked, no traffic" state lasting this long is declared a deadlock
-  /// and aborted with a WatchdogError. <= 0 disables the watchdog.
-  double watchdog_grace_ms = 1000.0;
-};
 
 /// Runs `fn(comm)` on `nranks` ranks (threads) and joins them. Failures
 /// are aggregated: every rank's own exception (never the secondary
@@ -166,8 +162,5 @@ struct RunOptions {
 /// reported as a WatchdogError instead of hanging.
 std::vector<RankStats> run_ranks(int nranks,
                                  const std::function<void(Comm&)>& fn);
-std::vector<RankStats> run_ranks(int nranks,
-                                 const std::function<void(Comm&)>& fn,
-                                 const RunOptions& opts);
 
 }  // namespace bwlab::par

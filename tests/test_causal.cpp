@@ -601,5 +601,30 @@ TEST_F(CausalTest, RankBytesMatchRankStats) {
   EXPECT_NE(miss.diagnosis.find("tag"), std::string::npos) << miss.diagnosis;
 }
 
+// A long path prints its hop count and rank set, not every hop: a
+// 200-hop walk over four ranks keeps every table row within 80 columns,
+// while the JSON summary keeps the full hop list.
+TEST(CausalPathTable, LongPathRowsStayNarrow) {
+  Report r;
+  r.path.length_s = 1.5;
+  r.path.bucket_s = {{"kernel", 1.0}, {"comm_wait", 0.5}};
+  for (int hop = 0; hop <= 200; ++hop) r.path.ranks.push_back(hop % 4);
+  std::ostringstream os;
+  core::causal::critical_path_table(r).print(os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("path (200 hops, ranks 0-3)"), std::string::npos)
+      << text;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);)
+    EXPECT_LE(line.size(), 80u) << line;
+  EXPECT_EQ(core::causal::summarize(r).critical_path.ranks.size(), 201u);
+
+  r.path.ranks = {2, 0, 2, 5};
+  std::ostringstream gaps;
+  core::causal::critical_path_table(r).print(gaps);
+  EXPECT_NE(gaps.str().find("path (3 hops, ranks 0,2,5)"), std::string::npos)
+      << gaps.str();
+}
+
 }  // namespace
 }  // namespace bwlab

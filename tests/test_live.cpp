@@ -2,16 +2,19 @@
 // monotone cumulative keys across a concurrent 4-rank CloverLeaf run (the
 // suite the CI TSan job runs against the sampler), final-sample
 // consistency with the run's exit aggregates (RankStats sums, 1-rank
-// exact datmove bytes), the stall classifier firing BEFORE the bwfault
-// watchdog trips, the schema-versioned timeseries JSON round-trip (alone
+// exact datmove bytes), the stall classifier flagging a slow but live
+// run while a real deadlock is diagnosed before any sampling window, the
+// schema-versioned timeseries JSON round-trip (alone
 // and inside the run report), and the ThreadPool census provider.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
@@ -209,49 +212,79 @@ TEST_F(LiveTest, SingleRankDatmoveBytesMatchExactly) {
             static_cast<double>(res.instr.datmove_total_bytes()));
 }
 
-// --- Stall detection fires before the watchdog -------------------------------
+// --- Stall flags and deadlock diagnosis -------------------------------------
 
-TEST_F(LiveTest, StallFlagPrecedesWatchdog) {
+// A slow but live run: rank 1 sleeps 300 ms (running) before it sends, so
+// both ranks' counters stay flat for many 20 ms windows. Both are flagged
+// stalling mid-run, the offline classifier agrees on the series up to
+// that sample, and the run still completes: a stall is not a deadlock.
+TEST_F(LiveTest, SlowSenderIsFlaggedStallingAndCompletes) {
   live::Config cfg;
   cfg.interval_ms = 20;
   cfg.stall_windows = 3;
   live::start(cfg);
-  par::RunOptions ro;
-  ro.watchdog_grace_ms = 600;
-  // Both ranks block on a recv that never arrives: a deadlock the bwfault
-  // watchdog aborts after its grace period.
-  EXPECT_THROW(par::run_ranks(
-                   2,
-                   [](par::Comm& c) {
-                     double x = 0;
-                     c.recv(1 - c.rank(), 9, &x, sizeof x);
-                   },
-                   ro),
-               par::WatchdogError);
+  double got = 0;
+  EXPECT_NO_THROW(par::run_ranks(2, [&got](par::Comm& c) {
+    double x = 2.5;
+    if (c.rank() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      c.send(0, 9, &x, sizeof x);
+    } else {
+      c.recv(1, 9, &x, sizeof x);
+      got = x;
+    }
+  }));
   live::stop();
+  EXPECT_EQ(got, 2.5);
   const live::TimeSeries ts = live::series();
 
-  // The live flag fired mid-run, well before the watchdog's grace period
-  // elapsed — the "look at bwtop before the run dies" ordering.
   const int k = ts.key_index("live.stalled_ranks");
   ASSERT_GE(k, 0);
-  double first_flag = -1;
-  for (std::size_t i = 0; i < ts.size(); ++i)
-    if (ts.value(i, k) > 0) {
-      first_flag = ts.times[i];
-      break;
-    }
-  ASSERT_GE(first_flag, 0.0) << "stall flag never fired";
-  EXPECT_LT(first_flag, 0.6) << "stall flag later than the watchdog grace";
+  std::size_t flagged = 0;
+  while (flagged < ts.size() && ts.value(flagged, k) < 2) ++flagged;
+  ASSERT_LT(flagged, ts.size()) << "both ranks never flagged together";
+  EXPECT_LT(ts.times[flagged], 0.3) << "flag later than the send";
+  // The run ended with rank 1's send: the last sample sees it moving.
+  EXPECT_EQ(ts.last(live::rank_key(1, "msgs_sent")), 1.0);
 
-  // The offline classifier (what bwtop runs on a saved series) agrees.
+  // The offline classifier (what bwtop runs on a saved series) agrees on
+  // the series as it stood at the flagged sample.
+  live::TimeSeries upto = ts;
+  upto.times.resize(flagged + 1);
+  upto.values.resize(flagged + 1);
   const std::vector<core::StallFlag> flags = core::classify_stalls(
-      ts, static_cast<std::size_t>(cfg.stall_windows));
+      upto, static_cast<std::size_t>(cfg.stall_windows));
   ASSERT_EQ(flags.size(), 2u);
   EXPECT_EQ(flags[0].rank, 0);
   EXPECT_EQ(flags[1].rank, 1);
   for (const core::StallFlag& f : flags)
     EXPECT_GE(f.windows, static_cast<std::size_t>(cfg.stall_windows));
+}
+
+// A real deadlock (both ranks receive first) is diagnosed the moment the
+// second rank parks — before the sampler's first 20 ms window closes, so
+// no stall flag ever precedes it.
+TEST_F(LiveTest, DeadlockIsDiagnosedBeforeTheFirstWindow) {
+  live::Config cfg;
+  cfg.interval_ms = 20;
+  cfg.stall_windows = 3;
+  live::start(cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(par::run_ranks(2,
+                              [](par::Comm& c) {
+                                double x = 0;
+                                c.recv(1 - c.rank(), 9, &x, sizeof x);
+                              }),
+               par::WatchdogError);
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  live::stop();
+  EXPECT_LT(elapsed_s, 0.02);
+  const live::TimeSeries ts = live::series();
+  const int k = ts.key_index("live.stalled_ranks");
+  for (std::size_t i = 0; k >= 0 && i < ts.size(); ++i)
+    EXPECT_EQ(ts.value(i, k), 0.0) << "stall flag at sample " << i;
 }
 
 // --- JSON round-trips --------------------------------------------------------

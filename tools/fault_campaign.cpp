@@ -8,7 +8,7 @@
 //                      degraded-mode continuation
 //   survived-degraded  terminated, but degraded mode fired or the
 //                      checksum drifted
-//   hung               the progress watchdog had to kill the run
+//   hung               SimMPI diagnosed a deadlock (WatchdogError)
 //   died               any other diagnosed failure (e.g. a rank and its
 //                      buddy crashing at the same step)
 //
@@ -154,8 +154,7 @@ int main(int argc, char** argv) {
         "  --app=clover2d|clover3d|miniweather  (default clover2d)\n"
         "  --n=N --iters=I --ranks=R --threads=T\n"
         "  --plans=N --mode=grid|random --kinds=drop,delay,crash\n"
-        "  --seed=S --checkpoint-every=K --watchdog-ms=G\n"
-        "  --retry-max=N --backoff-us=U --degraded\n"
+        "  --seed=S --checkpoint-every=K --degraded\n"
         "  --require-survival=X   exit non-zero when survival < X\n"
         "  --list                 print the plan list and exit\n"
         "  --bench-json[=FILE]    write BENCH_resil.json\n");
@@ -168,15 +167,11 @@ int main(int argc, char** argv) {
   opt.ranks = static_cast<int>(cli.get_int("ranks", 4));
   opt.threads = static_cast<int>(cli.get_int("threads", 1));
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345));
-  opt.watchdog_ms = cli.get_double("watchdog-ms", 1000.0);
   opt.checkpoint_every = static_cast<int>(cli.get_int("checkpoint-every", 2));
 
   resil::Policy pol;
   pol.enabled = true;
-  pol.retry_max = static_cast<int>(cli.get_int("retry-max", 8));
-  pol.backoff_us = cli.get_int("backoff-us", 100);
   pol.degraded = cli.get_bool("degraded", false);
-  pol.seed = opt.seed;
 
   std::string kinds_csv = cli.get("kinds", "drop,delay,crash");
   const int plans = static_cast<int>(cli.get_int("plans", 50));
