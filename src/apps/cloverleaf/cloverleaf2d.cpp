@@ -1,6 +1,6 @@
 #include "apps/cloverleaf/cloverleaf2d.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "apps/cloverleaf/time_step.hpp"
 #include "apps/resilient_loop.hpp"
@@ -105,13 +105,14 @@ struct Solver {
   ops::Range cells() const { return ops::Range::make2d(0, n, 0, n); }
   ops::Range nodes() const { return ops::Range::make2d(0, n + 1, 0, n + 1); }
 
+  /// Pressure, and the squared sound speed (cloverleaf::sound_speed_sq).
   void ideal_gas() {
     ops::par_loop(
         {"ideal_gas", 7.0}, block, cells(),
         [](ops::Acc<const double> d, ops::Acc<const double> e,
            ops::Acc<double> p, ops::Acc<double> c) {
           p(0, 0) = (kGamma - 1.0) * d(0, 0) * e(0, 0);
-          c(0, 0) = std::sqrt(kGamma * p(0, 0) / d(0, 0));
+          c(0, 0) = cloverleaf::sound_speed_sq(kGamma, p(0, 0), d(0, 0));
         },
         ops::read(density), ops::read(energy), ops::write(pressure),
         ops::write(soundspeed));
@@ -144,14 +145,16 @@ struct Solver {
         ops::write(viscosity));
   }
 
-  /// Reduces the rank's largest signal speed into `speed_max` (start it
-  /// at cloverleaf::kNoSpeed); finish_dt divides once.
+  /// Reduces the rank's largest signal speed, rooted from the stored c²,
+  /// into `speed_max` (start it at cloverleaf::kNoSpeed); finish_dt
+  /// divides once.
   void calc_dt(double& speed_max) {
     ops::par_loop(
         {"calc_dt", 8.0}, block, cells(),
         [](ops::Acc<const double> c, ops::Acc<const double> u,
            ops::Acc<const double> v, double& sm) {
-          sm = std::max(sm, c(0, 0) + std::abs(u(0, 0)) + std::abs(v(0, 0)));
+          sm = std::max(sm,
+                        cloverleaf::signal_speed(c(0, 0), u(0, 0), v(0, 0)));
         },
         ops::read(soundspeed), ops::read(xvel, ops::Stencil::box(2, 1)),
         ops::read(yvel, ops::Stencil::box(2, 1)), ops::reduce_max(speed_max));
@@ -434,8 +437,8 @@ Result run(const Options& opt) {
       ctx->set_tile_cache_bytes(opt.tile_cache_bytes);
     Solver s(*ctx, opt.n, depth);
     s.initialize();
-    // Consistency across ranks is structural: every step ends in
-    // collective allreduces (calc_dt, field_summary), so no rank can
+    // Consistency across ranks is structural: every step holds
+    // collective allreduces (finish_dt, finish_summary), so no rank can
     // commit checkpoint K before every rank finished step K-1.
     ops::CheckpointStore store;
     Timer timer;
@@ -446,23 +449,9 @@ Result run(const Options& opt) {
     lp.iterations = opt.iterations;
     lp.checkpoint_every = opt.checkpoint_every;
     lp.store = &store;
-    // Each step is two chains when tiled: the EoS refresh with the dt
-    // reduction, then the hydro step with the field summary. Eager runs
-    // the same loops in the same order.
-    lp.step = [&](long long) {
-      double speed_max = cloverleaf::kNoSpeed;
-      ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
-        s.ideal_gas();
-        s.calc_dt(speed_max);
-      });
-      const double dt = s.finish_dt(speed_max);
-      Solver::Summary part;
-      ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
-        s.step(dt);
-        s.field_summary(part);
-      });
-      sum = s.finish_summary(part);
-    };
+    cloverleaf::StepChain<Solver> steps(s, *ctx, opt.tiled, opt.tile_size,
+                                        opt.iterations);
+    lp.step = [&](long long it) { sum = steps.step(it); };
     lp.capture = [&](long long it) {
       store.begin(it);
       for (ops::Dat<double>* d : s.fields()) store.capture(*d);
@@ -470,8 +459,12 @@ Result run(const Options& opt) {
     };
     lp.restore = [&] {
       for (ops::Dat<double>* d : s.fields()) store.restore(*d);
+      steps.clear();
     };
-    lp.reinit = [&] { s.initialize(); };
+    lp.reinit = [&] {
+      s.initialize();
+      steps.clear();
+    };
     const LoopRun run = run_resilient_loop(lp);
     if (rank == 0) {
       result.elapsed = timer.elapsed();

@@ -1,6 +1,6 @@
 #include "apps/cloverleaf/cloverleaf3d.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "apps/cloverleaf/time_step.hpp"
 #include "apps/resilient_loop.hpp"
@@ -92,13 +92,15 @@ struct Solver {
       d->fill(0.0);
   }
 
+  /// Pressure, and the squared sound speed (cloverleaf::sound_speed_sq).
   void ideal_gas() {
     ops::par_loop(
         {"ideal_gas3", 7.0}, block, cells(),
         [](ops::Acc<const double> d, ops::Acc<const double> e,
            ops::Acc<double> p, ops::Acc<double> c) {
           p(0, 0, 0) = (kGamma - 1.0) * d(0, 0, 0) * e(0, 0, 0);
-          c(0, 0, 0) = std::sqrt(kGamma * p(0, 0, 0) / d(0, 0, 0));
+          c(0, 0, 0) =
+              cloverleaf::sound_speed_sq(kGamma, p(0, 0, 0), d(0, 0, 0));
         },
         ops::read(density), ops::read(energy), ops::write(pressure),
         ops::write(soundspeed));
@@ -140,15 +142,16 @@ struct Solver {
         ops::write(viscosity));
   }
 
-  /// Reduces the rank's largest signal speed into `speed_max` (start it
-  /// at cloverleaf::kNoSpeed); finish_dt divides once.
+  /// Reduces the rank's largest signal speed, rooted from the stored c²,
+  /// into `speed_max` (start it at cloverleaf::kNoSpeed); finish_dt
+  /// divides once.
   void calc_dt(double& speed_max) {
     ops::par_loop(
         {"calc_dt3", 10.0}, block, cells(),
         [](ops::Acc<const double> c, ops::Acc<const double> u,
            ops::Acc<const double> v, ops::Acc<const double> w, double& sm) {
-          sm = std::max(sm, c(0, 0, 0) + std::abs(u(0, 0, 0)) +
-                                std::abs(v(0, 0, 0)) + std::abs(w(0, 0, 0)));
+          sm = std::max(sm, cloverleaf::signal_speed(c(0, 0, 0), u(0, 0, 0),
+                                                     v(0, 0, 0), w(0, 0, 0)));
         },
         ops::read(soundspeed), ops::read(xvel, ops::Stencil::box(3, 1)),
         ops::read(yvel, ops::Stencil::box(3, 1)),
@@ -430,21 +433,9 @@ Result run(const Options& opt) {
     lp.iterations = opt.iterations;
     lp.checkpoint_every = opt.checkpoint_every;
     lp.store = &store;
-    // Two chains per step when tiled, as in CloverLeaf 2D.
-    lp.step = [&](long long) {
-      double speed_max = cloverleaf::kNoSpeed;
-      ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
-        s.ideal_gas();
-        s.calc_dt(speed_max);
-      });
-      const double dt = s.finish_dt(speed_max);
-      Solver::Summary part;
-      ops::run_chain(*ctx, opt.tiled, opt.tile_size, [&] {
-        s.step(dt);
-        s.field_summary(part);
-      });
-      sum = s.finish_summary(part);
-    };
+    cloverleaf::StepChain<Solver> steps(s, *ctx, opt.tiled, opt.tile_size,
+                                        opt.iterations);
+    lp.step = [&](long long it) { sum = steps.step(it); };
     lp.capture = [&](long long it) {
       store.begin(it);
       for (ops::Dat<double>* d : s.fields()) store.capture(*d);
@@ -452,8 +443,12 @@ Result run(const Options& opt) {
     };
     lp.restore = [&] {
       for (ops::Dat<double>* d : s.fields()) store.restore(*d);
+      steps.clear();
     };
-    lp.reinit = [&] { s.initialize(); };
+    lp.reinit = [&] {
+      s.initialize();
+      steps.clear();
+    };
     const LoopRun run = run_resilient_loop(lp);
     if (rank == 0) {
       result.elapsed = timer.elapsed();

@@ -138,8 +138,9 @@ TrackView decode(const ThreadBuffer& b, std::uint64_t epoch) {
 
 /// Prints the trace envelope and, between its lines, one event per line.
 /// Each line is built in a reused buffer and written in one call; numbers
-/// go through std::to_chars, whose fixed and general forms print exactly
-/// what printf's "%.3f" and the stream default "%g" would.
+/// go through std::to_chars: timestamps in its fixed form, exactly what
+/// printf's "%.3f" would print, and counter values in its shortest form,
+/// which reads back as the same double.
 class ChromeWriter {
  public:
   explicit ChromeWriter(std::ostream& os) : os_(os) { os_ << kHeader << '\n'; }
@@ -200,7 +201,7 @@ class ChromeWriter {
     number(static_cast<double>(t.ns) / 1000.0, std::chars_format::fixed, 3);
   }
   void add(Hex h) { number(h.v, 16); }
-  void add(double v) { number(v, std::chars_format::general, 6); }
+  void add(double v) { number(v); }
   template <class T>
     requires std::is_integral_v<T>
   void add(T v) {

@@ -197,8 +197,8 @@ std::vector<TrackView> snapshot();
 /// metadata, then its events. Unmatched ends are dropped and unmatched
 /// begins (buffer overflow, still-open spans) closed at the track's last
 /// timestamp, so B/E pairs always balance. Timestamps print as exact
-/// nanoseconds (µs, three decimals), counter values with 6 significant
-/// digits.
+/// nanoseconds (µs, three decimals), counter values in the shortest form
+/// that reads back as the same double.
 void write_chrome_json(std::ostream& os, const std::vector<TrackView>& tracks);
 
 /// Serializes all buffered events, decoding one thread buffer at a time

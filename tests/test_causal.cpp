@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -402,6 +405,42 @@ TEST_F(CausalTest, ChromeTraceRoundTripsLiveTracks) {
   std::ostringstream live;
   trace::write_chrome_json(live);
   EXPECT_TRUE(live.str() == text);
+}
+
+TEST_F(CausalTest, CounterValuesReadBackExactly) {
+  // The datmove.cum_bytes track counts bytes past 1e6, where six
+  // significant digits would round them.
+  datmove::enable();
+  trace::enable();
+  apps::Options opt;
+  opt.n = 128;
+  opt.iterations = 1;
+  apps::clover2d::run(opt);
+  trace::disable();
+  datmove::disable();
+
+  std::vector<trace::TrackView> tracks = trace::snapshot();
+  ASSERT_FALSE(tracks.empty());
+  int rounded = 0;
+  for (const trace::EventView& e : tracks.front().events)
+    if (e.ph == 'C' && e.name == "datmove.cum_bytes" && e.value > 1e6) {
+      char six[32];
+      std::snprintf(six, sizeof six, "%g", e.value);
+      rounded += std::strtod(six, nullptr) != e.value;
+    }
+  EXPECT_GT(rounded, 0) << "no counter that six digits would round";
+  // Counters that are no integer, and the largest double, read back too.
+  std::vector<trace::EventView>& evs = tracks.front().events;
+  trace::EventView c;
+  c.ts_ns = evs.back().ts_ns;
+  c.ph = 'C';
+  c.cat = trace::Cat::App;
+  c.name = "datmove.cum_bytes";
+  for (const double v : {0.1, 1e300 / 3, std::numeric_limits<double>::max()}) {
+    c.value = v;
+    evs.push_back(c);
+  }
+  expect_same_tracks(read_trace(write_trace(tracks)), tracks);
 }
 
 TEST_F(CausalTest, MergedTraceReadsBackAsTwoRuns) {

@@ -489,5 +489,36 @@ TEST_F(Recovery, CrashWithoutCheckpointsReinitializes) {
   ASSERT_EQ(events().size(), 1u);
 }
 
+// Each CloverLeaf step ends by computing the next step's ideal_gas and
+// calc_dt, whose speed the next step reads. A rollback discards it with
+// the fields it came from: the resumed step recomputes it from the
+// restored (or re-initialized) fields, so the checksum is the fault-free
+// one bit for bit, eager and tiled, with and without a checkpoint.
+TEST_F(Recovery, CloverLeafRollbackRecomputesTheCarriedSpeed) {
+  for (const bool three_d : {false, true})
+    for (const bool tiled : {false, true})
+      for (const int every : {2, 0}) {
+        SCOPED_TRACE(std::string(three_d ? "clover3d" : "clover2d") +
+                     (tiled ? " tiled" : " eager") + " checkpoint_every " +
+                     std::to_string(every));
+        const auto run = three_d ? apps::clover3d::run : apps::clover2d::run;
+        apps::Options opt;
+        opt.n = three_d ? 36 : 40;  // > 17 rows (depth + stagger) per rank
+        opt.iterations = 5;
+        opt.ranks = 2;
+        opt.tiled = tiled;
+        opt.tile_size = 7;
+        opt.checkpoint_every = every;
+        clear();
+        const double baseline = run(opt).checksum;
+
+        install(FaultPlan::parse("crash:rank=1,step=3", 7));
+        const apps::Result recovered = run(opt);
+        EXPECT_EQ(recovered.checksum, baseline);
+        EXPECT_EQ(recovered.metric("rollbacks"), 1.0);
+        EXPECT_EQ(recovered.metric("buddy_restores"), every > 0 ? 1.0 : 0.0);
+      }
+}
+
 }  // namespace
 }  // namespace bwlab::fault

@@ -788,5 +788,60 @@ TEST(FuzzTimeStep, HoistedDivisionEqualsPerCellMinimum) {
   }
 }
 
+// --- CloverLeaf's stored squared sound speed --------------------------------
+//
+// Property: the signal speed calc_dt roots from the c² that ideal_gas
+// stores equals sqrt(γp/ρ) + |u| + |v| [+ |w|] bit for bit wherever that
+// is not NaN, and is NaN wherever it is; and the stored c² is non-finite
+// exactly when sqrt(γp/ρ) is, so the NaN guard flags the same ideal_gas
+// cells a stored root would.
+
+TEST(FuzzSoundSpeed, RootedSquareEqualsStoredRoot) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double big = std::numeric_limits<double>::max();
+  const double special[] = {0.0,   -0.0,  tiny, -tiny, 3 * tiny, 1e-310,
+                            -1e-310, 1e-300, -1e-300, 0.2, -0.2, 1.0, 2.5,
+                            -1.0,  1e300, -1e300, big, -big, inf, -inf, nan,
+                            -nan};
+  std::mt19937_64 rng(20261020u);
+  auto value = [&] {
+    if (rng() % 2 == 0) return special[rng() % std::size(special)];
+    // Any bit pattern: either sign, any exponent, NaNs and Infs included.
+    const std::uint64_t bits = rng();
+    double x;
+    std::memcpy(&x, &bits, sizeof x);
+    return x;
+  };
+  const double gamma = 1.4;
+  auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (int trial = 0; trial < 100000; ++trial) {
+    const double d = value(), e = value();
+    const double u = value(), v = value(), w = value();
+    const double p = (gamma - 1.0) * d * e;
+    const double root = std::sqrt(gamma * p / d);
+    const double c2 = sound_speed_sq(gamma, p, d);
+    ASSERT_EQ(std::isfinite(c2), std::isfinite(root))
+        << "trial " << trial << " d " << d << " e " << e << ": c2 " << c2;
+    const double old2 = root + std::abs(u) + std::abs(v);
+    const double old3 = old2 + std::abs(w);
+    const double new2 = signal_speed(c2, u, v);
+    const double new3 = signal_speed(c2, u, v, w);
+    if (std::isnan(old2))
+      ASSERT_TRUE(std::isnan(new2)) << "trial " << trial << ": " << new2;
+    else
+      ASSERT_TRUE(same(new2, old2))
+          << "trial " << trial << ": " << new2 << " vs " << old2;
+    if (std::isnan(old3))
+      ASSERT_TRUE(std::isnan(new3)) << "trial " << trial << ": " << new3;
+    else
+      ASSERT_TRUE(same(new3, old3))
+          << "trial " << trial << ": " << new3 << " vs " << old3;
+  }
+}
+
 }  // namespace
 }  // namespace bwlab::apps::cloverleaf

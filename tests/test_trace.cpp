@@ -181,6 +181,33 @@ TEST(Trace, CloverEagerDistributedTrace) {
   EXPECT_GT(r.rank_stats[0].payload_bytes_sent, 0u);
 }
 
+TEST(Trace, CloverEagerKernelOrderIsOneStepAfterAnother) {
+  // Each step's chain ends with the next step's ideal_gas and calc_dt,
+  // and the first step is led by them: run eagerly, every step still
+  // opens with them, and the last appends nothing after its summary.
+  trace::reset();
+  trace::enable();
+  apps::Options opt;
+  opt.n = 24;
+  opt.iterations = 3;
+  apps::clover2d::run(opt);
+  trace::disable();
+
+  const std::vector<std::string> one_step = {
+      "ideal_gas", "calc_dt", "ideal_gas", "viscosity_kernel", "accelerate",
+      "wall_west", "wall_east", "wall_south", "wall_north", "flux_calc_x",
+      "flux_calc_y", "advec_donor_x", "advec_update_x", "advec_donor_y",
+      "advec_update_y", "advec_mom_x", "advec_mom_y", "wall_west",
+      "wall_east", "wall_south", "wall_north", "field_summary"};
+  std::vector<std::string> want;
+  for (int step = 0; step < opt.iterations; ++step)
+    want.insert(want.end(), one_step.begin(), one_step.end());
+  std::vector<std::string> got;
+  for (const Ev& e : parse_events(capture_trace()))
+    if (e.ph == 'B' && e.cat == "kernel") got.push_back(e.name);
+  EXPECT_EQ(got, want);
+}
+
 TEST(Trace, CloverTiledThreadedTrace) {
   trace::reset();
   trace::enable();
