@@ -55,6 +55,7 @@
 //   --degraded           when no replay log holds the message, continue
 //                        with stale halo data instead of a diagnosed
 //                        deadlock
+#include <charconv>
 #include <iostream>
 #include <string>
 
@@ -121,6 +122,13 @@ apps::Result dispatch(const std::string& app, const apps::Options& opt) {
   if (app == "minibude") return apps::minibude::run(opt);
   BWLAB_REQUIRE(false, "unknown --app '" << app << "'; one of: " << kApps);
   return {};  // unreachable
+}
+
+/// `v` in the shortest form that reads back as the same double, so two
+/// runs' printed checksums are equal exactly when the values are.
+std::string round_trip(double v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
 }
 
 /// The exact command line, for the report's provenance stamp.
@@ -352,7 +360,7 @@ int run_main(int argc, char** argv) {
   std::cout << app << ": n=" << opt.n << " iters=" << opt.iterations
             << " ranks=" << opt.ranks << " threads=" << opt.threads
             << (opt.tiled ? " tiled" : "") << "\n"
-            << "checksum = " << result.checksum
+            << "checksum = " << round_trip(result.checksum)
             << ", elapsed = " << result.elapsed << " s, rank-0 blocked = "
             << result.comm_seconds << " s\n";
   for (std::size_t r = 0; r < result.rank_stats.size(); ++r) {

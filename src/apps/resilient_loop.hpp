@@ -30,9 +30,10 @@ namespace bwlab::apps {
 
 /// One rank's step-loop configuration. The hooks close over the rank's
 /// solver: `step` runs one full time step (halo exchanges, collectives
-/// and all), `capture` commits a checkpoint of every evolving field at
-/// the given step, `restore` copies the store's committed snapshot back
-/// into the fields, `reinit` rebuilds the initial (step-0) state.
+/// and all), `capture` commits a checkpoint of every field whose value
+/// crosses a step at the given step, `restore` copies the store's
+/// committed snapshot back into the fields, `reinit` rebuilds the
+/// initial (step-0) state.
 struct ResilientLoop {
   int rank = 0;
   par::Comm* comm = nullptr;  ///< null for single-rank runs

@@ -1,9 +1,11 @@
 #include "ops/chain.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 
+#include "common/fault.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
@@ -129,6 +131,106 @@ LoopDatArg use_arg(const ChainDatUse& u, const Range& r) {
           u.scan};
 }
 
+/// A chain-local dat's row window over one tiled chain. hold[t] is the
+/// span of outer rows the window holds during tile t: from the lowest row
+/// any tile from t on touches to the highest row any tile up to t touched.
+/// Every row written so far and still to be read lies inside it.
+struct RowWindow {
+  const ChainDatWindow* ops = nullptr;
+  std::vector<idx_t> lo, hi;  ///< hold[t] = [lo[t], hi[t]), per tile
+  idx_t rows = 0;             ///< window height
+  idx_t first = 0;            ///< the window's current first row
+  bool scan = false;          ///< the NaN guard tallies its rows
+};
+
+/// A window this many times the widest hold, so a slide (which copies the
+/// live rows down) comes once per several tiles.
+constexpr idx_t kWindowSlack = 4;
+
+/// Closes every window still open when a chain unwinds mid-tiles.
+class WindowsGuard {
+ public:
+  explicit WindowsGuard(const std::vector<RowWindow>& windows)
+      : windows_(windows) {}
+  WindowsGuard(const WindowsGuard&) = delete;
+  WindowsGuard& operator=(const WindowsGuard&) = delete;
+  ~WindowsGuard() {
+    for (const RowWindow& w : windows_) w.ops->close(w.first);
+  }
+
+ private:
+  const std::vector<RowWindow>& windows_;
+};
+
+/// Plans the row window of every chain-local dat of `loops`, whose
+/// sub-range in tile t is tile_range(i, t), from the outer rows each use
+/// touches there: a read its range dilated by its outer radius, a write
+/// its range and the rows its refresh touches (Dat::refresh_rows).
+template <class TileRange>
+std::vector<RowWindow> plan_row_windows(const std::vector<ChainLoop>& loops,
+                                        idx_t ntiles, std::size_t od,
+                                        TileRange&& tile_range) {
+  constexpr idx_t kNone = std::numeric_limits<idx_t>::max();
+  std::vector<RowWindow> windows;
+  std::vector<const void*> ids;
+  const auto nt = static_cast<std::size_t>(ntiles);
+  const bool guard = fault::nan_policy() != fault::NanPolicy::Off;
+  auto window_of = [&](const ChainDatUse& u) -> RowWindow& {
+    const auto it = std::find(ids.begin(), ids.end(), u.id);
+    if (it != ids.end())
+      return windows[static_cast<std::size_t>(it - ids.begin())];
+    ids.push_back(u.id);
+    RowWindow w;
+    w.ops = &u.window;
+    w.rows = u.alloc_extent[od];  // the cap, until the plan sizes it
+    w.lo.assign(nt, kNone);
+    w.hi.assign(nt, -kNone);
+    windows.push_back(std::move(w));
+    return windows.back();
+  };
+  for (const ChainLoop& l : loops)
+    for (const ChainDatUse& u : l.uses)
+      if (u.chain_local) window_of(u).scan |= guard && u.scan != nullptr;
+  if (windows.empty()) return windows;
+
+  for (std::size_t t = 0; t < nt; ++t)
+    for (std::size_t i = 0; i < loops.size(); ++i) {
+      const Range r = tile_range(i, static_cast<idx_t>(t));
+      if (r.empty()) continue;
+      for (const ChainDatUse& u : loops[i].uses) {
+        if (!u.chain_local) continue;
+        idx_t lo = r.lo[od], hi = r.hi[od];
+        if (u.is_read) {
+          lo -= u.radius[od];
+          hi += u.radius[od];
+        }
+        if (u.is_written) {
+          const auto [a, b] = u.refresh_rows(r.lo[od], r.hi[od]);
+          if (a < b) {
+            lo = std::min(lo, a);
+            hi = std::max(hi, b);
+          }
+        }
+        RowWindow& w = window_of(u);
+        w.lo[t] = std::min(w.lo[t], lo);
+        w.hi[t] = std::max(w.hi[t], hi);
+      }
+    }
+
+  for (RowWindow& w : windows) {
+    for (std::size_t t = nt; t-- > 1;)
+      w.lo[t - 1] = std::min(w.lo[t - 1], w.lo[t]);
+    for (std::size_t t = 1; t < nt; ++t)
+      w.hi[t] = std::max(w.hi[t], w.hi[t - 1]);
+    idx_t span = 1;
+    for (std::size_t t = 0; t < nt; ++t)
+      if (w.lo[t] < w.hi[t]) span = std::max(span, w.hi[t] - w.lo[t]);
+    w.rows = std::max(span, std::min(kWindowSlack * span, w.rows));
+    w.first = nt > 0 && w.lo[0] != kNone ? w.lo[0] : 0;
+  }
+  return windows;
+}
+
 }  // namespace
 
 idx_t auto_tile_height(double bytes_per_row, double cache_budget_bytes,
@@ -141,6 +243,7 @@ idx_t auto_tile_height(double bytes_per_row, double cache_budget_bytes,
 }
 
 void ChainQueue::enqueue(ChainLoop loop) {
+  check_chain_local(loop);
   for (const ChainDatUse& u : loop.uses) {
     loop.read_radius = std::max(loop.read_radius, u.max_radius());
     // A later write of a dat moves its NaN-guard scan to this loop.
@@ -150,6 +253,48 @@ void ChainQueue::enqueue(ChainLoop loop) {
         if (p.id == u.id) p.scan = nullptr;
   }
   loops_.push_back(std::move(loop));
+}
+
+void ChainQueue::check_chain_local(const ChainLoop& loop) const {
+  for (std::size_t k = 0; k < loop.uses.size(); ++k) {
+    const ChainDatUse& u = loop.uses[k];
+    if (!u.chain_local) continue;
+    auto uses_dat = [&u](const ChainDatUse& p) { return p.id == u.id; };
+    const ChainLoop* writer = nullptr;
+    for (const ChainLoop& prev : loops_)
+      if (std::any_of(prev.uses.begin(), prev.uses.end(), uses_dat)) {
+        writer = &prev;
+        break;
+      }
+    if (writer == nullptr &&
+        std::any_of(loop.uses.begin(), loop.uses.begin() + k, uses_dat))
+      writer = &loop;
+    if (writer == nullptr) {
+      BWLAB_REQUIRE(!u.is_read,
+                    "chain-local dat '"
+                        << u.name << "' is first used by loop '" << loop.name()
+                        << "' as " << (u.is_written ? "read_write" : "read")
+                        << "; a chain must write it before reading it");
+      continue;
+    }
+    if (!u.is_read) continue;
+    const Range& w = writer->range;
+    for (std::size_t d = 0; d < 3; ++d) {
+      idx_t lo = loop.range.lo[d] - u.radius[d];
+      idx_t hi = loop.range.hi[d] + u.radius[d];
+      if (!u.periodic[d] || (w.lo[d] <= 0 && w.hi[d] >= u.global_hi[d])) {
+        lo = std::max<idx_t>(lo, 0);
+        hi = std::min(hi, u.global_hi[d]);
+      }
+      BWLAB_REQUIRE(w.lo[d] <= lo && hi <= w.hi[d],
+                    "chain-local dat '"
+                        << u.name << "': loop '" << loop.name() << "' reads ["
+                        << lo << ", " << hi << ") in dim " << d
+                        << ", beyond the [" << w.lo[d] << ", " << w.hi[d]
+                        << ") written by its first use, loop '"
+                        << writer->name() << "'");
+    }
+  }
 }
 
 int ChainQueue::min_halo_depth_read() const {
@@ -163,11 +308,14 @@ int ChainQueue::min_halo_depth_read() const {
 void ChainQueue::exchange_chain_inputs() {
   trace::TraceSpan span(trace::Cat::Halo, "chain.exchange");
   // One deep exchange per dat read anywhere in the chain; exchanging a
-  // dat twice is a no-op because the dirty flag clears.
+  // dat twice is a no-op because the dirty flag clears. A chain-local dat
+  // is written in the chain before it is read, and redundant compute
+  // produces every ghost its readers need.
   std::set<const void*> done;
   for (const ChainLoop& l : loops_)
     for (const ChainDatUse& u : l.uses)
-      if (u.is_read && done.insert(u.id).second) u.exchange();
+      if (u.is_read && !u.chain_local && done.insert(u.id).second)
+        u.exchange();
 }
 
 std::array<bool, 3> ChainQueue::chain_periodicity() const {
@@ -232,6 +380,10 @@ void ChainQueue::finish(const std::vector<Range>& ranges,
     args.clear();
     for (const ChainDatUse& u : l.uses) {
       args.push_back(use_arg(u, r));
+      // A tiled chain kept a chain-local dat in its row window, whose
+      // rows the guard scanned as they left it.
+      if (cm.tiled && u.chain_local && u.scan != nullptr)
+        args.back().scan = u.window.scan;
       if (r.empty()) continue;
       cm.counted_bytes += args.back().read_bytes + args.back().written_bytes;
       if (seen.insert(u.id).second)
@@ -369,26 +521,45 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
     tiling.cache_budget_bytes = ctx_->tile_cache_bytes();
   }
 
+  // Loop i's sub-range in tile t.
+  const auto od = static_cast<std::size_t>(outer_dim);
+  auto tile_range = [&](std::size_t i, idx_t t) {
+    const idx_t b0 = axis_lo + t * tile_outer;
+    const idx_t b1 = std::min(axis_hi, b0 + tile_outer);
+    Range r = ext[i];
+    r.lo[od] = std::max(r.lo[od], b0 + sigma[i]);
+    r.hi[od] = std::min(r.hi[od], b1 + sigma[i]);
+    return r;
+  };
+  const idx_t ntiles =
+      std::max<idx_t>(0, (axis_hi - axis_lo + tile_outer - 1) / tile_outer);
+  std::vector<RowWindow> windows =
+      plan_row_windows(loops_, ntiles, od, tile_range);
+  const WindowsGuard close_on_unwind(windows);
+  for (const RowWindow& w : windows) w.ops->open(w.first, w.rows, w.scan);
+
   const bool dm = datmove::enabled();
   std::vector<seconds_t> seconds(static_cast<std::size_t>(n), 0.0);
   par::ThreadPool* pool = ctx_->pool();
   static Counter& tiles =
       MetricsRegistry::global().counter("ops.tiles_executed");
-  idx_t tile_idx = 0;
-  for (idx_t b0 = axis_lo; b0 < axis_hi; b0 += tile_outer, ++tile_idx) {
-    const idx_t b1 = std::min(axis_hi, b0 + tile_outer);
-    trace::TraceSpan tile_span(trace::Cat::Tile, "tile",
-                               std::to_string(tile_idx));
-    trace::counter("tile.start_row", static_cast<double>(b0));
+  for (idx_t t = 0; t < ntiles; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    trace::TraceSpan tile_span(trace::Cat::Tile, "tile", std::to_string(t));
+    trace::counter("tile.start_row",
+                   static_cast<double>(axis_lo + t * tile_outer));
     tiles.inc();
     tiling.tiles += 1;
-    for (int i = 0; i < n; ++i) {
-      ChainLoop& l = loops_[static_cast<std::size_t>(i)];
-      Range r = ext[static_cast<std::size_t>(i)];
-      const auto od = static_cast<std::size_t>(outer_dim);
-      const idx_t s = sigma[static_cast<std::size_t>(i)];
-      r.lo[od] = std::max(r.lo[od], b0 + s);
-      r.hi[od] = std::min(r.hi[od], b1 + s);
+    // Windows slide only between tiles, on the calling thread, once the
+    // team has joined; a slide starts at the lowest row still touched.
+    for (RowWindow& w : windows)
+      if (w.hi[ts] > w.first + w.rows) {
+        w.ops->slide(w.lo[ts], w.hi[ts - 1]);
+        w.first = w.lo[ts];
+      }
+    for (std::size_t i = 0; i < loops_.size(); ++i) {
+      const ChainLoop& l = loops_[i];
+      const Range r = tile_range(i, t);
       if (r.empty()) continue;
       if (dm) {
         // Per-tile reuse touches: the footprint between two touches of
@@ -399,19 +570,18 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
           ctx_->instr().datmove_touch(u.id, mb, mb);
         }
       }
-      Timer t;
+      Timer timer;
       {
         trace::TraceSpan span(trace::Cat::Kernel, l.name());
         // Split this loop's tile sub-range over the thread team. Bodies
         // are strictly serial range executors (see par_loop), so the
         // partition is safe and bitwise identical to a serial sweep.
         if (l.reduction)
-          execute_reduction_team(pool, r, owned[static_cast<std::size_t>(i)],
-                                 outer_dim, l);
+          execute_reduction_team(pool, r, owned[i], outer_dim, l);
         else
           execute_range_team(pool, r, outer_dim, l.body);
       }
-      seconds[static_cast<std::size_t>(i)] += t.elapsed();
+      seconds[i] += timer.elapsed();
       // Physical-boundary ghosts of freshly-written dats must track the
       // interior inside the chain (reads in the next loops of this tile
       // touch only rows this refresh sees as current). Runs after the
@@ -420,6 +590,9 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
         if (u.is_written) u.refresh_bcs(r.lo[od], r.hi[od]);
     }
   }
+  for (const RowWindow& w : windows)
+    w.ops->close(ntiles > 0 ? w.hi.back() : w.first);
+  windows.clear();  // closed; their uses end with the chain in finish()
 
   for (const ChainLoop& l : loops_)
     for (const ChainDatUse& u : l.uses)

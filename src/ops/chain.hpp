@@ -30,6 +30,11 @@
 //    ghosts are row-local, and an outer-face strip, read-radius deep, is
 //    refreshed whole whenever a written row lies within that radius of
 //    the face.
+//  * a chain-local dat (Dat::set_chain_local) is written before it is read
+//    in every chain (checked at capture) and dead once the chain ends, so
+//    it is not exchanged, and while the chain runs its storage is a window
+//    of outer rows that slides up with the tiles (Dat::open_window): the
+//    rows some tile still touches. Its full allocation is never touched.
 //  * a reduction counts owned points only. Each row of a reduction loop's
 //    owned range is computed once, by the tile that runs it, into a
 //    partial of its own; rows go to the team whole, never split. The
@@ -46,6 +51,7 @@
 #include <array>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ops/access.hpp"
@@ -54,6 +60,17 @@
 namespace bwlab::ops {
 
 class Block;
+
+/// The row window of a chain-local dat (Dat::open_window, slide_window,
+/// close_window).
+struct ChainDatWindow {
+  std::function<void(idx_t first, idx_t rows, bool scan)> open;
+  std::function<void(idx_t first, idx_t live_hi)> slide;
+  std::function<void(idx_t live_hi)> close;
+  /// NaN-guard scan of the window's tally; replaces the use's scan after
+  /// a tiled chain.
+  NonfiniteScan scan = nullptr;
+};
 
 /// Type-erased record of how a chained loop uses one dat.
 struct ChainDatUse {
@@ -75,6 +92,12 @@ struct ChainDatUse {
   /// NaN-guard scan, kept only on the chain's last write of the dat: the
   /// guard scans each written dat once, after the chain.
   NonfiniteScan scan = nullptr;
+  /// Dat::set_chain_local; the members below are set for such dats only.
+  bool chain_local = false;
+  std::array<idx_t, 3> global_hi{1, 1, 1};  ///< Dat::global_hi
+  /// Dat::refresh_rows: the outer rows refresh_bcs(lo, hi) touches.
+  std::function<std::pair<idx_t, idx_t>(idx_t, idx_t)> refresh_rows;
+  ChainDatWindow window;
 
   int max_radius() const {
     return std::max(radius[0], std::max(radius[1], radius[2]));
@@ -115,6 +138,12 @@ class ChainQueue {
  public:
   explicit ChainQueue(Context& ctx) : ctx_(&ctx) {}
 
+  /// Appends a captured loop. Throws when it breaks the chain-local
+  /// contract: a chain's first use of a chain-local dat must be a pure
+  /// write whose range covers every later read footprint in the chain,
+  /// apart from ghosts outside the global domain (physical rings the
+  /// per-tile refresh fills; periodic images, when the write spans the
+  /// periodic extent).
   void enqueue(ChainLoop loop);
   std::size_t size() const { return loops_.size(); }
   bool empty() const { return loops_.empty(); }
@@ -142,6 +171,7 @@ class ChainQueue {
   /// the recomputed values are exactly the periodic images.
   Range extended_local_range(const ChainLoop& loop, int ext,
                              const std::array<bool, 3>& wrap) const;
+  void check_chain_local(const ChainLoop& loop) const;
   void exchange_chain_inputs();
   /// Empties the queue, merges the reductions in chain order and delivers
   /// one loop event per chained loop: loop i executed `ranges[i]` in

@@ -9,15 +9,22 @@
 // needed"). Inter-rank and periodic ghosts are exchanged at the full
 // depth, which tiled redundant compute reads; physical-boundary ghosts are
 // filled only as deep as the deepest stencil that reads the dat.
+//
+// A chain-local dat (set_chain_local) holds no value between loop chains.
+// While a tiled chain runs, its storage is a window of outer rows (the
+// block's last dimension) that slides up with the tiles; every access,
+// through ptr(), sees whichever storage is current.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -99,7 +106,7 @@ class Dat {
   Dat(Block& block, std::string name, int halo_depth = 1,
       std::array<int, 3> stagger = {0, 0, 0}, T init = T{})
       : block_(&block), name_(std::move(name)), id_(block.ctx().next_dat_id()),
-        depth_(halo_depth), stagger_(stagger) {
+        depth_(halo_depth), outer_(block.ndims() - 1), stagger_(stagger) {
     BWLAB_REQUIRE(halo_depth >= 0, "halo depth must be >= 0");
     for (int d = 0; d < 3; ++d) {
       const auto ds = static_cast<std::size_t>(d);
@@ -126,6 +133,7 @@ class Dat {
     }
     sx_ = ahi_[0] - alo_[0];
     sy_ = ahi_[1] - alo_[1];
+    org_ = alo_;
     // Fresh storage reads zero (field_vector), so only a non-zero init
     // value costs a pass over the array.
     static_assert(std::is_trivially_copyable_v<T>);
@@ -158,14 +166,14 @@ class Dat {
                                   : 0);
   }
 
-  /// Pointer to the element at *global* indices (i, j, k).
+  /// Pointer to the element at *global* indices (i, j, k), in the current
+  /// storage: the full allocation, or the row window of a chain-local dat
+  /// inside a tiled chain.
   T* ptr(idx_t i, idx_t j = 0, idx_t k = 0) {
-    return data_.data() +
-           ((k - alo_[2]) * sy_ + (j - alo_[1])) * sx_ + (i - alo_[0]);
+    return storage() + offset(i, j, k);
   }
   const T* ptr(idx_t i, idx_t j = 0, idx_t k = 0) const {
-    return data_.data() +
-           ((k - alo_[2]) * sy_ + (j - alo_[1])) * sx_ + (i - alo_[0]);
+    return storage() + offset(i, j, k);
   }
   T& at(idx_t i, idx_t j = 0, idx_t k = 0) { return *ptr(i, j, k); }
   const T& at(idx_t i, idx_t j = 0, idx_t k = 0) const {
@@ -176,7 +184,8 @@ class Dat {
 
   /// Raw allocation (owned region plus all ghost layers) — the unit of
   /// checkpoint capture/restore (ops::CheckpointStore). A writer must
-  /// call mark_halos_dirty() afterwards.
+  /// call mark_halos_dirty() afterwards. Never the row window: between
+  /// chains the full allocation is the current storage.
   T* alloc_data() { return data_.data(); }
   const T* alloc_data() const { return data_.data(); }
   std::size_t alloc_count() const { return data_.size(); }
@@ -190,6 +199,76 @@ class Dat {
   }
   Bc bc(int d, int side) const {
     return bc_[static_cast<std::size_t>(d)][static_cast<std::size_t>(side)];
+  }
+
+  /// Declares that the dat holds no value between loop chains: each chain
+  /// writes it before reading it, and it is dead once the chain ends.
+  /// ChainQueue checks the first half at capture; a tiled chain skips the
+  /// dat's exchange (redundant compute produces every ghost a reader
+  /// needs) and keeps it in a row window instead of the full allocation,
+  /// which only eager loops and exchanges then touch.
+  void set_chain_local() { chain_local_ = true; }
+  bool chain_local() const { return chain_local_; }
+
+  /// Makes a window of `rows` outer rows, the first being `first`, the
+  /// current storage. The window is allocated on first use, grows when a
+  /// chain needs more rows, and is reused by every later chain; under
+  /// poison_unfilled_ghosts() it starts as NaN. With `scan`, the NaN
+  /// guard's tally of the chain starts: each owned row is scanned as it
+  /// leaves the window (slide_window, close_window).
+  void open_window(idx_t first, idx_t rows, bool scan) {
+    const auto need = static_cast<std::size_t>(rows * outer_row_elems());
+    if (window_.size() < need) window_ = field_vector<T>(need);
+    poison(window_.data(), window_.data() + need);
+    window_rows_ = rows;
+    org_[static_cast<std::size_t>(outer_)] = first;
+    windowed_ = true;
+    scan_ = scan;
+    tally_ = NanTally{};
+  }
+  /// Slides the window up so it starts at outer row `first`. Rows below
+  /// `first` retire (scanned first, with `scan`); the rows written so far
+  /// that stay, [first, live_hi), move down with it, and the rows it takes
+  /// in hold no value (NaN under poison_unfilled_ghosts()).
+  void slide_window(idx_t first, idx_t live_hi) {
+    const auto os = static_cast<std::size_t>(outer_);
+    const idx_t old = org_[os], end = old + window_rows_;
+    if (scan_) scan_rows(old, std::min(first, live_hi), tally_);
+    const idx_t keep_lo = std::max(first, old);
+    const idx_t keep_hi = std::max(keep_lo, std::min(end, live_hi));
+    const idx_t row = outer_row_elems();
+    T* w = window_.data();
+    std::memmove(w + (keep_lo - first) * row, w + (keep_lo - old) * row,
+                 static_cast<std::size_t>((keep_hi - keep_lo) * row) *
+                     sizeof(T));
+    poison(w + (keep_hi - first) * row, w + window_rows_ * row);
+    org_[os] = first;
+  }
+  /// Scans the rows still live, [first row, live_hi), with `scan`, and
+  /// makes the full allocation the current storage again. A no-op without
+  /// an open window, so an unwinding chain may close every window.
+  void close_window(idx_t live_hi) {
+    if (!windowed_) return;
+    const auto os = static_cast<std::size_t>(outer_);
+    if (scan_)
+      scan_rows(org_[os], std::min(org_[os] + window_rows_, live_hi), tally_);
+    org_[os] = alo_[os];
+    windowed_ = false;
+  }
+
+  /// The NaN guard's scan of the owned region: the number of non-finite
+  /// values, and in `*first` the scan-order index of the first of them.
+  long long count_nonfinite(long long* first) const {
+    NanTally t;
+    scan_rows(exec_lo(outer_), exec_hi(outer_), t);
+    *first = t.first;
+    return t.bad;
+  }
+  /// The same scan for the last row window, tallied row by row as rows
+  /// left it; equal to count_nonfinite() over the window's values.
+  long long window_nonfinite(long long* first) const {
+    *first = tally_.first;
+    return tally_.bad;
   }
 
   bool halos_dirty() const { return dirty_; }
@@ -247,33 +326,33 @@ class Dat {
   ///    ([exec_lo, exec_lo + rings] low, [exec_hi - rings - 1, exec_hi)
   ///    high), and skipped otherwise.
   void refresh_physical_bcs(idx_t outer_lo = 0, idx_t outer_hi = -1) {
-    const idx_t rings = fill_rings();
-    if (rings == 0) return;
-    const int outer = block_->ndims() - 1;
-    const auto os = static_cast<std::size_t>(outer);
-    const bool rows = outer_lo < outer_hi;
-    for (int d = 0; d < block_->ndims(); ++d) {
-      const auto ds = static_cast<std::size_t>(d);
-      if (bc_[ds][0] == Bc::Periodic) continue;
-      Box low = base_box(d), high = base_box(d);
-      low.lo[ds] = exec_lo(d) - rings;
-      low.hi[ds] = exec_lo(d);
-      high.lo[ds] = exec_hi(d);
-      high.hi[ds] = exec_hi(d) + rings;
-      bool do_low = block_->neighbor(d, -1) < 0;
-      bool do_high = block_->neighbor(d, +1) < 0;
-      if (rows && d != outer) {
-        low.lo[os] = high.lo[os] = std::max(alo_[os], outer_lo);
-        low.hi[os] = high.hi[os] = std::min(ahi_[os], outer_hi);
-      } else if (rows) {
-        do_low = do_low && outer_lo <= exec_lo(d) + rings &&
-                 outer_hi > exec_lo(d);
-        do_high = do_high && outer_lo < exec_hi(d) &&
-                  outer_hi > exec_hi(d) - rings - 1;
-      }
-      if (do_low) fill_bc(d, 0, low);
-      if (do_high) fill_bc(d, 1, high);
-    }
+    for_each_refresh(outer_lo, outer_hi,
+                     [this](int d, int side, const Box& ghosts) {
+                       fill_bc(d, side, ghosts);
+                     });
+  }
+
+  /// The outer rows refresh_physical_bcs(outer_lo, outer_hi) reads or
+  /// writes, as [first, last); empty when it touches none. A side face
+  /// touches its own rows; an outer face rewrites its whole strip and
+  /// reads the strip's source rows.
+  std::pair<idx_t, idx_t> refresh_rows(idx_t outer_lo, idx_t outer_hi) const {
+    const auto os = static_cast<std::size_t>(outer_);
+    idx_t lo = std::numeric_limits<idx_t>::max();
+    idx_t hi = std::numeric_limits<idx_t>::min();
+    for_each_refresh(outer_lo, outer_hi,
+                     [&](int d, int side, const Box& ghosts) {
+                       if (!fills(d, side)) return;
+                       lo = std::min(lo, ghosts.lo[os]);
+                       hi = std::max(hi, ghosts.hi[os]);
+                       if (d != outer_) return;
+                       const auto [a, b] = bc_source(d, side);
+                       const idx_t s0 = a + b * ghosts.lo[os];
+                       const idx_t s1 = a + b * (ghosts.hi[os] - 1);
+                       lo = std::min({lo, s0, s1});
+                       hi = std::max({hi, s0 + 1, s1 + 1});
+                     });
+    return {lo, hi};
   }
 
   /// Number of locally-owned points (product of exec extents).
@@ -305,6 +384,91 @@ class Dat {
       return (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
     }
   };
+
+  /// The refresh_physical_bcs(outer_lo, outer_hi) fills, as calls
+  /// f(d, side, ghosts) (see there for the rule).
+  template <class F>
+  void for_each_refresh(idx_t outer_lo, idx_t outer_hi, F&& f) const {
+    const idx_t rings = fill_rings();
+    if (rings == 0) return;
+    const auto os = static_cast<std::size_t>(outer_);
+    const bool rows = outer_lo < outer_hi;
+    for (int d = 0; d < block_->ndims(); ++d) {
+      const auto ds = static_cast<std::size_t>(d);
+      if (bc_[ds][0] == Bc::Periodic) continue;
+      Box low = base_box(d), high = base_box(d);
+      low.lo[ds] = exec_lo(d) - rings;
+      low.hi[ds] = exec_lo(d);
+      high.lo[ds] = exec_hi(d);
+      high.hi[ds] = exec_hi(d) + rings;
+      bool do_low = block_->neighbor(d, -1) < 0;
+      bool do_high = block_->neighbor(d, +1) < 0;
+      if (rows && d != outer_) {
+        low.lo[os] = high.lo[os] = std::max(alo_[os], outer_lo);
+        low.hi[os] = high.hi[os] = std::min(ahi_[os], outer_hi);
+      } else if (rows) {
+        do_low = do_low && outer_lo <= exec_lo(d) + rings &&
+                 outer_hi > exec_lo(d);
+        do_high = do_high && outer_lo < exec_hi(d) &&
+                  outer_hi > exec_hi(d) - rings - 1;
+      }
+      if (do_low) f(d, 0, low);
+      if (do_high) f(d, 1, high);
+    }
+  }
+
+  T* storage() { return windowed_ ? window_.data() : data_.data(); }
+  const T* storage() const {
+    return windowed_ ? window_.data() : data_.data();
+  }
+  /// Offset of global (i, j, k) from the current storage's first element,
+  /// whose indices are org_.
+  idx_t offset(idx_t i, idx_t j, idx_t k) const {
+    return ((k - org_[2]) * sy_ + (j - org_[1])) * sx_ + (i - org_[0]);
+  }
+  /// Elements of one outer row of the allocation (a row in 2-D, a plane
+  /// in 3-D).
+  idx_t outer_row_elems() const {
+    idx_t n = 1;
+    for (int d = 0; d < outer_; ++d)
+      n *= ahi_[static_cast<std::size_t>(d)] - alo_[static_cast<std::size_t>(d)];
+    return n;
+  }
+  /// Fills [b, e) with NaN under poison_unfilled_ghosts().
+  static void poison(T* b, T* e) {
+    if constexpr (std::numeric_limits<T>::has_quiet_NaN)
+      if (poison_unfilled_ghosts().load(std::memory_order_relaxed))
+        std::fill(b, e, std::numeric_limits<T>::quiet_NaN());
+  }
+
+  /// A NaN-guard tally: non-finite values so far, and the owned-region
+  /// scan-order index of the first (-1 while there is none).
+  struct NanTally {
+    long long bad = 0, first = -1;
+  };
+  /// Adds the owned points of outer rows [lo, hi) to `t`. Rows are added
+  /// in ascending order, so the first index found is the tally's first.
+  void scan_rows(idx_t lo, idx_t hi, NanTally& t) const {
+    const auto os = static_cast<std::size_t>(outer_);
+    std::array<idx_t, 3> elo{}, ehi{};
+    long long row_points = 1;
+    for (int d = 0; d < 3; ++d) {
+      const auto ds = static_cast<std::size_t>(d);
+      elo[ds] = exec_lo(d);
+      ehi[ds] = exec_hi(d);
+      if (d < outer_) row_points *= ehi[ds] - elo[ds];
+    }
+    elo[os] = std::max(elo[os], lo);
+    ehi[os] = std::min(ehi[os], hi);
+    if (elo[os] >= ehi[os]) return;
+    long long idx = (elo[os] - exec_lo(outer_)) * row_points;
+    for (idx_t k = elo[2]; k < ehi[2]; ++k)
+      for (idx_t j = elo[1]; j < ehi[1]; ++j) {
+        const T* row = ptr(elo[0], j, k);
+        for (idx_t x = 0; x < ehi[0] - elo[0]; ++x, ++idx)
+          if (!std::isfinite(row[x]) && t.bad++ == 0) t.first = idx;
+      }
+  }
 
   void pack(const Box& b, std::vector<T>& buf) const {
     buf.clear();
@@ -448,6 +612,22 @@ class Dat {
     }
   }
 
+  /// Whether fill_bc writes anything on face (d, side).
+  bool fills(int d, int side) const {
+    const Bc bc =
+        bc_[static_cast<std::size_t>(d)][static_cast<std::size_t>(side)];
+    return bc != Bc::None && bc != Bc::Periodic;
+  }
+  /// fill_bc's source index on face (d, side), a + b*g for ghost index g.
+  std::pair<idx_t, idx_t> bc_source(int d, int side) const {
+    const auto ds = static_cast<std::size_t>(d);
+    const idx_t lo = exec_lo(d), hi = exec_hi(d);
+    const idx_t node = stagger_[ds];
+    if (bc_[ds][static_cast<std::size_t>(side)] == Bc::CopyNearest)
+      return {side == 0 ? lo : hi - 1, 0};
+    return {side == 0 ? 2 * lo - 1 + node : 2 * hi - 1 - node, -1};
+  }
+
   /// Fills the ghost box of face (d, side) from the interior. The source
   /// index in dimension d is affine in the ghost index, src = a + b*g:
   /// CopyNearest repeats the boundary point (b = 0), Reflect/ReflectNeg
@@ -456,17 +636,11 @@ class Dat {
   /// the boundary node (lo and hi-1). Walks rows: a mirrored run within
   /// the row for d = 0, a whole-row copy from the source row otherwise.
   void fill_bc(int d, int side, const Box& ghosts) {
-    const auto ds = static_cast<std::size_t>(d);
-    const Bc bc = bc_[ds][static_cast<std::size_t>(side)];
-    if (bc == Bc::None || bc == Bc::Periodic) return;  // periodic: exchanged
-    const idx_t lo = exec_lo(d), hi = exec_hi(d);
-    const idx_t node = stagger_[ds];
-    idx_t a = side == 0 ? lo : hi - 1, b = 0;
-    if (bc != Bc::CopyNearest) {
-      a = side == 0 ? 2 * lo - 1 + node : 2 * hi - 1 - node;
-      b = -1;
-    }
-    const bool neg = bc == Bc::ReflectNeg;
+    if (!fills(d, side)) return;  // periodic: exchanged
+    const auto [a, b] = bc_source(d, side);
+    const bool neg =
+        bc_[static_cast<std::size_t>(d)][static_cast<std::size_t>(side)] ==
+        Bc::ReflectNeg;
     const idx_t n = ghosts.hi[0] - ghosts.lo[0];
     for (idx_t k = ghosts.lo[2]; k < ghosts.hi[2]; ++k)
       for (idx_t j = ghosts.lo[1]; j < ghosts.hi[1]; ++j) {
@@ -492,6 +666,7 @@ class Dat {
   std::string name_;
   int id_;
   int depth_;
+  int outer_;                 // the tiled (outermost) dimension
   int read_radius_ = depth_;  // see read_radius()
   bool read_ = false;         // a loop has read the dat (note_read)
   std::array<int, 3> stagger_;
@@ -499,6 +674,16 @@ class Dat {
   std::array<std::array<Bc, 2>, 3> bc_{};
   idx_t sx_ = 0, sy_ = 0;
   field_vector<T> data_;
+  // Row window (chain-local dats in tiled chains): org_ holds the global
+  // indices of the current storage's first element, alo_ but for the
+  // window's first outer row while windowed_.
+  std::array<idx_t, 3> org_{};
+  field_vector<T> window_;
+  idx_t window_rows_ = 0;
+  bool windowed_ = false;
+  bool chain_local_ = false;
+  bool scan_ = false;   // the NaN guard tallies the window's rows
+  NanTally tally_;      // of the last window
   std::vector<T> scratch_a_, scratch_b_;
   bool dirty_ = true;  // fresh dats have unfilled ghosts
 };

@@ -242,13 +242,14 @@ int arg_radius(const A&) {
 /// NaN-guard scan of a dat's owned region (index in exec-region order).
 template <class T>
 long long count_nonfinite(const void* dat, long long* first) {
-  const Dat<T>& d = *static_cast<const Dat<T>*>(dat);
-  long long bad = 0, idx = 0;
-  for (idx_t k = d.exec_lo(2); k < d.exec_hi(2); ++k)
-    for (idx_t j = d.exec_lo(1); j < d.exec_hi(1); ++j)
-      for (idx_t i = d.exec_lo(0); i < d.exec_hi(0); ++i, ++idx)
-        if (!std::isfinite(d.at(i, j, k)) && bad++ == 0) *first = idx;
-  return bad;
+  return static_cast<const Dat<T>*>(dat)->count_nonfinite(first);
+}
+
+/// The same scan of a chain-local dat after a tiled chain, tallied as its
+/// rows left the row window.
+template <class T>
+long long window_nonfinite(const void* dat, long long* first) {
+  return static_cast<const Dat<T>*>(dat)->window_nonfinite(first);
 }
 
 /// The NaN-guard scan of a written Dat<T> (none for non-float fields).
@@ -498,6 +499,23 @@ ChainDatUse dat_use(Dat<T>* d) {
   u.exchange = [d] { d->exchange_halos(); };
   u.mark_dirty = [d] { d->mark_halos_dirty(); };
   u.refresh_bcs = [d](idx_t lo, idx_t hi) { d->refresh_physical_bcs(lo, hi); };
+  if (d->chain_local()) {
+    u.chain_local = true;
+    for (int dim = 0; dim < 3; ++dim)
+      u.global_hi[static_cast<std::size_t>(dim)] = d->global_hi(dim);
+    u.refresh_rows = [d](idx_t lo, idx_t hi) {
+      return d->refresh_rows(lo, hi);
+    };
+    u.window.open = [d](idx_t first, idx_t rows, bool scan) {
+      d->open_window(first, rows, scan);
+    };
+    u.window.slide = [d](idx_t first, idx_t live_hi) {
+      d->slide_window(first, live_hi);
+    };
+    u.window.close = [d](idx_t live_hi) { d->close_window(live_hi); };
+    if constexpr (std::is_floating_point_v<T>)
+      u.window.scan = &window_nonfinite<T>;
+  }
   return u;
 }
 

@@ -392,6 +392,50 @@ TEST_F(NanGuard, AbortCoversTiledChains) {
   EXPECT_TRUE(ctx.chain().empty());
 }
 
+// A chain-local dat lives in a row window during a tiled chain; the guard
+// scans its rows as they leave the window, and a finding reads exactly as
+// it does for the same dat kept in its full allocation: the chain's last
+// writer, the count and the first index.
+TEST_F(NanGuard, AbortCoversChainLocalDats) {
+  set_nan_policy(NanPolicy::Abort);
+  auto abort_message = [](bool chain_local) {
+    ops::Context ctx;
+    ops::Block b(ctx, "g", 2, {16, 64, 1});
+    ops::Dat<double> u(b, "u", 2), v(b, "v", 2);
+    if (chain_local) v.set_chain_local();
+    u.fill(1.0);
+    ctx.set_lazy(true);
+    ops::par_loop({"copy", 1.0}, b, ops::Range::make2d(0, 16, 0, 64),
+                  [](ops::Acc<const double> a, ops::Acc<double> o) {
+                    o(0, 0) = a(0, 0);
+                  },
+                  ops::read(u), ops::write(v));
+    // NaN in rows 40 and 41 only; the window slides past them mid-chain.
+    ops::par_loop({"poison", 1.0}, b, ops::Range::make2d(0, 16, 40, 42),
+                  [](ops::Acc<const double> a, ops::Acc<double> o) {
+                    o(0, 0) = a(0, 0) * std::numeric_limits<double>::quiet_NaN();
+                  },
+                  ops::read(u), ops::write(v));
+    ctx.set_lazy(false);
+    std::string msg;
+    try {
+      ctx.chain().execute_tiled(2);
+      ADD_FAILURE() << "expected nan-guard Error";
+    } catch (const Error& e) {
+      msg = e.what();
+    }
+    EXPECT_TRUE(ctx.chain().empty());
+    return msg;
+  };
+  const std::string plain = abort_message(false);
+  const std::string local = abort_message(true);
+  EXPECT_NE(local.find("loop 'poison'"), std::string::npos) << local;
+  EXPECT_NE(local.find("dat 'v'"), std::string::npos) << local;
+  EXPECT_NE(local.find("32 non-finite"), std::string::npos) << local;
+  EXPECT_NE(local.find("flat index 640"), std::string::npos) << local;
+  EXPECT_EQ(local, plain);
+}
+
 TEST_F(NanGuard, ReportCountsWithoutThrowing) {
   set_nan_policy(NanPolicy::Report);
   Counter& fields = MetricsRegistry::global().counter(

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -16,6 +17,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
 #include "common/aligned.hpp"
@@ -1054,6 +1056,204 @@ TEST(ReadRadius, PoisonedPeriodicChainMatchesEager) {
     ctx.chain().execute_tiled(tile);
     EXPECT_EQ(tiled.checksum(), ref) << "tile " << tile;
   }
+}
+
+// --- Chain-local dats ---------------------------------------------------------
+
+/// A chain over two chain-local dats on a 2-D or 3-D block. t1 is written
+/// once and read through a stencil; t2 is written, read, rewritten (a WAW
+/// pair, like clover3d's mflux) and read again by a reduction. a, out and
+/// b cross the chain.
+struct LocalChain {
+  Context& ctx;
+  int nd;
+  Block blk;
+  Dat<double> a, t1, t2, out, b;
+  LocalChain(Context& c, int ndims)
+      : ctx(c), nd(ndims),
+        blk(c, "g", ndims,
+            ndims == 2 ? std::array<idx_t, 3>{29, 37, 1}
+                       : std::array<idx_t, 3>{14, 15, 33}),
+        a(blk, "a", 6), t1(blk, "t1", 6), t2(blk, "t2", 6),
+        out(blk, "out", 6), b(blk, "b", 6) {
+    for (Dat<double>* d : {&a, &t1, &t2, &out, &b}) d->set_bc_all(Bc::Reflect);
+    t1.set_chain_local();
+    t2.set_chain_local();
+    a.fill_indexed([](idx_t i, idx_t j, idx_t k) {
+      return std::sin(0.3 * double(i) + 0.1) * std::cos(0.17 * double(j)) +
+             0.05 * double(k);
+    });
+  }
+  Range all() const {
+    return Range::make3d(0, blk.size(0), 0, blk.size(1), 0, blk.size(2));
+  }
+  /// Runs the chain eagerly (tile < 0) or tiled at height `tile` (0:
+  /// auto); returns the reduced sum and max and an eager checksum of out
+  /// and b, all of this rank.
+  std::array<double, 3> run(idx_t tile) {
+    const bool three = nd == 3;
+    const Stencil st = Stencil::star(nd, 1);
+    double s = 0, m = -1e300;
+    run_chain(ctx, tile >= 0, std::max<idx_t>(tile, 0), [&] {
+      par_loop({"l1", 6.0}, blk, all(),
+               [three](Acc<const double> x, Acc<double> y) {
+                 const double z = three ? x(0, 0, -1) + x(0, 0, 1) : 0.0;
+                 y(0, 0, 0) = x(0, 0, 0) + 0.25 * (x(-1, 0, 0) + x(1, 0, 0) +
+                                                   x(0, -1, 0) + x(0, 1, 0) + z);
+               },
+               read(a, st), write(t1));
+      par_loop({"l2", 3.0}, blk, all(),
+               [three](Acc<const double> x, Acc<double> y) {
+                 const double z = three ? x(0, 0, 1) : 0.0;
+                 y(0, 0, 0) = x(0, 0, 0) * x(1, 0, 0) - x(0, -1, 0) + z;
+               },
+               read(t1, st), write(t2));
+      par_loop({"l3", 3.0}, blk, all(),
+               [three](Acc<const double> x, Acc<double> y) {
+                 const double z = three ? x(0, 0, -1) : 0.0;
+                 y(0, 0, 0) = x(-1, 0, 0) + x(0, 1, 0) + z - 2.0 * x(0, 0, 0);
+               },
+               read(t2, st), write(out));
+      par_loop({"l4", 2.0}, blk, all(),
+               [](Acc<const double> x, Acc<double> y) {
+                 y(0, 0, 0) = 0.5 * x(0, 0, 0) + 1.0;
+               },
+               read(out), write(t2));
+      par_loop({"l5", 4.0}, blk, all(),
+               [three](Acc<const double> x, Acc<double> y, double& sum,
+                       double& mx) {
+                 const double z = three ? x(0, 0, 1) : x(0, -1, 0);
+                 const double v = x(0, 0, 0) + x(1, 0, 0) - z;
+                 y(0, 0, 0) = v;
+                 sum += v;
+                 mx = std::max(mx, v);
+               },
+               read(t2, st), write(b), reduce_sum(s), reduce_max(m));
+    });
+    double cks = 0;
+    par_loop({"cks", 0.0}, blk, all(),
+             [](Acc<const double> o, Acc<const double> w, double& acc) {
+               acc += o(0, 0, 0) + 3.0 * w(0, 0, 0);
+             },
+             read(out), read(b), reduce_sum(cks));
+    return {s, m, cks};
+  }
+  /// Whether no element of `d`'s full allocation is a number: under
+  /// poison_unfilled_ghosts(), whether no loop or exchange touched it.
+  static bool untouched(const Dat<double>& d) {
+    return std::all_of(d.alloc_data(), d.alloc_data() + d.alloc_count(),
+                       [](double v) { return std::isnan(v); });
+  }
+};
+
+using LocalResults = std::vector<std::array<double, 3>>;
+
+/// Per-rank results of LocalChain on `ranks` SimMPI ranks (1: none).
+LocalResults run_local_chain(int nd, idx_t tile, int threads, int ranks,
+                             bool* full_untouched = nullptr) {
+  LocalResults out(static_cast<std::size_t>(ranks));
+  auto rank_run = [&](par::Comm* comm) {
+    std::unique_ptr<Context> ctx = comm ? std::make_unique<Context>(*comm, threads)
+                                        : std::make_unique<Context>(threads);
+    LocalChain c(*ctx, nd);
+    const std::size_t r = comm ? static_cast<std::size_t>(comm->rank()) : 0;
+    out[r] = c.run(tile);
+    if (full_untouched != nullptr && r == 0) {
+      *full_untouched = LocalChain::untouched(c.t1) &&
+                        LocalChain::untouched(c.t2);
+      for (const ExchangeRecord* e : ctx->instr().exchanges())
+        if (e->dat_name == "t1" || e->dat_name == "t2")
+          *full_untouched = false;
+    }
+  };
+  if (ranks > 1)
+    par::run_ranks(ranks, [&](par::Comm& comm) { rank_run(&comm); });
+  else
+    rank_run(nullptr);
+  return out;
+}
+
+class ChainLocal
+    : public ::testing::TestWithParam<std::tuple<int, idx_t, int, int>> {};
+
+// Declared chain-local, t1 and t2 are not exchanged and live in row
+// windows: bitwise equal to the unpoisoned eager run with every dat and
+// window starting as NaN, and their full allocations never touched.
+TEST_P(ChainLocal, TiledMatchesEagerBitwiseWithPoison) {
+  const auto [nd, tile, threads, ranks] = GetParam();
+  const LocalResults ref = run_local_chain(nd, -1, 1, ranks);
+  PoisonGhosts poison;
+  EXPECT_EQ(run_local_chain(nd, -1, threads, ranks), ref) << "eager";
+  bool untouched = false;
+  EXPECT_EQ(run_local_chain(nd, tile, threads, ranks, &untouched), ref);
+  EXPECT_TRUE(untouched);
+  for (const auto& r : ref)
+    for (const double v : r) EXPECT_TRUE(std::isfinite(v));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ChainLocal,
+    ::testing::Combine(::testing::Values(2, 3),
+                       ::testing::Values<idx_t>(1, 3, 7, 17, 0),
+                       ::testing::Values(1, 3), ::testing::Values(1, 2)));
+
+TEST(ChainLocalContract, FirstUseMustBeAPureWrite) {
+  for (const bool rw : {false, true}) {
+    Context ctx;
+    LocalChain c(ctx, 2);
+    ctx.set_lazy(true);
+    try {
+      if (rw)
+        par_loop({"bump", 1.0}, c.blk, c.all(),
+                 [](Acc<double> y) { y(0, 0) += 1.0; }, read_write(c.t1));
+      else
+        par_loop({"peek", 1.0}, c.blk, c.all(),
+                 [](Acc<const double> y, Acc<double> o) { o(0, 0) = y(0, 0); },
+                 read(c.t1), write(c.out));
+      ADD_FAILURE() << "expected a chain-local Error";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("dat 't1'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(rw ? "loop 'bump'" : "loop 'peek'"),
+                std::string::npos)
+          << msg;
+    }
+    ctx.set_lazy(false);
+    EXPECT_TRUE(ctx.chain().empty());
+  }
+}
+
+TEST(ChainLocalContract, FirstWriteMustCoverLaterReads) {
+  Context ctx;
+  LocalChain c(ctx, 2);
+  const idx_t nx = c.blk.size(0), ny = c.blk.size(1);
+  ctx.set_lazy(true);
+  auto copy = [](Acc<const double> x, Acc<double> y) { y(0, 0) = x(0, 0); };
+  par_loop({"inner", 1.0}, c.blk, Range::make2d(1, nx - 1, 0, ny), copy,
+           read(c.a), write(c.t1));
+  // Reads inside the written range are fine; one past it is not, while
+  // ghosts outside the domain are the per-tile refresh's.
+  par_loop({"inside", 1.0}, c.blk, Range::make2d(2, nx - 2, 0, ny),
+           [](Acc<const double> x, Acc<double> y) {
+             y(0, 0) = x(-1, 0) + x(1, 0) + x(0, -1) + x(0, 1);
+           },
+           read(c.t1, Stencil::star(2, 1)), write(c.out));
+  try {
+    par_loop({"smooth", 1.0}, c.blk, Range::make2d(1, nx - 1, 0, ny),
+             [](Acc<const double> x, Acc<double> y) {
+               y(0, 0) = x(-1, 0) + x(1, 0);
+             },
+             read(c.t1, Stencil::star(2, 1)), write(c.b));
+    ADD_FAILURE() << "expected a chain-local Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("dat 't1'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("loop 'smooth'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("loop 'inner'"), std::string::npos) << msg;
+  }
+  ctx.set_lazy(false);
+  EXPECT_EQ(ctx.chain().size(), 2u);
+  ctx.chain().clear();
 }
 
 }  // namespace
